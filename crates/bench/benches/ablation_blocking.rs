@@ -27,7 +27,7 @@ fn bench_sort_cutoff(c: &mut Criterion) {
             b.iter(|| {
                 let mut buf = data.clone();
                 let mut tmp = vec![0.0f32; buf.len()];
-                bottom_up_sort_with_cutoff(&mut buf, &mut tmp, merge_scalar, cutoff);
+                bottom_up_sort_with_cutoff(&mut buf, &mut tmp, &merge_scalar, cutoff);
                 std::hint::black_box(buf[0])
             });
         });

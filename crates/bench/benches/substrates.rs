@@ -4,8 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ninja_kernels::merge_sort::{merge_scalar, merge_simd};
 use ninja_parallel::ThreadPool;
-use ninja_simd::math::{exp_v4, norm_cdf_v4};
-use ninja_simd::F32x4;
+use ninja_simd::isa::{dispatch, math, Isa, IsaOp, SimdF32};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -22,6 +21,29 @@ fn setup_group<'a>(
     group
 }
 
+/// Sums a vector function over `xs` on the active ISA backend.
+struct SumMapped<'a> {
+    xs: &'a [f32],
+    norm_cdf: bool,
+}
+
+impl IsaOp for SumMapped<'_> {
+    type Output = f32;
+    fn run<I: Isa>(self) -> f32 {
+        let mut acc = I::F32::zero();
+        for chunk in self.xs.chunks_exact(<I::F32 as SimdF32>::LANES) {
+            let x = I::F32::load(chunk);
+            acc = acc
+                + if self.norm_cdf {
+                    math::norm_cdf::<I>(x)
+                } else {
+                    math::exp::<I>(x)
+                };
+        }
+        acc.reduce_sum()
+    }
+}
+
 fn bench_vector_math(c: &mut Criterion) {
     let xs: Vec<f32> = (0..4096).map(|i| (i as f32 * 0.01) - 20.0).collect();
     let mut group = setup_group(c, "substrates/exp");
@@ -34,24 +56,11 @@ fn bench_vector_math(c: &mut Criterion) {
             std::hint::black_box(acc)
         });
     });
-    group.bench_function("simd_exp_v4", |b| {
-        b.iter(|| {
-            let mut acc = F32x4::zero();
-            for chunk in xs.chunks_exact(4) {
-                acc += exp_v4(F32x4::from_slice(chunk));
-            }
-            std::hint::black_box(acc.reduce_sum())
+    for (name, norm_cdf) in [("simd_exp", false), ("simd_norm_cdf", true)] {
+        group.bench_function(name, |b| {
+            b.iter(|| std::hint::black_box(dispatch(SumMapped { xs: &xs, norm_cdf })));
         });
-    });
-    group.bench_function("simd_norm_cdf_v4", |b| {
-        b.iter(|| {
-            let mut acc = F32x4::zero();
-            for chunk in xs.chunks_exact(4) {
-                acc += norm_cdf_v4(F32x4::from_slice(chunk));
-            }
-            std::hint::black_box(acc.reduce_sum())
-        });
-    });
+    }
     group.finish();
 }
 

@@ -11,9 +11,10 @@ fn main() {
     eprintln!("calibrating host (three ~0.3s microbenchmarks)...");
     let cal = ninja_model::measure_host();
     println!(
-        "host calibration: scalar {:.2} GFLOP/s, 4-wide SIMD {:.2} GFLOP/s \
+        "host calibration: scalar {:.2} GFLOP/s, {} SIMD {:.2} GFLOP/s \
          (effective width {:.2}), stream {:.2} GB/s\n",
         cal.scalar_gflops,
+        ninja_simd::isa::active(),
         cal.simd_gflops,
         cal.effective_lanes(),
         cal.bandwidth_gbs

@@ -239,7 +239,7 @@ fn run_serve(cli: &ninja_bench::Cli) {
 
     if cli.record {
         let store = ninja_perfdb::Store::open(&cli.store);
-        let meta = ninja_perfdb::RecordMeta::detect(ninja_simd::backend_name());
+        let meta = ninja_perfdb::RecordMeta::detect(ninja_simd::isa::active().name());
         let record = ninja_perfdb::ServeRecord::from_serve_json(&json, &meta)
             .expect("serve report round-trips into the store schema");
         if let Err(msg) = store.append_serve(&record) {

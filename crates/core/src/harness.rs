@@ -686,8 +686,13 @@ mod tests {
         assert!(!r.kernels[0].variants[0].is_ok());
     }
 
+    /// The probe's metrics switch is process-global: the test that turns
+    /// it on and the test that asserts it is off take turns.
+    static METRICS_SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn measured_cells_carry_attribution() {
+        let _off = METRICS_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
         let h = test_harness();
         let r = h.run_kernel(&registry()[0]);
         for v in &r.variants {
@@ -702,6 +707,7 @@ mod tests {
 
     #[test]
     fn metrics_flag_adds_pool_attribution_and_raw_samples() {
+        let _on = METRICS_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
         ninja_probe::set_metrics(true);
         let h = test_harness();
         let r = h.run_kernel(&registry()[0]);

@@ -282,7 +282,7 @@ pub struct SuiteReport {
     pub seed: u64,
     /// Threads in the measurement pool.
     pub threads: usize,
-    /// Active SIMD backend (from `ninja_simd::backend_name`).
+    /// Active SIMD backend (`ninja_simd::isa::active().name()`).
     pub simd_backend: String,
     /// Resolved ISA dispatch backend the ninja rungs ran on (`scalar`,
     /// `sse2`, `avx2`, or `neon`); empty in reports written before the
@@ -508,7 +508,7 @@ impl SuiteReport {
             size: size.name().to_owned(),
             seed,
             threads,
-            simd_backend: ninja_simd::backend_name().to_owned(),
+            simd_backend: ninja_simd::isa::active().name().to_owned(),
             isa: ninja_simd::isa::active().name().to_owned(),
             kernels: Vec::new(),
             vec_profiles: Vec::new(),

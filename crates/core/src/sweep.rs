@@ -93,7 +93,7 @@ impl SweepConfig {
         let mut report = SweepReport {
             seed: self.seed,
             reps: self.reps,
-            simd_backend: ninja_simd::backend_name().to_owned(),
+            simd_backend: ninja_simd::isa::active().name().to_owned(),
             sizes: self.sizes.iter().map(|s| s.name().to_owned()).collect(),
             threads: self.threads.clone(),
             knee_threshold: self.knee_threshold,

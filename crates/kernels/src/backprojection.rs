@@ -13,14 +13,15 @@
 //! * **algorithmic** — loop interchange to angle-major with incremental
 //!   detector coordinates (`t += cosθ` along a row): strength reduction
 //!   plus clamp-free interior;
-//! * **Ninja** — 4 pixels per instruction with explicit gathers for the
-//!   interpolation taps.
+//! * **Ninja** — one vector of pixels per instruction with explicit
+//!   gathers for the interpolation taps.
 
 use crate::framework::{
-    Adapter, Characterization, Instance, KernelSpec, ProblemSize, Variant, VariantInfo, Work,
+    lane_ramp, Adapter, Characterization, Instance, KernelSpec, ProblemSize, Variant, VariantInfo,
+    Work,
 };
 use ninja_parallel::{par_chunks_mut, ThreadPool};
-use ninja_simd::{F32x4, I32x4};
+use ninja_simd::isa::{self, dispatch_on, Isa, IsaKind, IsaOp, SimdF32, SimdI32};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,6 +49,10 @@ impl BackProjection {
     /// Generates a deterministic random sinogram.
     pub fn generate(size: ProblemSize, seed: u64) -> Self {
         let (dim, angles) = Self::shape_for(size);
+        Self::with_shape(dim, angles, seed)
+    }
+
+    fn with_shape(dim: usize, angles: usize, seed: u64) -> Self {
         let bins = dim * 3 / 2;
         let mut rng = SmallRng::seed_from_u64(seed);
         let sino = (0..angles * bins)
@@ -184,40 +189,75 @@ impl BackProjection {
         img
     }
 
-    /// Ninja tier: 4 pixels per step with explicit interpolation gathers.
+    /// Ninja tier: one vector of pixels per step with explicit
+    /// interpolation gathers, row-parallel.
     // ninja-lint: variant(ninja)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
+        self.run_ninja_on(isa::active(), pool)
+    }
+
+    /// The ninja rung on a chosen backend, dispatched per row inside the
+    /// worker closure (`#[target_feature]` trampolines do not cross
+    /// thread boundaries).
+    // ninja-lint: effort(ninja)
+    fn run_ninja_on(&self, kind: IsaKind, pool: &ThreadPool) -> Vec<f32> {
         let d = self.image_dim;
         let mut img = vec![0.0f32; d * d];
-        let max_t = F32x4::splat((self.bins - 2) as f32);
-        let zero = F32x4::zero();
         par_chunks_mut(pool, &mut img, d, |y, row| {
-            let half = d as f32 * 0.5;
-            let vec_d = d / 4 * 4;
-            for a in 0..self.angles {
-                let c = self.cos_t[a];
-                let s = self.sin_t[a];
-                let t0 = (0.5 - half) * c + (y as f32 + 0.5 - half) * s + self.bins as f32 * 0.5;
-                let row_base = I32x4::splat((a * self.bins) as i32);
-                let step = F32x4::splat(c);
-                for x in (0..vec_d).step_by(4) {
-                    let xs = F32x4::new(x as f32, x as f32 + 1.0, x as f32 + 2.0, x as f32 + 3.0);
-                    let t = (F32x4::splat(t0) + xs * step).min(max_t).max(zero);
-                    let it = t.floor();
-                    let ft = t - it;
-                    let idx = row_base + it.to_i32_trunc();
-                    let lo = F32x4::gather(&self.sino, idx);
-                    let hi = F32x4::gather(&self.sino, idx + I32x4::splat(1));
-                    let sample = lo + (hi - lo) * ft;
-                    let acc = F32x4::from_slice(&row[x..]) + sample;
-                    acc.write_to_slice(&mut row[x..]);
-                }
-                for (x, o) in row.iter_mut().enumerate().skip(vec_d) {
-                    *o += self.sample(a, t0 + x as f32 * c);
-                }
-            }
+            dispatch_on(
+                kind,
+                ProjectRow {
+                    kernel: self,
+                    y,
+                    row,
+                },
+            );
         });
         img
+    }
+}
+
+/// One image row of the ninja rung, accumulated angle by angle.
+struct ProjectRow<'a> {
+    kernel: &'a BackProjection,
+    y: usize,
+    row: &'a mut [f32],
+}
+
+impl IsaOp for ProjectRow<'_> {
+    type Output = ();
+    #[inline(always)]
+    // ninja-lint: effort(ninja)
+    fn run<I: Isa>(self) {
+        let lanes = <I::F32 as SimdF32>::LANES;
+        let (k, y, row) = (self.kernel, self.y, self.row);
+        let d = k.image_dim;
+        let half = d as f32 * 0.5;
+        let vec_d = d / lanes * lanes;
+        let max_t = I::F32::splat((k.bins - 2) as f32);
+        let zero = I::F32::zero();
+        let ramp = lane_ramp::<I>();
+        for a in 0..k.angles {
+            let c = k.cos_t[a];
+            let s = k.sin_t[a];
+            let t0 = (0.5 - half) * c + (y as f32 + 0.5 - half) * s + k.bins as f32 * 0.5;
+            let row_base = I::I32::splat((a * k.bins) as i32);
+            let step = I::F32::splat(c);
+            for x in (0..vec_d).step_by(lanes) {
+                let xs = I::F32::splat(x as f32) + ramp;
+                let t = (I::F32::splat(t0) + xs * step).min(max_t).max(zero);
+                let it = t.floor();
+                let ft = t - it;
+                let idx = row_base + it.to_i32_trunc();
+                let lo = I::F32::gather(&k.sino, idx);
+                let hi = I::F32::gather(&k.sino, idx + I::I32::splat(1));
+                let sample = lo + (hi - lo) * ft;
+                (I::F32::load(&row[x..]) + sample).store(&mut row[x..]);
+            }
+            for (x, o) in row.iter_mut().enumerate().skip(vec_d) {
+                *o += k.sample(a, t0 + x as f32 * c);
+            }
+        }
     }
 }
 
@@ -271,7 +311,7 @@ pub fn spec() -> KernelSpec {
             VariantInfo {
                 variant: Variant::Ninja,
                 effort_loc: 75,
-                what_changed: "4-pixel SIMD with explicit interpolation gathers",
+                what_changed: "vector-width pixel SIMD with explicit interpolation gathers",
             },
         ],
         character: Characterization {
@@ -360,6 +400,19 @@ mod tests {
                 assert!(err < 2e-3, "{label}[{i}]: {a} vs {b}");
             }
         }
+    }
+
+    /// Image widths at every residue of the widest lane count: each row
+    /// ends in a scalar remainder of every length under each backend.
+    #[test]
+    fn ninja_rung_conforms_on_every_backend_at_every_residue() {
+        crate::framework::assert_ninja_conforms(
+            16..16 + ninja_simd::isa::MAX_ISA_F32_LANES,
+            2e-3,
+            |dim| BackProjection::with_shape(dim, 9, 12),
+            BackProjection::run_naive,
+            BackProjection::run_ninja_on,
+        );
     }
 
     #[test]

@@ -20,8 +20,8 @@ use crate::framework::{
     Adapter, Characterization, Instance, KernelSpec, ProblemSize, Variant, VariantInfo, Work,
 };
 use ninja_parallel::{par_chunks_mut, ThreadPool};
-use ninja_simd::isa::{dispatch, math as vmath, Isa, IsaOp, SimdF32, Sse2, MAX_ISA_F32_LANES};
-use ninja_simd::math::norm_cdf_scalar;
+use ninja_simd::isa::math::{self as vmath, norm_cdf_scalar};
+use ninja_simd::isa::{self, dispatch_on, Isa, IsaKind, IsaOp, SimdF32};
 use ninja_simd::AlignedVec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -47,9 +47,7 @@ pub struct OptionContract {
 /// A batch-pricing problem instance (AoS and SoA mirrors of the same book).
 pub struct BlackScholes {
     contracts: Vec<OptionContract>,
-    // SoA mirror for the vectorized tiers, padded to a multiple of the
-    // widest ISA backend's f32 lane count and cache-line aligned, so any
-    // dispatched width can round its last group up into the padding.
+    // SoA mirror for the vectorized tiers, cache-line aligned.
     spot: AlignedVec<f32>,
     strike: AlignedVec<f32>,
     years: AlignedVec<f32>,
@@ -69,7 +67,10 @@ impl BlackScholes {
 
     /// Generates a deterministic random option book.
     pub fn generate(size: ProblemSize, seed: u64) -> Self {
-        let n = Self::n_for(size);
+        Self::with_len(Self::n_for(size), seed)
+    }
+
+    fn with_len(n: usize, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let contracts: Vec<OptionContract> = (0..n)
             .map(|_| OptionContract {
@@ -80,13 +81,12 @@ impl BlackScholes {
                 vol: rng.gen_range(0.05..0.6),
             })
             .collect();
-        let padded = n.div_ceil(MAX_ISA_F32_LANES) * MAX_ISA_F32_LANES;
         let mut this = Self {
-            spot: AlignedVec::filled(padded, 1.0),
-            strike: AlignedVec::filled(padded, 1.0),
-            years: AlignedVec::filled(padded, 1.0),
-            rate: AlignedVec::zeroed(padded),
-            vol: AlignedVec::filled(padded, 0.5),
+            spot: AlignedVec::zeroed(n),
+            strike: AlignedVec::zeroed(n),
+            years: AlignedVec::zeroed(n),
+            rate: AlignedVec::zeroed(n),
+            vol: AlignedVec::zeroed(n),
             contracts,
         };
         for (i, c) in this.contracts.iter().enumerate() {
@@ -235,109 +235,98 @@ impl BlackScholes {
     }
 
     /// Ninja tier: explicit width-generic SIMD pricing with vector
-    /// `exp`/`ln`/CDF, parallel over option blocks. The ISA backend is
-    /// dispatched *inside* each worker closure because `#[target_feature]`
-    /// trampolines do not cross thread boundaries (see
-    /// `ninja_simd::isa::dispatch`).
+    /// `exp`/`ln`/CDF, parallel over option blocks.
     // ninja-lint: variant(ninja)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
-        let n = self.len();
-        let mut out = vec![0.0f32; 2 * n];
+        self.run_ninja_on(isa::active(), pool)
+    }
+
+    /// The ninja rung on a chosen backend. Dispatch happens *inside* each
+    /// worker closure because `#[target_feature]` trampolines do not
+    /// cross thread boundaries (see `ninja_simd::isa::dispatch`).
+    // ninja-lint: effort(ninja)
+    fn run_ninja_on(&self, kind: IsaKind, pool: &ThreadPool) -> Vec<f32> {
+        let mut out = vec![0.0f32; 2 * self.len()];
         const BLOCK: usize = 4096;
         par_chunks_mut(pool, &mut out, 2 * BLOCK, |chunk_idx, chunk| {
-            dispatch(PriceRange {
-                kernel: self,
-                lo: chunk_idx * BLOCK,
-                out: chunk,
-            });
+            let lo = chunk_idx * BLOCK;
+            let hi = lo + chunk.len() / 2;
+            dispatch_on(
+                kind,
+                PriceBatch {
+                    spot: &self.spot[lo..hi],
+                    strike: &self.strike[lo..hi],
+                    years: &self.years[lo..hi],
+                    rate: &self.rate[lo..hi],
+                    vol: &self.vol[lo..hi],
+                    out: chunk,
+                },
+            );
         });
         out
     }
 }
 
-/// One output chunk of the ninja rung, priced under whichever ISA backend
-/// the dispatcher selects.
-struct PriceRange<'a> {
-    kernel: &'a BlackScholes,
-    /// First option index covered by `out`.
-    lo: usize,
-    /// Interleaved `(call, put)` output window for this chunk.
+/// A SoA batch priced with explicit SIMD under whichever ISA backend is
+/// dispatched — the ninja rung's arithmetic, shared by the instance's
+/// chunks and the serving surface. The five input slices share a length
+/// `n`; `out` receives `n` interleaved `(call, put)` pairs.
+struct PriceBatch<'a> {
+    spot: &'a [f32],
+    strike: &'a [f32],
+    years: &'a [f32],
+    rate: &'a [f32],
+    vol: &'a [f32],
     out: &'a mut [f32],
 }
 
-impl IsaOp for PriceRange<'_> {
+impl IsaOp for PriceBatch<'_> {
     type Output = ();
+    #[inline(always)]
+    // ninja-lint: effort(ninja)
     fn run<I: Isa>(self) {
         let lanes = <I::F32 as SimdF32>::LANES;
-        let k = self.kernel;
-        // Round the upper bound up to a full vector group: the SoA arrays
-        // are padded to a multiple of `MAX_ISA_F32_LANES >= lanes`, so the
-        // trailing group may read padding but never out of bounds.
-        let hi = (self.lo + self.out.len() / 2).min(k.spot.len());
-        let hi = (hi.div_ceil(lanes) * lanes).min(k.spot.len());
-        price_soa_range::<I>(
-            &k.spot, &k.strike, &k.years, &k.rate, &k.vol, self.lo, hi, self.out,
-        );
+        let n = self.spot.len();
+        let inputs = [self.spot, self.strike, self.years, self.rate, self.vol];
+        let whole = n / lanes * lanes;
+        for j in (0..whole).step_by(lanes) {
+            let (calls_puts_lo, calls_puts_hi) =
+                price_group::<I>(inputs.map(|src| I::F32::load(&src[j..])));
+            calls_puts_lo.store(&mut self.out[2 * j..]);
+            calls_puts_hi.store(&mut self.out[2 * j + lanes..]);
+        }
+        if whole < n {
+            // Masked tail: inactive lanes load as zero, price to garbage
+            // (no lane operation traps) and are never stored.
+            let (calls_puts_lo, calls_puts_hi) =
+                price_group::<I>(inputs.map(|src| I::F32::load_partial(&src[whole..])));
+            let tail = &mut self.out[2 * whole..];
+            calls_puts_lo.store_partial(tail);
+            if tail.len() > lanes {
+                calls_puts_hi.store_partial(&mut tail[lanes..]);
+            }
+        }
     }
 }
 
-/// Prices options `[lo, hi)` from SoA slices with explicit SIMD, written
-/// once against the width-generic [`Isa`] trait — the same source is
-/// instantiated at 128- and 256-bit widths by the dispatcher. `lo` and
-/// `hi` must be multiples of the backend's lane count and the slices must
-/// extend to `hi`; `out` receives interleaved `(call, put)` pairs for
-/// option `lo` onward and may end mid-group (the pair stores are masked
-/// to the remaining window).
+/// Prices one vector group of options, `[spot, strike, years, rate, vol]`,
+/// returning the `(call, put)` pairs interleaved into output order (low
+/// lanes' pairs, high lanes' pairs).
+#[inline(always)]
 // ninja-lint: effort(ninja)
-#[allow(clippy::too_many_arguments)]
-fn price_soa_range<I: Isa>(
-    spot: &[f32],
-    strike: &[f32],
-    years: &[f32],
-    rate: &[f32],
-    vol: &[f32],
-    lo: usize,
-    hi: usize,
-    out: &mut [f32],
-) {
-    let lanes = <I::F32 as SimdF32>::LANES;
-    debug_assert_eq!(lo % lanes, 0);
-    debug_assert_eq!(hi % lanes, 0);
+fn price_group<I: Isa>([s, k, t, r, v]: [I::F32; 5]) -> (I::F32, I::F32) {
     let half = I::F32::splat(0.5);
     let one = I::F32::splat(1.0);
-    let mut j = lo;
-    while j < hi {
-        let s = I::F32::load(&spot[j..]);
-        let k = I::F32::load(&strike[j..]);
-        let t = I::F32::load(&years[j..]);
-        let r = I::F32::load(&rate[j..]);
-        let v = I::F32::load(&vol[j..]);
-
-        let sqrt_t = t.sqrt();
-        let vt = v * sqrt_t;
-        let d1 = (vmath::ln::<I>(s / k) + (r + half * v * v) * t) / vt;
-        let d2 = d1 - vt;
-        let disc = vmath::exp::<I>(-(r * t));
-        let nd1 = vmath::norm_cdf::<I>(d1);
-        let nd2 = vmath::norm_cdf::<I>(d2);
-        let call = s * nd1 - k * disc * nd2;
-        let put = k * disc * (one - nd2) - s * (one - nd1);
-
-        // Interleave (call, put) pairs back into the output layout.
-        let (lo_pairs, hi_pairs) = call.interleave(put);
-        let base = 2 * (j - lo);
-        let avail = out.len() - base;
-        if avail >= 2 * lanes {
-            lo_pairs.store(&mut out[base..]);
-            hi_pairs.store(&mut out[base + lanes..]);
-        } else {
-            lo_pairs.store_partial(&mut out[base..base + avail.min(lanes)]);
-            if avail > lanes {
-                hi_pairs.store_partial(&mut out[base + lanes..base + avail]);
-            }
-        }
-        j += lanes;
-    }
+    let sqrt_t = t.sqrt();
+    let vt = v * sqrt_t;
+    let d1 = (vmath::ln::<I>(s / k) + (r + half * v * v) * t) / vt;
+    let d2 = d1 - vt;
+    let disc = vmath::exp::<I>(-(r * t));
+    let nd1 = vmath::norm_cdf::<I>(d1);
+    let nd2 = vmath::norm_cdf::<I>(d2);
+    let call = s * nd1 - k * disc * nd2;
+    let put = k * disc * (one - nd2) - s * (one - nd1);
+    call.interleave(put)
 }
 
 use crate::scalar_math::{cnd_poly, exp_poly, ln_poly};
@@ -348,7 +337,7 @@ use crate::scalar_math::{cnd_poly, exp_poly, ln_poly};
 // request batches itself, so these price caller-provided contracts/SoA
 // slices rather than the instance's generated book. Each function is the
 // math of one degradation-ladder rung (scalar f64 libm, f32 polynomial,
-// explicit 4-wide SIMD).
+// explicit SIMD at the host's vector width).
 
 /// Prices one contract with the naive `f64` libm math — the serving
 /// layer's scalar floor. Returns `(call, put)`.
@@ -391,14 +380,13 @@ pub fn price_batch_poly(
     }
 }
 
-/// Prices a SoA batch with the explicit SIMD ninja body instantiated at
-/// the portable 128-bit backend, so the serving layer's `n % 4` batch
-/// contract and numeric results are stable across hosts. Slice layout as
-/// [`price_batch_poly`]; the shared length must be a multiple of 4.
+/// Prices a SoA batch with the explicit SIMD ninja body on the active
+/// ISA backend; any batch length (the tail group is masked). Slice
+/// layout as [`price_batch_poly`].
 ///
 /// # Panics
 ///
-/// Panics if the slice lengths disagree or are not a multiple of 4.
+/// Panics if the slice lengths disagree.
 pub fn price_batch_simd(
     spot: &[f32],
     strike: &[f32],
@@ -412,9 +400,15 @@ pub fn price_batch_simd(
         strike.len() == n && years.len() == n && rate.len() == n && vol.len() == n,
         "SoA batch slices must share a length"
     );
-    assert_eq!(n % 4, 0, "SIMD batch length must be a multiple of 4");
     assert_eq!(out.len(), 2 * n, "out must hold (call, put) per option");
-    price_soa_range::<Sse2>(spot, strike, years, rate, vol, 0, n, out);
+    isa::dispatch(PriceBatch {
+        spot,
+        strike,
+        years,
+        rate,
+        vol,
+        out,
+    });
 }
 
 fn run(k: &BlackScholes, variant: Variant, pool: &ThreadPool) -> Vec<f32> {
@@ -581,18 +575,16 @@ mod tests {
             assert_eq!(call, reference[2 * i]);
             assert_eq!(put, reference[2 * i + 1]);
         }
-        // SoA batches built from the AoS book (padded for the SIMD rung).
-        let padded = n.div_ceil(4) * 4;
-        let mut soa: [Vec<f32>; 5] = std::array::from_fn(|_| vec![1.0f32; padded]);
-        for (i, c) in cs.iter().enumerate() {
-            soa[0][i] = c.spot;
-            soa[1][i] = c.strike;
-            soa[2][i] = c.years;
-            soa[3][i] = c.rate;
-            soa[4][i] = c.vol;
-        }
-        let mut poly = vec![0.0f32; 2 * padded];
-        let mut simd = vec![0.0f32; 2 * padded];
+        // SoA batches built from the AoS book.
+        let soa: [Vec<f32>; 5] = [
+            cs.iter().map(|c| c.spot).collect(),
+            cs.iter().map(|c| c.strike).collect(),
+            cs.iter().map(|c| c.years).collect(),
+            cs.iter().map(|c| c.rate).collect(),
+            cs.iter().map(|c| c.vol).collect(),
+        ];
+        let mut poly = vec![0.0f32; 2 * n];
+        let mut simd = vec![0.0f32; 2 * n];
         price_batch_poly(&soa[0], &soa[1], &soa[2], &soa[3], &soa[4], &mut poly);
         price_batch_simd(&soa[0], &soa[1], &soa[2], &soa[3], &soa[4], &mut simd);
         for i in 0..2 * n {
@@ -604,80 +596,18 @@ mod tests {
         }
     }
 
+    /// Book lengths from one option up, through every residue of the
+    /// widest lane count: the masked tail group at every fill level, with
+    /// and without whole groups before it.
     #[test]
-    fn ninja_rung_agrees_under_every_reachable_backend() {
-        use ninja_simd::isa::{available_kinds, dispatch_on};
-        let k = BlackScholes::generate(ProblemSize::Test, 3);
-        let reference = k.run_naive();
-        let n = k.len();
-        for kind in available_kinds() {
-            let mut out = vec![0.0f32; 2 * n];
-            dispatch_on(
-                kind,
-                PriceRange {
-                    kernel: &k,
-                    lo: 0,
-                    out: &mut out,
-                },
-            );
-            for (i, (&a, &b)) in out.iter().zip(reference.iter()).enumerate() {
-                let err = (a - b).abs() / b.abs().max(1.0);
-                assert!(err < 5e-3, "{kind}[{i}]: {a} vs {b} (err {err})");
-            }
-        }
-    }
-
-    /// A batch length that is not a multiple of any vector width forces
-    /// the masked tail stores in the generic body under every backend.
-    #[test]
-    fn ninja_tail_is_masked_under_every_reachable_backend() {
-        use ninja_simd::isa::{available_kinds, dispatch_on};
-
-        struct OddBatch {
-            n: usize,
-        }
-        impl IsaOp for OddBatch {
-            type Output = Vec<f32>;
-            fn run<I: Isa>(self) -> Vec<f32> {
-                let lanes = <I::F32 as SimdF32>::LANES;
-                let padded = self.n.div_ceil(MAX_ISA_F32_LANES) * MAX_ISA_F32_LANES;
-                let mk = |base: f32, step: f32| -> Vec<f32> {
-                    (0..padded).map(|i| base + step * i as f32).collect()
-                };
-                let spot = mk(20.0, 1.7);
-                let strike = mk(25.0, 1.3);
-                let years = mk(0.5, 0.05);
-                let rate = mk(0.01, 0.001);
-                let vol = mk(0.1, 0.004);
-                let mut out = vec![0.0f32; 2 * self.n];
-                let hi = self.n.div_ceil(lanes) * lanes;
-                price_soa_range::<I>(&spot, &strike, &years, &rate, &vol, 0, hi, &mut out);
-                // The scalar reference for the same contracts.
-                let mut want = vec![0.0f32; 2 * self.n];
-                for i in 0..self.n {
-                    let (call, put) = price_contract(&OptionContract {
-                        spot: spot[i],
-                        strike: strike[i],
-                        years: years[i],
-                        rate: rate[i],
-                        vol: vol[i],
-                    });
-                    want[2 * i] = call;
-                    want[2 * i + 1] = put;
-                }
-                for (i, (&a, &b)) in out.iter().zip(want.iter()).enumerate() {
-                    let err = (a - b).abs() / b.abs().max(1.0);
-                    assert!(err < 5e-3, "n={} out[{i}]: {a} vs {b}", self.n);
-                }
-                out
-            }
-        }
-
-        for kind in available_kinds() {
-            for n in [1usize, 3, 7, 9, 13] {
-                dispatch_on(kind, OddBatch { n });
-            }
-        }
+    fn ninja_rung_conforms_on_every_backend_at_every_residue() {
+        crate::framework::assert_ninja_conforms(
+            1..=2 * ninja_simd::isa::MAX_ISA_F32_LANES + 1,
+            5e-3,
+            |n| BlackScholes::with_len(n, 3),
+            BlackScholes::run_naive,
+            BlackScholes::run_ninja_on,
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::framework::{
     Adapter, Characterization, Instance, KernelSpec, ProblemSize, Variant, VariantInfo, Work,
 };
 use ninja_parallel::{par_chunks_mut, ThreadPool};
-use ninja_simd::isa::{dispatch, Isa, IsaOp, SimdF32};
+use ninja_simd::isa::{self, dispatch_on, Isa, IsaKind, IsaOp, SimdF32};
 use ninja_simd::AlignedVec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -55,7 +55,10 @@ impl Conv1d {
 
     /// Generates a deterministic random signal and filter.
     pub fn generate(size: ProblemSize, seed: u64) -> Self {
-        let n = Self::n_for(size);
+        Self::with_len(Self::n_for(size), seed)
+    }
+
+    fn with_len(n: usize, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let sample = |rng: &mut SmallRng| Complex {
             re: rng.gen_range(-1.0..1.0),
@@ -169,23 +172,31 @@ impl Conv1d {
 
     /// Ninja tier: explicit width-generic SIMD complex MAC in the
     /// tap-outer streaming form (unit-stride loads, two read-modify-write
-    /// streams), parallel over output blocks. The ISA backend is
-    /// dispatched *inside* each worker closure because `#[target_feature]`
-    /// trampolines do not cross thread boundaries (see
-    /// `ninja_simd::isa::dispatch`).
+    /// streams), parallel over output blocks.
     // ninja-lint: variant(ninja)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
+        self.run_ninja_on(isa::active(), pool)
+    }
+
+    /// The ninja rung on a chosen backend. Dispatch happens *inside* each
+    /// worker closure because `#[target_feature]` trampolines do not
+    /// cross thread boundaries (see `ninja_simd::isa::dispatch`).
+    // ninja-lint: effort(ninja)
+    fn run_ninja_on(&self, kind: IsaKind, pool: &ThreadPool) -> Vec<f32> {
         let m = self.out_len();
         let mut re = vec![0.0f32; m];
         let mut im = vec![0.0f32; m];
         let this = self;
         ninja_parallel::par_zip_chunks_mut(pool, &mut re, &mut im, 8192, |chunk_idx, cre, cim| {
-            dispatch(ConvChunk {
-                kernel: this,
-                lo: chunk_idx * 8192,
-                out_re: cre,
-                out_im: cim,
-            });
+            dispatch_on(
+                kind,
+                ConvChunk {
+                    kernel: this,
+                    lo: chunk_idx * 8192,
+                    out_re: cre,
+                    out_im: cim,
+                },
+            );
         });
         interleave(&re, &im)
     }
@@ -203,6 +214,7 @@ struct ConvChunk<'a> {
 
 impl IsaOp for ConvChunk<'_> {
     type Output = ();
+    #[inline(always)]
     // ninja-lint: effort(ninja)
     fn run<I: Isa>(self) {
         let lanes = <I::F32 as SimdF32>::LANES;
@@ -407,33 +419,19 @@ mod tests {
         }
     }
 
-    /// The Test preset's output length (4081) is odd, so every vector
-    /// backend hits the masked-tail path in the same run.
+    /// Output lengths (`n - TAPS + 1`) on every residue of twice the
+    /// widest lane count: the paired-accumulator loop, the single-vector
+    /// loop and the masked tail each run at every remainder.
     #[test]
-    fn ninja_rung_agrees_under_every_reachable_backend() {
-        use ninja_simd::isa::{available_kinds, dispatch_on};
-        let k = Conv1d::generate(ProblemSize::Test, 9);
-        let reference = k.run_naive();
-        let m = k.out_len();
-        assert_eq!(m % 8, 1, "preset must exercise the masked tail");
-        for kind in available_kinds() {
-            let mut re = vec![0.0f32; m];
-            let mut im = vec![0.0f32; m];
-            dispatch_on(
-                kind,
-                ConvChunk {
-                    kernel: &k,
-                    lo: 0,
-                    out_re: &mut re,
-                    out_im: &mut im,
-                },
-            );
-            let out = interleave(&re, &im);
-            for (i, (&a, &b)) in out.iter().zip(reference.iter()).enumerate() {
-                let err = (a - b).abs() / b.abs().max(1.0);
-                assert!(err < 1e-4, "{kind}[{i}]: {a} vs {b} (err {err})");
-            }
-        }
+    fn ninja_rung_conforms_on_every_backend_at_every_residue() {
+        let first = TAPS + 40;
+        crate::framework::assert_ninja_conforms(
+            first..first + 2 * ninja_simd::isa::MAX_ISA_F32_LANES,
+            1e-4,
+            |n| Conv1d::with_len(n, 9),
+            Conv1d::run_naive,
+            Conv1d::run_ninja_on,
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! image bounds inside the innermost tap loop, which blocks vectorization;
 //! the **algorithmic change** is the classic interior/boundary split (peel
 //! the 2-pixel border, run branch-free code on the interior), after which
-//! the compiler vectorizes across `x`. Ninja code issues explicit 4-wide
-//! loads with register-blocked tap accumulation.
+//! the compiler vectorizes across `x`. Ninja code issues explicit
+//! vector-width loads with register-blocked tap accumulation.
 //!
 //! Boundary semantics: zero padding outside the image.
 
@@ -13,7 +13,7 @@ use crate::framework::{
     Adapter, Characterization, Instance, KernelSpec, ProblemSize, Variant, VariantInfo, Work,
 };
 use ninja_parallel::{par_chunks_mut, ThreadPool};
-use ninja_simd::F32x4;
+use ninja_simd::isa::{self, dispatch_on, Isa, IsaKind, IsaOp, SimdF32};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,7 +42,10 @@ impl Conv2d {
 
     /// Generates a deterministic random image and kernel.
     pub fn generate(size: ProblemSize, seed: u64) -> Self {
-        let dim = Self::dim_for(size);
+        Self::with_dim(Self::dim_for(size), seed)
+    }
+
+    fn with_dim(dim: usize, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let image = (0..dim * dim).map(|_| rng.gen_range(0.0..1.0)).collect();
         let mut taps = [[0.0f32; K]; K];
@@ -182,10 +185,18 @@ impl Conv2d {
         out
     }
 
-    /// Ninja tier: explicit 4-wide SIMD across `x` with all 25 taps
-    /// register-blocked, row-parallel.
+    /// Ninja tier: explicit width-generic SIMD across `x` with all 25
+    /// taps register-blocked, row-parallel.
     // ninja-lint: variant(ninja)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
+        self.run_ninja_on(isa::active(), pool)
+    }
+
+    /// The ninja rung on a chosen backend, dispatched per row inside the
+    /// worker closure (`#[target_feature]` trampolines do not cross
+    /// thread boundaries).
+    // ninja-lint: effort(ninja)
+    fn run_ninja_on(&self, kind: IsaKind, pool: &ThreadPool) -> Vec<f32> {
         let w = self.width;
         let h = self.height;
         let mut out = vec![0.0f32; w * h];
@@ -194,38 +205,59 @@ impl Conv2d {
                 for (x, o) in row.iter_mut().enumerate() {
                     *o = self.convolve_checked(x, y);
                 }
-                return;
-            }
-            for x in 0..R {
-                row[x] = self.convolve_checked(x, y);
-                row[w - 1 - x] = self.convolve_checked(w - 1 - x, y);
-            }
-            let interior_end = w - R;
-            let mut x = R;
-            while x + 4 <= interior_end {
-                let mut acc = F32x4::zero();
-                for ky in 0..K {
-                    let base = (y + ky - R) * w + x - R;
-                    let t = &self.taps[ky];
-                    acc = F32x4::splat(t[0]).mul_add(F32x4::from_slice(&self.image[base..]), acc);
-                    acc =
-                        F32x4::splat(t[1]).mul_add(F32x4::from_slice(&self.image[base + 1..]), acc);
-                    acc =
-                        F32x4::splat(t[2]).mul_add(F32x4::from_slice(&self.image[base + 2..]), acc);
-                    acc =
-                        F32x4::splat(t[3]).mul_add(F32x4::from_slice(&self.image[base + 3..]), acc);
-                    acc =
-                        F32x4::splat(t[4]).mul_add(F32x4::from_slice(&self.image[base + 4..]), acc);
-                }
-                acc.write_to_slice(&mut row[x..]);
-                x += 4;
-            }
-            while x < interior_end {
-                row[x] = self.convolve_checked(x, y);
-                x += 1;
+            } else {
+                dispatch_on(
+                    kind,
+                    InteriorRow {
+                        kernel: self,
+                        y,
+                        row,
+                    },
+                );
             }
         });
         out
+    }
+}
+
+/// One interior image row of the ninja rung.
+struct InteriorRow<'a> {
+    kernel: &'a Conv2d,
+    y: usize,
+    row: &'a mut [f32],
+}
+
+impl IsaOp for InteriorRow<'_> {
+    type Output = ();
+    #[inline(always)]
+    // ninja-lint: effort(ninja)
+    fn run<I: Isa>(self) {
+        let lanes = <I::F32 as SimdF32>::LANES;
+        let (k, y, row) = (self.kernel, self.y, self.row);
+        let w = k.width;
+        for x in 0..R {
+            row[x] = k.convolve_checked(x, y);
+            row[w - 1 - x] = k.convolve_checked(w - 1 - x, y);
+        }
+        let interior_end = w - R;
+        let mut x = R;
+        while x + lanes <= interior_end {
+            let mut acc = I::F32::zero();
+            for ky in 0..K {
+                let base = (y + ky - R) * w + x - R;
+                for kx in 0..K {
+                    let pixels = I::F32::load(&k.image[base + kx..]);
+                    acc = I::F32::splat(k.taps[ky][kx]).mul_add(pixels, acc);
+                }
+            }
+            acc.store(&mut row[x..]);
+            x += lanes;
+        }
+        // Fewer than one vector of interior pixels left.
+        while x < interior_end {
+            row[x] = k.convolve_checked(x, y);
+            x += 1;
+        }
     }
 }
 
@@ -354,6 +386,19 @@ mod tests {
                 assert!(err < 1e-4, "{label}[{i}]: {a} vs {b}");
             }
         }
+    }
+
+    /// Widths at every residue of the widest lane count, so the interior
+    /// span ends in a scalar remainder of every length under each backend.
+    #[test]
+    fn ninja_rung_conforms_on_every_backend_at_every_residue() {
+        crate::framework::assert_ninja_conforms(
+            20..20 + ninja_simd::isa::MAX_ISA_F32_LANES,
+            1e-4,
+            |dim| Conv2d::with_dim(dim, 11),
+            Conv2d::run_naive,
+            Conv2d::run_ninja_on,
+        );
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! and the type-erased instance interface consumed by the harness.
 
 use ninja_parallel::ThreadPool;
+use ninja_simd::isa::{Isa, SimdF32, MAX_ISA_F32_LANES};
 use std::fmt;
 
 /// Problem-size preset for a kernel instance.
@@ -344,6 +345,41 @@ impl<K: Send, O: OutputData + Send> Instance for Adapter<K, O> {
 
     fn work(&self) -> Work {
         (self.work)(&self.kernel)
+    }
+}
+
+/// `[0.0, 1.0, 2.0, ..]`: each lane's own index, for ninja rungs that
+/// map lanes to adjacent pixels.
+#[inline(always)]
+pub(crate) fn lane_ramp<I: Isa>() -> I::F32 {
+    let ramp: [f32; MAX_ISA_F32_LANES] = std::array::from_fn(|lane| lane as f32);
+    I::F32::load(&ramp)
+}
+
+/// The conformance check every ninja rung gets: for each size and each
+/// ISA backend reachable on this host, the rung forced onto that backend
+/// must match the naive reference within the kernel's tolerance.
+#[cfg(test)]
+pub(crate) fn assert_ninja_conforms<K, O: OutputData>(
+    sizes: impl IntoIterator<Item = usize>,
+    tolerance: f64,
+    make: impl Fn(usize) -> K,
+    naive: impl Fn(&K) -> O,
+    ninja_on: impl Fn(&K, ninja_simd::isa::IsaKind, &ThreadPool) -> O,
+) {
+    let pool = ThreadPool::with_threads(2);
+    for size in sizes {
+        let kernel = make(size);
+        let reference = naive(&kernel);
+        for kind in ninja_simd::isa::available_kinds() {
+            let (err, at) = ninja_on(&kernel, kind, &pool)
+                .worst_error(&reference)
+                .unwrap_or_else(|| panic!("{kind} size {size}: output shape differs"));
+            assert!(
+                err <= tolerance,
+                "{kind} size {size}: error {err:.3e} at element {at} (tolerance {tolerance:.1e})"
+            );
+        }
     }
 }
 

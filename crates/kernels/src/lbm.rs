@@ -12,15 +12,18 @@
 //! arithmetic from the hot loop.
 //!
 //! All tiers use the identical *stream-then-collide* update with the same
-//! operation order, so results agree to rounding across variants.
+//! operation order, so results agree to rounding across variants (the
+//! ninja collide fuses its multiply-adds where the backend has FMA).
 
 use crate::framework::{
     Adapter, Characterization, Instance, KernelSpec, ProblemSize, Variant, VariantInfo, Work,
 };
 use ninja_parallel::{par_chunks_mut, ThreadPool};
-use ninja_simd::{AlignedVec, F32x4};
+use ninja_simd::isa::{self, dispatch_on, Isa, IsaKind, IsaOp, SimdF32};
+use ninja_simd::AlignedVec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// Number of discrete velocities in D2Q9.
 pub const Q: usize = 9;
@@ -75,6 +78,10 @@ impl Lbm {
     /// Generates a deterministic initial state near equilibrium.
     pub fn generate(size: ProblemSize, seed: u64) -> Self {
         let (dim, steps) = Self::shape_for(size);
+        Self::with_shape(dim, steps, seed)
+    }
+
+    fn with_shape(dim: usize, steps: usize, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut init = vec![0.0f32; dim * dim * Q];
         for cell in init.chunks_mut(Q) {
@@ -198,7 +205,7 @@ impl Lbm {
     /// Shared SoA step used by the simd/algorithmic/ninja tiers.
     ///
     /// `streamed` is scratch: Q planes holding post-stream values, then
-    /// collided in a second fused loop over cells.
+    /// collided by `collide` in a second fused loop over cells.
     // ninja-lint: effort(simd, algorithmic, ninja)
     fn soa_step(
         src: &[AlignedVec<f32>],
@@ -206,8 +213,8 @@ impl Lbm {
         dst: &mut [AlignedVec<f32>],
         w: usize,
         h: usize,
-        range: std::ops::Range<usize>,
-        use_simd: bool,
+        range: Range<usize>,
+        collide: CollideRowsFn<'_>,
     ) {
         // Stream: each plane is a shifted copy (interior unit-stride).
         for d in 0..Q {
@@ -227,39 +234,26 @@ impl Lbm {
             }
         }
         // Collide on unit-stride planes.
-        for y in range {
-            let base = y * w;
-            if use_simd {
-                let vec_w = w / 4 * 4;
-                for x in (0..vec_w).step_by(4) {
-                    let i = base + x;
-                    let f: [F32x4; Q] =
-                        std::array::from_fn(|d| F32x4::from_slice(&streamed[d][i..]));
-                    let out = collide_v4(&f);
-                    for d in 0..Q {
-                        out[d].write_to_slice(&mut dst[d][i..]);
-                    }
-                }
-                for x in vec_w..w {
-                    let i = base + x;
-                    let f: [f32; Q] = std::array::from_fn(|d| streamed[d][i]);
-                    let mut out = [0.0f32; Q];
-                    collide(&f, &mut out);
-                    for d in 0..Q {
-                        dst[d][i] = out[d];
-                    }
-                }
-            } else {
-                Self::collide_row_staged(streamed, dst, base, w);
-            }
+        collide(streamed, dst, w, range);
+    }
+
+    /// Plane-staged collide, row by row: computes the moment rows (`rho`,
+    /// `ux`, `uy`) with plane-accumulation loops, then relaxes each plane
+    /// with an elementwise pass — every loop is unit-stride scalar `f32`
+    /// arithmetic an auto-vectorizer handles, with the identical
+    /// operation order as [`collide`] so results match bitwise.
+    // ninja-lint: effort(simd, algorithmic)
+    fn collide_rows_staged(
+        streamed: &[AlignedVec<f32>],
+        dst: &mut [AlignedVec<f32>],
+        w: usize,
+        rows: Range<usize>,
+    ) {
+        for y in rows {
+            Self::collide_row_staged(streamed, dst, y * w, w);
         }
     }
 
-    /// Plane-staged collide over one row: computes the moment rows
-    /// (`rho`, `ux`, `uy`) with plane-accumulation loops, then relaxes each
-    /// plane with an elementwise pass — every loop is unit-stride scalar
-    /// `f32` arithmetic an auto-vectorizer handles, with the identical
-    /// operation order as [`collide`] so results match bitwise.
     // ninja-lint: effort(simd, algorithmic)
     fn collide_row_staged(
         streamed: &[AlignedVec<f32>],
@@ -316,7 +310,7 @@ impl Lbm {
     }
 
     // ninja-lint: effort(simd, algorithmic, ninja)
-    fn run_soa(&self, pool: Option<&ThreadPool>, use_simd: bool) -> Vec<f32> {
+    fn run_soa(&self, pool: Option<&ThreadPool>, collide: CollideRowsFn<'_>) -> Vec<f32> {
         let (w, h) = (self.width, self.height);
         let cells = w * h;
         let mut cur = self.soa_init();
@@ -325,7 +319,7 @@ impl Lbm {
         let mut next: Vec<AlignedVec<f32>> = (0..Q).map(|_| AlignedVec::zeroed(cells)).collect();
         for _ in 0..self.steps {
             match pool {
-                None => Self::soa_step(&cur, &mut streamed, &mut next, w, h, 0..h, use_simd),
+                None => Self::soa_step(&cur, &mut streamed, &mut next, w, h, 0..h, collide),
                 Some(pool) => {
                     // Parallelize over row bands; bands write disjoint rows
                     // of `streamed` and `next`, so share them via raw parts.
@@ -342,7 +336,7 @@ impl Lbm {
                             let streamed = unsafe { streamed_ptr.planes() };
                             // SAFETY: same disjoint-rows argument as above.
                             let next = unsafe { next_ptr.planes() };
-                            Self::soa_step(src, streamed, next, w, h, y0..y1, use_simd);
+                            Self::soa_step(src, streamed, next, w, h, y0..y1, collide);
                         }
                     });
                 }
@@ -362,19 +356,82 @@ impl Lbm {
     /// serial.
     // ninja-lint: variant(simd)
     pub fn run_simd(&self) -> Vec<f32> {
-        self.run_soa(None, false)
+        self.run_soa(None, &Self::collide_rows_staged)
     }
 
     /// Low-effort endpoint: SoA + split + row-band parallelism.
     // ninja-lint: variant(algorithmic)
     pub fn run_algorithmic(&self, pool: &ThreadPool) -> Vec<f32> {
-        self.run_soa(Some(pool), false)
+        self.run_soa(Some(pool), &Self::collide_rows_staged)
     }
 
-    /// Ninja tier: explicit 4-wide SIMD collide on SoA planes + threads.
+    /// Ninja tier: explicit width-generic SIMD collide on SoA planes +
+    /// threads. The backend is dispatched inside each row band's task
+    /// (`#[target_feature]` trampolines do not cross thread boundaries).
     // ninja-lint: variant(ninja)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
-        self.run_soa(Some(pool), true)
+        self.run_ninja_on(isa::active(), pool)
+    }
+
+    // ninja-lint: effort(ninja)
+    fn run_ninja_on(&self, kind: IsaKind, pool: &ThreadPool) -> Vec<f32> {
+        self.run_soa(Some(pool), &|streamed, dst, w, rows| {
+            dispatch_on(
+                kind,
+                CollideRows {
+                    streamed,
+                    dst,
+                    w,
+                    rows,
+                },
+            )
+        })
+    }
+}
+
+/// The collide half of a step over rows `rows` of `w`-cell-wide planes,
+/// `streamed` into `dst`: what the SoA stepper is parameterized over.
+type CollideRowsFn<'a> =
+    &'a (dyn Fn(&[AlignedVec<f32>], &mut [AlignedVec<f32>], usize, Range<usize>) + Sync);
+
+/// The ninja rung's collide over the rows of one band: whole vectors of
+/// cells through [`collide_vec`], the sub-vector remainder of each row
+/// through the scalar [`collide`].
+struct CollideRows<'a> {
+    streamed: &'a [AlignedVec<f32>],
+    dst: &'a mut [AlignedVec<f32>],
+    w: usize,
+    rows: Range<usize>,
+}
+
+impl IsaOp for CollideRows<'_> {
+    type Output = ();
+    #[inline(always)]
+    // ninja-lint: effort(ninja)
+    fn run<I: Isa>(self) {
+        let lanes = <I::F32 as SimdF32>::LANES;
+        let (streamed, dst, w) = (self.streamed, self.dst, self.w);
+        let vec_w = w / lanes * lanes;
+        for y in self.rows {
+            let base = y * w;
+            for x in (0..vec_w).step_by(lanes) {
+                let i = base + x;
+                let f: [I::F32; Q] = std::array::from_fn(|d| I::F32::load(&streamed[d][i..]));
+                let out = collide_vec::<I>(&f);
+                for d in 0..Q {
+                    out[d].store(&mut dst[d][i..]);
+                }
+            }
+            for x in vec_w..w {
+                let i = base + x;
+                let f: [f32; Q] = std::array::from_fn(|d| streamed[d][i]);
+                let mut out = [0.0f32; Q];
+                collide(&f, &mut out);
+                for d in 0..Q {
+                    dst[d][i] = out[d];
+                }
+            }
+        }
     }
 }
 
@@ -456,34 +513,32 @@ fn collide(f: &[f32; Q], out: &mut [f32]) {
     }
 }
 
-/// Vector mirror of [`collide`] with the identical operation order.
+/// Vector mirror of [`collide`] with the identical operation order; every
+/// multiply-add pair goes through `mul_add`, so it matches the scalar
+/// path bitwise on backends without FMA and to rounding on those with.
 #[inline(always)]
 // ninja-lint: effort(ninja)
-fn collide_v4(f: &[F32x4; Q]) -> [F32x4; Q] {
+fn collide_vec<I: Isa>(f: &[I::F32; Q]) -> [I::F32; Q] {
+    let splat = I::F32::splat;
     let mut rho = f[0];
-    for d in 1..Q {
-        rho += f[d];
+    for fd in &f[1..] {
+        rho = rho + *fd;
     }
-    let inv_rho = F32x4::splat(1.0) / rho;
-    let mut ux = F32x4::zero();
-    let mut uy = F32x4::zero();
+    let inv_rho = splat(1.0) / rho;
+    let mut ux = I::F32::zero();
+    let mut uy = I::F32::zero();
     for d in 0..Q {
-        ux += F32x4::splat(E[d].0 as f32) * f[d];
-        uy += F32x4::splat(E[d].1 as f32) * f[d];
+        ux = splat(E[d].0 as f32).mul_add(f[d], ux);
+        uy = splat(E[d].1 as f32).mul_add(f[d], uy);
     }
-    ux *= inv_rho;
-    uy *= inv_rho;
-    let usq = ux * ux + uy * uy;
-    let one = F32x4::splat(1.0);
-    let omega = F32x4::splat(OMEGA);
+    ux = ux * inv_rho;
+    uy = uy * inv_rho;
+    let usq = ux.mul_add(ux, uy * uy);
     std::array::from_fn(|d| {
-        let (ex, ey) = E[d];
-        let eu = F32x4::splat(ex as f32) * ux + F32x4::splat(ey as f32) * uy;
-        let feq = F32x4::splat(W[d])
-            * rho
-            * (one + F32x4::splat(3.0) * eu + F32x4::splat(4.5) * eu * eu
-                - F32x4::splat(1.5) * usq);
-        f[d] + omega * (feq - f[d])
+        let eu = splat(E[d].0 as f32).mul_add(ux, splat(E[d].1 as f32) * uy);
+        let series = (splat(4.5) * eu).mul_add(eu, splat(3.0).mul_add(eu, splat(1.0)));
+        let feq = splat(W[d]) * rho * (series - splat(1.5) * usq);
+        splat(OMEGA).mul_add(feq - f[d], f[d])
     })
 }
 
@@ -610,26 +665,62 @@ mod tests {
         assert!((sum_q(&f) - 1.3).abs() < 1e-5);
     }
 
+    /// The vector collide against the scalar one, lane for lane: exact
+    /// where `mul_add` is unfused, within rounding where it fuses.
     #[test]
     fn collide_vector_matches_scalar() {
-        let k = Lbm::generate(ProblemSize::Test, 3);
-        let f4: [F32x4; Q] = std::array::from_fn(|d| {
-            F32x4::new(
-                k.init[d],
-                k.init[Q + d],
-                k.init[2 * Q + d],
-                k.init[3 * Q + d],
-            )
-        });
-        let got = collide_v4(&f4);
-        for lane in 0..4 {
-            let f: [f32; Q] = std::array::from_fn(|d| k.init[lane * Q + d]);
-            let mut want = [0.0f32; Q];
-            collide(&f, &mut want);
-            for d in 0..Q {
-                assert_eq!(got[d].lane(lane), want[d], "lane {lane} dir {d}");
+        use ninja_simd::isa::{available_kinds, MAX_ISA_F32_LANES};
+
+        struct CollideCells<'a>(&'a [f32]);
+        impl IsaOp for CollideCells<'_> {
+            type Output = Vec<[f32; Q]>;
+            fn run<I: Isa>(self) -> Vec<[f32; Q]> {
+                let lanes = <I::F32 as SimdF32>::LANES;
+                let mut lane_major = [0.0f32; MAX_ISA_F32_LANES];
+                let f: [I::F32; Q] = std::array::from_fn(|d| {
+                    for (lane, v) in lane_major.iter_mut().enumerate().take(lanes) {
+                        *v = self.0[lane * Q + d];
+                    }
+                    I::F32::load(&lane_major)
+                });
+                let out = collide_vec::<I>(&f);
+                (0..lanes)
+                    .map(|lane| std::array::from_fn(|d| out[d].lane(lane)))
+                    .collect()
             }
         }
+
+        let k = Lbm::generate(ProblemSize::Test, 3);
+        for kind in available_kinds() {
+            let fused = !matches!(kind, IsaKind::Scalar | IsaKind::Sse2);
+            for (lane, got) in dispatch_on(kind, CollideCells(&k.init)).iter().enumerate() {
+                let f: [f32; Q] = std::array::from_fn(|d| k.init[lane * Q + d]);
+                let mut want = [0.0f32; Q];
+                collide(&f, &mut want);
+                for d in 0..Q {
+                    let slack = if fused { 1e-6 * want[d].abs() } else { 0.0 };
+                    assert!(
+                        (got[d] - want[d]).abs() <= slack,
+                        "{kind} lane {lane} dir {d}: {} vs {}",
+                        got[d],
+                        want[d]
+                    );
+                }
+            }
+        }
+    }
+
+    /// Grid widths at every residue of the widest lane count: each row's
+    /// collide ends in a scalar remainder of every length.
+    #[test]
+    fn ninja_rung_conforms_on_every_backend_at_every_residue() {
+        crate::framework::assert_ninja_conforms(
+            16..16 + ninja_simd::isa::MAX_ISA_F32_LANES,
+            1e-3,
+            |dim| Lbm::with_shape(dim, 3, 8),
+            Lbm::run_naive,
+            Lbm::run_ninja_on,
+        );
     }
 
     #[test]

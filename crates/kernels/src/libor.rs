@@ -11,14 +11,17 @@
 //!   (path-SoA): a group of paths advances in lock-step so the inner loops
 //!   become lane-parallel straight-line `f32` arithmetic with inlined
 //!   polynomial `exp`;
-//! * **Ninja** — explicit 4-wide SIMD across paths with the vector `exp`.
+//! * **Ninja** — explicit SIMD across paths, one path per lane, with the
+//!   vector `exp`.
 
 use crate::framework::{
     Adapter, Characterization, Instance, KernelSpec, ProblemSize, Variant, VariantInfo, Work,
 };
 use crate::scalar_math::exp_poly;
 use ninja_parallel::{par_chunks_mut, ThreadPool};
-use ninja_simd::isa::{dispatch, math as vmath, Isa, IsaOp, SimdF32, Sse2, MAX_ISA_F32_LANES};
+use ninja_simd::isa::{
+    self, dispatch_on, math as vmath, Isa, IsaKind, IsaOp, SimdF32, MAX_ISA_F32_LANES,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -216,10 +219,7 @@ impl Libor {
 
     /// Ninja tier: one vector group of paths per instruction with the
     /// width-generic vector `exp` — 4 paths per step under SSE2/NEON, 8
-    /// under AVX2 — parallel over path blocks. The ISA backend is
-    /// dispatched *inside* each worker closure because `#[target_feature]`
-    /// trampolines do not cross thread boundaries (see
-    /// `ninja_simd::isa::dispatch`).
+    /// under AVX2 — parallel over path blocks.
     ///
     /// # Panics
     ///
@@ -227,6 +227,14 @@ impl Libor {
     /// count (all presets are).
     // ninja-lint: variant(ninja)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
+        self.run_ninja_on(isa::active(), pool)
+    }
+
+    /// The ninja rung on a chosen backend. Dispatch happens *inside* each
+    /// worker closure because `#[target_feature]` trampolines do not
+    /// cross thread boundaries (see `ninja_simd::isa::dispatch`).
+    // ninja-lint: effort(ninja)
+    fn run_ninja_on(&self, kind: IsaKind, pool: &ThreadPool) -> Vec<f32> {
         assert_eq!(
             self.paths % MAX_ISA_F32_LANES,
             0,
@@ -238,11 +246,14 @@ impl Libor {
         // divides evenly into groups.
         const BLOCK: usize = 8 * MAX_ISA_F32_LANES;
         par_chunks_mut(pool, &mut out, BLOCK, |b, chunk| {
-            dispatch(PathBlock {
-                kernel: self,
-                base: b * BLOCK,
-                out: chunk,
-            });
+            dispatch_on(
+                kind,
+                PathBlock {
+                    kernel: self,
+                    base: b * BLOCK,
+                    out: chunk,
+                },
+            );
         });
         out
     }
@@ -259,6 +270,7 @@ struct PathBlock<'a> {
 
 impl IsaOp for PathBlock<'_> {
     type Output = ();
+    #[inline(always)]
     fn run<I: Isa>(self) {
         let lanes = <I::F32 as SimdF32>::LANES;
         debug_assert_eq!(self.out.len() % lanes, 0);
@@ -276,7 +288,10 @@ impl IsaOp for PathBlock<'_> {
 /// and the vector `exp`, written once against the width-generic [`Isa`]
 /// trait — the ninja rung's arithmetic at any lane width. `zs` holds the
 /// group's standard normals with draw `n` of lane `j` at
-/// `zs[n * stride + j]`; `out` receives one price per lane.
+/// `zs[n * stride + j]`, a full vector per step; `out` receives one price
+/// per lane and may be shorter than a vector (a trailing partial group:
+/// the surplus lanes are computed and dropped).
+#[inline(always)]
 // ninja-lint: effort(ninja)
 fn price_paths_group<I: Isa>(
     init_rates: &[f32; N_RATES],
@@ -285,8 +300,7 @@ fn price_paths_group<I: Isa>(
     stride: usize,
     out: &mut [f32],
 ) {
-    let lanes = <I::F32 as SimdF32>::LANES;
-    debug_assert_eq!(out.len(), lanes);
+    debug_assert!(out.len() <= <I::F32 as SimdF32>::LANES);
     let mut l: [I::F32; N_RATES] = std::array::from_fn(|i| I::F32::splat(init_rates[i]));
     let sqrt_delta = I::F32::splat(DELTA.sqrt());
     let delta = I::F32::splat(DELTA);
@@ -310,7 +324,7 @@ fn price_paths_group<I: Isa>(
         b = b / (one + delta * *li);
         acc = acc + b * delta * (*li - strike).max(I::F32::zero());
     }
-    (acc * I::F32::splat(100.0)).store(out);
+    (acc * I::F32::splat(100.0)).store_partial(out);
 }
 
 // --- Serving surface -----------------------------------------------------
@@ -382,18 +396,57 @@ pub fn price_path_poly(init_rates: &[f32; N_RATES], vols: &[f32; NMAT], z: &[f32
     acc * 100.0
 }
 
-/// Prices four paths in lock-step with explicit SIMD and the vector
-/// `exp` — the ninja rung's generic body pinned to the portable 128-bit
-/// backend so the serving batch shape is stable across hosts. `zs` is
-/// lane-major: draw `n` of lane `k` at `zs[4 * n + k]`.
-pub fn price_paths4(
+/// Prices every path in `zs` (one array of `NMAT` draws each) with
+/// explicit SIMD and the vector `exp` on the active ISA backend — the
+/// ninja rung's arithmetic, one vector group of paths in lock-step per
+/// pass. `out` receives one value per path.
+///
+/// # Panics
+///
+/// Panics if `out.len() != zs.len()`.
+pub fn price_paths_simd(
     init_rates: &[f32; N_RATES],
     vols: &[f32; NMAT],
-    zs: &[f32; 4 * NMAT],
-) -> [f32; 4] {
-    let mut out = [0.0f32; 4];
-    price_paths_group::<Sse2>(init_rates, vols, zs, 4, &mut out);
-    out
+    zs: &[[f32; NMAT]],
+    out: &mut [f32],
+) {
+    assert_eq!(zs.len(), out.len(), "one value per path");
+    isa::dispatch(PathBatch {
+        init_rates,
+        vols,
+        zs,
+        out,
+    });
+}
+
+/// One [`price_paths_simd`] call, under whichever ISA backend is
+/// dispatched.
+struct PathBatch<'a> {
+    init_rates: &'a [f32; N_RATES],
+    vols: &'a [f32; NMAT],
+    zs: &'a [[f32; NMAT]],
+    out: &'a mut [f32],
+}
+
+impl IsaOp for PathBatch<'_> {
+    type Output = ();
+    #[inline(always)]
+    fn run<I: Isa>(self) {
+        let lanes = <I::F32 as SimdF32>::LANES;
+        // One group's draws transposed to lane-major order: draw `n` of
+        // lane `j` at `n * lanes + j`. Lanes past a trailing partial
+        // group keep the previous group's draws; their values are not
+        // stored.
+        let mut draws = [0.0f32; MAX_ISA_F32_LANES * NMAT];
+        for (group, out) in self.zs.chunks(lanes).zip(self.out.chunks_mut(lanes)) {
+            for (lane, z) in group.iter().enumerate() {
+                for (n, &zn) in z.iter().enumerate() {
+                    draws[n * lanes + lane] = zn;
+                }
+            }
+            price_paths_group::<I>(self.init_rates, self.vols, &draws, lanes, out);
+        }
+    }
 }
 
 fn run(k: &Libor, variant: Variant, pool: &ThreadPool) -> Vec<f32> {
@@ -530,26 +583,18 @@ mod tests {
         }
     }
 
+    /// The instance rung under every backend. Path counts are multiples of
+    /// the widest lane count by contract; the serving entry's test below
+    /// covers the other residues.
     #[test]
-    fn ninja_rung_agrees_under_every_reachable_backend() {
-        use ninja_simd::isa::{available_kinds, dispatch_on};
-        let k = Libor::generate(ProblemSize::Test, 4);
-        let reference = k.run_naive();
-        for kind in available_kinds() {
-            let mut out = vec![0.0f32; k.paths()];
-            dispatch_on(
-                kind,
-                PathBlock {
-                    kernel: &k,
-                    base: 0,
-                    out: &mut out,
-                },
-            );
-            for (i, (&a, &b)) in out.iter().zip(reference.iter()).enumerate() {
-                let err = (a - b).abs() / b.abs().max(1.0);
-                assert!(err < 1e-2, "{kind}[{i}]: {a} vs {b} (err {err})");
-            }
-        }
+    fn ninja_rung_conforms_on_every_backend() {
+        crate::framework::assert_ninja_conforms(
+            [0],
+            1e-2,
+            |_| Libor::generate(ProblemSize::Test, 4),
+            Libor::run_naive,
+            Libor::run_ninja_on,
+        );
     }
 
     #[test]
@@ -592,19 +637,36 @@ mod tests {
             let err = (poly - reference[p]).abs() / reference[p].abs().max(1.0);
             assert!(err < 1e-2, "poly path {p}: {poly} vs {}", reference[p]);
         }
-        // 4-lane SIMD pricing against the same draws, lane-major.
-        for p0 in (0..k.paths() - 4).step_by(52) {
-            let mut zs = [0.0f32; 4 * NMAT];
-            for lane in 0..4 {
-                for n in 0..NMAT {
-                    zs[4 * n + lane] = k.z[(p0 + lane) * NMAT + n];
+    }
+
+    /// The SIMD serving entry under every backend, at path counts from one
+    /// up through every residue of the widest lane count: trailing partial
+    /// groups at every fill level, with and without whole groups first.
+    #[test]
+    fn serving_batch_conforms_on_every_backend_at_every_residue() {
+        use ninja_simd::isa::available_kinds;
+        let k = Libor::generate(ProblemSize::Test, 8);
+        let reference = k.run_naive();
+        let zs: Vec<[f32; NMAT]> =
+            k.z.chunks_exact(NMAT)
+                .map(|z| z.try_into().unwrap())
+                .collect();
+        for kind in available_kinds() {
+            for count in 1..=2 * MAX_ISA_F32_LANES + 1 {
+                let mut got = vec![0.0f32; count];
+                dispatch_on(
+                    kind,
+                    PathBatch {
+                        init_rates: &k.init_rates,
+                        vols: &k.vols,
+                        zs: &zs[count..2 * count],
+                        out: &mut got,
+                    },
+                );
+                for (p, (&g, &b)) in got.iter().zip(&reference[count..2 * count]).enumerate() {
+                    let err = (g - b).abs() / b.abs().max(1.0);
+                    assert!(err < 1e-2, "{kind} count {count} path {p}: {g} vs {b}");
                 }
-            }
-            let got = price_paths4(&rates, &vols, &zs);
-            for lane in 0..4 {
-                let b = reference[p0 + lane];
-                let err = (got[lane] - b).abs() / b.abs().max(1.0);
-                assert!(err < 1e-2, "simd path {}: {} vs {b}", p0 + lane, got[lane]);
             }
         }
     }

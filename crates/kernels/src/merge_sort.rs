@@ -12,14 +12,14 @@
 //!   *needs* an algorithmic change);
 //! * **algorithmic** — iterative bottom-up merge with one ping-pong buffer,
 //!   chunk-parallel sort + parallel pairwise merge rounds;
-//! * **ninja** — the same parallel structure with a 4×4 **bitonic merge
-//!   network** in the inner loop.
+//! * **ninja** — the same parallel structure with a vector-width **bitonic
+//!   merge network** in the inner loop.
 
 use crate::framework::{
     Adapter, Characterization, Instance, KernelSpec, ProblemSize, Variant, VariantInfo, Work,
 };
 use ninja_parallel::{par_chunks_mut, ThreadPool};
-use ninja_simd::{F32x4, Mask32x4};
+use ninja_simd::isa::{self, dispatch_on, Isa, IsaKind, IsaOp, SimdF32, MAX_ISA_F32_LANES};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -105,7 +105,7 @@ impl MergeSort {
     pub fn run_simd(&self) -> Vec<f32> {
         let mut buf = self.data.clone();
         let mut tmp = vec![0.0f32; buf.len()];
-        bottom_up_sort(&mut buf, &mut tmp, merge_scalar);
+        bottom_up_sort(&mut buf, &mut tmp, &merge_scalar);
         buf
     }
 
@@ -113,14 +113,21 @@ impl MergeSort {
     /// parallel merge rounds (scalar merges).
     // ninja-lint: variant(algorithmic)
     pub fn run_algorithmic(&self, pool: &ThreadPool) -> Vec<f32> {
-        parallel_sort(pool, self.data.clone(), merge_scalar)
+        parallel_sort(pool, self.data.clone(), &merge_scalar)
     }
 
-    /// Ninja tier: the parallel structure plus the 4×4 bitonic SIMD merge
+    /// Ninja tier: the parallel structure plus the bitonic SIMD merge
     /// network in every merge.
     // ninja-lint: variant(ninja)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
-        parallel_sort(pool, self.data.clone(), merge_simd)
+        self.run_ninja_on(isa::active(), pool)
+    }
+
+    // ninja-lint: effort(ninja)
+    fn run_ninja_on(&self, kind: IsaKind, pool: &ThreadPool) -> Vec<f32> {
+        parallel_sort(pool, self.data.clone(), &|a, b, out| {
+            merge_simd_on(kind, a, b, out)
+        })
     }
 }
 
@@ -144,95 +151,111 @@ pub fn merge_scalar(a: &[f32], b: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Sorts a bitonic 4-sequence ascending (two compare-exchange stages).
+/// Merges two ascending vectors into one ascending sequence of twice
+/// the lane count, returned as `(low half, high half)`.
+///
+/// `a` followed by `b` reversed is bitonic, and Batcher's bitonic merger
+/// in its shuffle-exchange form is the same round repeated `log2` of the
+/// sequence length times: compare-exchange the two halves lane by lane,
+/// then perfect-shuffle them. That needs only `min`, `max`, `interleave`
+/// and `reverse`, at any vector width.
 #[inline(always)]
 // ninja-lint: effort(ninja)
-fn bitonic_sort4(t: F32x4) -> F32x4 {
-    let blend_low2 = Mask32x4::from_bools(true, true, false, false);
-    let blend_even = Mask32x4::from_bools(true, false, true, false);
-    // Distance-2 stage.
-    let u = t.swap_halves();
-    let t = blend_low2.select(t.min(u), t.max(u));
-    // Distance-1 stage.
-    let u = t.swap_pairs();
-    blend_even.select(t.min(u), t.max(u))
-}
-
-/// Merges two ascending 4-vectors into an ascending 8-sequence `(lo, hi)`.
-#[inline(always)]
-// ninja-lint: effort(ninja)
-fn bitonic_merge4(a: F32x4, b: F32x4) -> (F32x4, F32x4) {
-    let b = b.reverse_lanes(); // concat(a, rev(b)) is bitonic
-    let lo = bitonic_sort4(a.min(b));
-    let hi = bitonic_sort4(a.max(b));
+fn bitonic_merge<I: Isa>(a: I::F32, b: I::F32) -> (I::F32, I::F32) {
+    let (mut lo, mut hi) = (a, b.reverse());
+    for _ in 0..(2 * <I::F32 as SimdF32>::LANES).trailing_zeros() {
+        (lo, hi) = lo.min(hi).interleave(lo.max(hi));
+    }
     (lo, hi)
 }
 
-/// SIMD merge: streams 4-vectors through the bitonic network, refilling
+/// SIMD merge: streams vectors through the bitonic network, refilling
 /// from whichever run has the smaller next head; finishes with a scalar
-/// 3-way merge of the in-flight vector and both tails.
+/// 3-way merge of the in-flight vector and both tails. Runs on the active
+/// ISA backend.
 ///
 /// # Panics
 ///
 /// Debug-panics if `a.len() + b.len() != out.len()`.
-// ninja-lint: effort(ninja)
 pub fn merge_simd(a: &[f32], b: &[f32], out: &mut [f32]) {
+    merge_simd_on(isa::active(), a, b, out)
+}
+
+// ninja-lint: effort(ninja)
+fn merge_simd_on(kind: IsaKind, a: &[f32], b: &[f32], out: &mut [f32]) {
     debug_assert_eq!(a.len() + b.len(), out.len());
-    if a.len() < 8 || b.len() < 8 {
-        return merge_scalar(a, b, out);
-    }
-    let mut ia = 4usize;
-    let mut ib = 4usize;
-    let mut io = 0usize;
-    let mut va = F32x4::from_slice(a);
-    let vb = F32x4::from_slice(b);
-    let mut inflight = vb;
-    // Invariant: va holds the 4 smallest unwritten elements' candidates;
-    // every written element <= everything still unmerged.
-    loop {
-        let (lo, hi) = bitonic_merge4(va, inflight);
-        lo.write_to_slice(&mut out[io..]);
-        io += 4;
-        va = hi;
-        // Refill strictly from the run whose next element is globally
-        // smallest; if that run cannot supply a full block, fall through to
-        // the scalar tail (streaming the *other* run instead would emit
-        // values larger than the exhausted run's remainder).
-        let a_next = a.get(ia).copied().unwrap_or(f32::INFINITY);
-        let b_next = b.get(ib).copied().unwrap_or(f32::INFINITY);
-        if a_next <= b_next {
-            if ia + 4 > a.len() {
-                break;
-            }
-            inflight = F32x4::from_slice(&a[ia..]);
-            ia += 4;
-        } else {
-            if ib + 4 > b.len() {
-                break;
-            }
-            inflight = F32x4::from_slice(&b[ib..]);
-            ib += 4;
+    dispatch_on(kind, BitonicMerge { a, b, out })
+}
+
+/// One [`merge_simd`] call, under whichever ISA backend is dispatched.
+struct BitonicMerge<'a> {
+    a: &'a [f32],
+    b: &'a [f32],
+    out: &'a mut [f32],
+}
+
+impl IsaOp for BitonicMerge<'_> {
+    type Output = ();
+    #[inline(always)]
+    // ninja-lint: effort(ninja)
+    fn run<I: Isa>(self) {
+        let lanes = <I::F32 as SimdF32>::LANES;
+        let (a, b, out) = (self.a, self.b, self.out);
+        if a.len() < 2 * lanes || b.len() < 2 * lanes {
+            return merge_scalar(a, b, out);
         }
-    }
-    // Scalar 3-way merge of the spilled register and both tails.
-    let mut spill = [0.0f32; 4];
-    va.write_to_slice(&mut spill);
-    let mut is = 0usize;
-    while io < out.len() {
-        let sa = if ia < a.len() { a[ia] } else { f32::INFINITY };
-        let sb = if ib < b.len() { b[ib] } else { f32::INFINITY };
-        let ss = if is < 4 { spill[is] } else { f32::INFINITY };
-        if ss <= sa && ss <= sb {
-            out[io] = ss;
-            is += 1;
-        } else if sa <= sb {
-            out[io] = sa;
-            ia += 1;
-        } else {
-            out[io] = sb;
-            ib += 1;
+        let mut ia = lanes;
+        let mut ib = lanes;
+        let mut io = 0usize;
+        let mut va = I::F32::load(a);
+        let mut inflight = I::F32::load(b);
+        // Invariant: va holds the smallest unwritten elements' candidates;
+        // every written element <= everything still unmerged.
+        loop {
+            let (lo, hi) = bitonic_merge::<I>(va, inflight);
+            lo.store(&mut out[io..]);
+            io += lanes;
+            va = hi;
+            // Refill strictly from the run whose next element is globally
+            // smallest; if that run cannot supply a full vector, fall
+            // through to the scalar tail (streaming the *other* run instead
+            // would emit values larger than the exhausted run's remainder).
+            let a_next = a.get(ia).copied().unwrap_or(f32::INFINITY);
+            let b_next = b.get(ib).copied().unwrap_or(f32::INFINITY);
+            if a_next <= b_next {
+                if ia + lanes > a.len() {
+                    break;
+                }
+                inflight = I::F32::load(&a[ia..]);
+                ia += lanes;
+            } else {
+                if ib + lanes > b.len() {
+                    break;
+                }
+                inflight = I::F32::load(&b[ib..]);
+                ib += lanes;
+            }
         }
-        io += 1;
+        // Scalar 3-way merge of the spilled register and both tails.
+        let mut spill = [0.0f32; MAX_ISA_F32_LANES];
+        va.store(&mut spill);
+        let mut is = 0usize;
+        while io < out.len() {
+            let sa = if ia < a.len() { a[ia] } else { f32::INFINITY };
+            let sb = if ib < b.len() { b[ib] } else { f32::INFINITY };
+            let ss = if is < lanes { spill[is] } else { f32::INFINITY };
+            if ss <= sa && ss <= sb {
+                out[io] = ss;
+                is += 1;
+            } else if sa <= sb {
+                out[io] = sa;
+                ia += 1;
+            } else {
+                out[io] = sb;
+                ib += 1;
+            }
+            io += 1;
+        }
     }
 }
 
@@ -249,11 +272,13 @@ fn insertion_sort(v: &mut [f32]) {
     }
 }
 
-type MergeFn = fn(&[f32], &[f32], &mut [f32]);
+/// A merge of two sorted runs into `out`: what the sort drivers are
+/// parameterized over ([`merge_scalar`], [`merge_simd`]).
+pub type MergeFn<'a> = &'a (dyn Fn(&[f32], &[f32], &mut [f32]) + Sync);
 
 /// Serial bottom-up merge sort with one ping-pong buffer.
 // ninja-lint: effort(simd, algorithmic, ninja)
-fn bottom_up_sort(buf: &mut [f32], tmp: &mut [f32], merge: MergeFn) {
+fn bottom_up_sort(buf: &mut [f32], tmp: &mut [f32], merge: MergeFn<'_>) {
     bottom_up_sort_with_cutoff(buf, tmp, merge, INSERTION_CUTOFF)
 }
 
@@ -264,7 +289,12 @@ fn bottom_up_sort(buf: &mut [f32], tmp: &mut [f32], merge: MergeFn) {
 ///
 /// Panics if `cutoff == 0` or `tmp.len() != buf.len()`.
 // ninja-lint: effort(simd, algorithmic, ninja)
-pub fn bottom_up_sort_with_cutoff(buf: &mut [f32], tmp: &mut [f32], merge: MergeFn, cutoff: usize) {
+pub fn bottom_up_sort_with_cutoff(
+    buf: &mut [f32],
+    tmp: &mut [f32],
+    merge: MergeFn<'_>,
+    cutoff: usize,
+) {
     assert!(cutoff > 0, "cutoff must be positive");
     assert_eq!(buf.len(), tmp.len(), "scratch must match input length");
     let n = buf.len();
@@ -302,7 +332,7 @@ pub fn bottom_up_sort_with_cutoff(buf: &mut [f32], tmp: &mut [f32], merge: Merge
 
 /// Chunk-parallel sort followed by parallel pairwise merge rounds.
 // ninja-lint: effort(algorithmic, ninja)
-fn parallel_sort(pool: &ThreadPool, mut buf: Vec<f32>, merge: MergeFn) -> Vec<f32> {
+fn parallel_sort(pool: &ThreadPool, mut buf: Vec<f32>, merge: MergeFn<'_>) -> Vec<f32> {
     let n = buf.len();
     if n <= 2 * JOIN_CUTOFF || pool.num_threads() == 1 {
         let mut tmp = vec![0.0f32; n];
@@ -400,7 +430,7 @@ pub fn spec() -> KernelSpec {
             VariantInfo {
                 variant: Variant::Ninja,
                 effort_loc: 130,
-                what_changed: "4x4 bitonic SIMD merge network in the inner loop",
+                what_changed: "vector-width bitonic SIMD merge network in the inner loop",
             },
         ],
         character: Characterization {
@@ -430,6 +460,7 @@ pub fn spec() -> KernelSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ninja_simd::isa::available_kinds;
 
     fn sorted_copy(v: &[f32]) -> Vec<f32> {
         let mut s = v.to_vec();
@@ -437,46 +468,78 @@ mod tests {
         s
     }
 
-    #[test]
-    fn bitonic_merge_handles_all_interleavings() {
-        let a = F32x4::new(1.0, 3.0, 5.0, 7.0);
-        let b = F32x4::new(2.0, 4.0, 6.0, 8.0);
-        let (lo, hi) = bitonic_merge4(a, b);
-        assert_eq!(lo.to_array(), [1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(hi.to_array(), [5.0, 6.0, 7.0, 8.0]);
-        // Degenerate: all of b below a.
-        let (lo, hi) = bitonic_merge4(F32x4::new(10.0, 11.0, 12.0, 13.0), b);
-        assert_eq!(lo.to_array(), [2.0, 4.0, 6.0, 8.0]);
-        assert_eq!(hi.to_array(), [10.0, 11.0, 12.0, 13.0]);
-        // Duplicates.
-        let d = F32x4::splat(5.0);
-        let (lo, hi) = bitonic_merge4(d, d);
-        assert_eq!(lo.to_array(), [5.0; 4]);
-        assert_eq!(hi.to_array(), [5.0; 4]);
+    /// Two sorted vectors through the network, on one backend.
+    struct MergeVectors<'a>(&'a [f32], &'a [f32]);
+    impl IsaOp for MergeVectors<'_> {
+        type Output = Vec<f32>;
+        fn run<I: Isa>(self) -> Vec<f32> {
+            let lanes = <I::F32 as SimdF32>::LANES;
+            let (lo, hi) = bitonic_merge::<I>(I::F32::load(self.0), I::F32::load(self.1));
+            let mut out = vec![0.0f32; 2 * lanes];
+            lo.store(&mut out);
+            hi.store(&mut out[lanes..]);
+            out
+        }
     }
 
     #[test]
+    fn bitonic_merge_handles_all_interleavings() {
+        let odd: Vec<f32> = (0..MAX_ISA_F32_LANES).map(|i| (2 * i + 1) as f32).collect();
+        let even: Vec<f32> = (0..MAX_ISA_F32_LANES).map(|i| (2 * i + 2) as f32).collect();
+        let high: Vec<f32> = (0..MAX_ISA_F32_LANES).map(|i| (100 + i) as f32).collect();
+        let same = [5.0f32; MAX_ISA_F32_LANES];
+        for kind in available_kinds() {
+            let lanes = kind.width_bits() / 32;
+            // Perfectly interleaved, one run entirely below the other
+            // (both ways round), and all duplicates.
+            for (a, b) in [(&odd, &even), (&high, &even), (&even, &high)] {
+                let got = dispatch_on(kind, MergeVectors(a, b));
+                let mut want = [&a[..lanes], &b[..lanes]].concat();
+                want.sort_by(|x, y| x.partial_cmp(y).unwrap());
+                assert_eq!(got, want, "{kind}");
+            }
+            let got = dispatch_on(kind, MergeVectors(&same, &same));
+            assert_eq!(got, vec![5.0; 2 * lanes], "{kind}");
+        }
+    }
+
+    /// Every pair of run lengths from empty to past four vectors, under
+    /// every backend: both sides of the `2 * LANES` scalar cut-over, every
+    /// refill pattern, and every tail length.
+    #[test]
     fn simd_merge_matches_scalar_merge() {
         let mut rng = SmallRng::seed_from_u64(99);
-        for (la, lb) in [
-            (8, 8),
-            (16, 4),
-            (4, 16),
-            (32, 7),
-            (7, 32),
-            (100, 100),
-            (9, 64),
-        ] {
-            let mut a: Vec<f32> = (0..la).map(|_| rng.gen_range(-100.0..100.0)).collect();
-            let mut b: Vec<f32> = (0..lb).map(|_| rng.gen_range(-100.0..100.0)).collect();
-            a.sort_by(|x, y| x.partial_cmp(y).unwrap());
-            b.sort_by(|x, y| x.partial_cmp(y).unwrap());
-            let mut got = vec![0.0f32; la + lb];
-            let mut want = vec![0.0f32; la + lb];
-            merge_simd(&a, &b, &mut got);
-            merge_scalar(&a, &b, &mut want);
-            assert_eq!(got, want, "sizes ({la},{lb})");
+        for kind in available_kinds() {
+            let top = 4 * (kind.width_bits() / 32) + 1;
+            for (la, lb) in (0..=top).flat_map(|la| (0..=top).map(move |lb| (la, lb))) {
+                let mut a: Vec<f32> = (0..la).map(|_| rng.gen_range(-100.0..100.0)).collect();
+                let mut b: Vec<f32> = (0..lb).map(|_| rng.gen_range(-100.0..100.0)).collect();
+                a.sort_by(|x, y| x.partial_cmp(y).unwrap());
+                b.sort_by(|x, y| x.partial_cmp(y).unwrap());
+                let mut got = vec![0.0f32; la + lb];
+                let mut want = vec![0.0f32; la + lb];
+                merge_simd_on(kind, &a, &b, &mut got);
+                merge_scalar(&a, &b, &mut want);
+                assert_eq!(got, want, "{kind} sizes ({la},{lb})");
+            }
         }
+    }
+
+    /// The whole rung under every backend, at lengths on every residue of
+    /// the widest lane count (exact comparison: a sort has no tolerance).
+    #[test]
+    fn ninja_rung_conforms_on_every_backend_at_every_residue() {
+        crate::framework::assert_ninja_conforms(
+            1000..1000 + MAX_ISA_F32_LANES,
+            0.0,
+            |n| {
+                let mut k = MergeSort::generate(ProblemSize::Test, 17);
+                k.data.truncate(n);
+                k
+            },
+            MergeSort::run_naive,
+            MergeSort::run_ninja_on,
+        );
     }
 
     #[test]
@@ -484,14 +547,17 @@ mod tests {
         // Found by proptest: when one run is nearly exhausted, the vector
         // loop must not keep streaming the other run past the exhausted
         // run's remaining (smaller) elements.
-        let a: Vec<f32> = vec![0.0; 9]; // only 1 element left once ia == 8
-        let mut b: Vec<f32> = vec![0.0; 8];
-        b.extend([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-        let mut got = vec![0.0f32; a.len() + b.len()];
-        let mut want = vec![0.0f32; a.len() + b.len()];
-        merge_simd(&a, &b, &mut got);
-        merge_scalar(&a, &b, &mut want);
-        assert_eq!(got, want);
+        for kind in available_kinds() {
+            let lanes = kind.width_bits() / 32;
+            let a: Vec<f32> = vec![0.0; 2 * lanes + 1]; // 1 element left after two vectors
+            let mut b: Vec<f32> = vec![0.0; 2 * lanes];
+            b.extend((1..=2 * lanes).map(|i| i as f32));
+            let mut got = vec![0.0f32; a.len() + b.len()];
+            let mut want = vec![0.0f32; a.len() + b.len()];
+            merge_simd_on(kind, &a, &b, &mut got);
+            merge_scalar(&a, &b, &mut want);
+            assert_eq!(got, want, "{kind}");
+        }
     }
 
     #[test]

@@ -13,14 +13,15 @@
 //!   by `sqrt` — unvectorizable as written because of the AoS layout;
 //! * **algorithmic change**: convert to SoA (`x[]`, `y[]`, `z[]`, `m[]`),
 //!   after which the inner loop is a textbook auto-vectorization target;
-//! * **Ninja**: 4-wide SIMD over `j` with the `rsqrtps` + Newton-refinement
-//!   idiom and register-blocked accumulation.
+//! * **Ninja**: explicit SIMD over `j` at the host's vector width with the
+//!   `rsqrt` estimate-plus-refinement idiom and register accumulation.
 
 use crate::framework::{
     Adapter, Characterization, Instance, KernelSpec, ProblemSize, Variant, VariantInfo, Work,
 };
 use ninja_parallel::{par_chunks_mut, ThreadPool};
-use ninja_simd::{AlignedVec, F32x4};
+use ninja_simd::isa::{self, dispatch_on, Isa, IsaKind, IsaOp, SimdF32, MAX_ISA_F32_LANES};
+use ninja_simd::AlignedVec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -68,7 +69,10 @@ impl NBody {
 
     /// Generates a deterministic random instance.
     pub fn generate(size: ProblemSize, seed: u64) -> Self {
-        let n = Self::n_for(size);
+        Self::with_len(Self::n_for(size), seed)
+    }
+
+    fn with_len(n: usize, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let bodies: Vec<Body> = (0..n)
             .map(|_| Body {
@@ -78,9 +82,10 @@ impl NBody {
                 m: rng.gen_range(0.1..1.0),
             })
             .collect();
-        // Pad the SoA arrays to a multiple of the vector width with
-        // zero-mass bodies so the SIMD loop needs no remainder handling.
-        let padded = n.div_ceil(4) * 4;
+        // Pad the SoA arrays to a multiple of the widest vector with
+        // zero-mass bodies so the SIMD loops need no remainder handling
+        // under any backend.
+        let padded = n.div_ceil(MAX_ISA_F32_LANES) * MAX_ISA_F32_LANES;
         let mut xs = AlignedVec::zeroed(padded);
         let mut ys = AlignedVec::zeroed(padded);
         let mut zs = AlignedVec::zeroed(padded);
@@ -224,41 +229,78 @@ impl NBody {
         out
     }
 
-    /// Ninja tier: explicit 4-wide SIMD over `j` with Newton-refined
+    /// Ninja tier: explicit width-generic SIMD over `j` with the refined
     /// `rsqrt`, parallel over `i`.
     // ninja-lint: variant(ninja)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
-        let n = self.len();
-        let mut out = vec![0.0f32; 3 * n];
-        let (xs, ys, zs, ms) = (&self.xs, &self.ys, &self.zs, &self.ms);
+        self.run_ninja_on(isa::active(), pool)
+    }
+
+    /// The ninja rung on a chosen backend. Dispatch happens *inside* each
+    /// worker closure because `#[target_feature]` trampolines do not
+    /// cross thread boundaries (see `ninja_simd::isa::dispatch`).
+    // ninja-lint: effort(ninja)
+    fn run_ninja_on(&self, kind: IsaKind, pool: &ThreadPool) -> Vec<f32> {
+        let mut out = vec![0.0f32; 3 * self.len()];
         par_chunks_mut(pool, &mut out, 3 * 64, |chunk_idx, chunk| {
-            let base = chunk_idx * 64;
-            for (k, trio) in chunk.chunks_mut(3).enumerate() {
-                let i = base + k;
-                let xi = F32x4::splat(xs[i]);
-                let yi = F32x4::splat(ys[i]);
-                let zi = F32x4::splat(zs[i]);
-                let eps2 = F32x4::splat(EPS2);
-                let mut ax = F32x4::zero();
-                let mut ay = F32x4::zero();
-                let mut az = F32x4::zero();
-                for j in (0..xs.len()).step_by(4) {
-                    let dx = F32x4::from_slice(&xs[j..]) - xi;
-                    let dy = F32x4::from_slice(&ys[j..]) - yi;
-                    let dz = F32x4::from_slice(&zs[j..]) - zi;
-                    let r2 = dx.mul_add(dx, dy.mul_add(dy, dz.mul_add(dz, eps2)));
-                    let inv_r = r2.rsqrt();
-                    let s = F32x4::from_slice(&ms[j..]) * inv_r * inv_r * inv_r;
-                    ax = dx.mul_add(s, ax);
-                    ay = dy.mul_add(s, ay);
-                    az = dz.mul_add(s, az);
-                }
-                trio[0] = ax.reduce_sum();
-                trio[1] = ay.reduce_sum();
-                trio[2] = az.reduce_sum();
-            }
+            dispatch_on(
+                kind,
+                AccelChunk {
+                    kernel: self,
+                    base: chunk_idx * 64,
+                    out: chunk,
+                },
+            );
         });
         out
+    }
+}
+
+/// One output chunk of the ninja rung: the accelerations of bodies
+/// `base..`, three floats each.
+struct AccelChunk<'a> {
+    kernel: &'a NBody,
+    base: usize,
+    out: &'a mut [f32],
+}
+
+impl IsaOp for AccelChunk<'_> {
+    type Output = ();
+    #[inline(always)]
+    // ninja-lint: effort(ninja)
+    fn run<I: Isa>(self) {
+        let lanes = <I::F32 as SimdF32>::LANES;
+        let k = self.kernel;
+        let eps2 = I::F32::splat(EPS2);
+        for (b, trio) in self.out.chunks_mut(3).enumerate() {
+            let i = self.base + b;
+            let xi = I::F32::splat(k.xs[i]);
+            let yi = I::F32::splat(k.ys[i]);
+            let zi = I::F32::splat(k.zs[i]);
+            let mut ax = I::F32::zero();
+            let mut ay = I::F32::zero();
+            let mut az = I::F32::zero();
+            // The padded SoA arrays divide into whole vectors under every
+            // backend; constant-length windows elide the bounds checks.
+            let blocks =
+                k.xs.chunks_exact(lanes)
+                    .zip(k.ys.chunks_exact(lanes))
+                    .zip(k.zs.chunks_exact(lanes).zip(k.ms.chunks_exact(lanes)));
+            for ((xc, yc), (zc, mc)) in blocks {
+                let dx = I::F32::load(xc) - xi;
+                let dy = I::F32::load(yc) - yi;
+                let dz = I::F32::load(zc) - zi;
+                let r2 = dx.mul_add(dx, dy.mul_add(dy, dz.mul_add(dz, eps2)));
+                let inv_r = r2.rsqrt();
+                let s = I::F32::load(mc) * inv_r * inv_r * inv_r;
+                ax = dx.mul_add(s, ax);
+                ay = dy.mul_add(s, ay);
+                az = dz.mul_add(s, az);
+            }
+            trio[0] = ax.reduce_sum();
+            trio[1] = ay.reduce_sum();
+            trio[2] = az.reduce_sum();
+        }
     }
 }
 
@@ -311,7 +353,7 @@ pub fn spec() -> KernelSpec {
             VariantInfo {
                 variant: Variant::Ninja,
                 effort_loc: 70,
-                what_changed: "hand SIMD over j, rsqrt+Newton, padded arrays",
+                what_changed: "hand SIMD over j, refined rsqrt, padded arrays",
             },
         ],
         character: Characterization {
@@ -423,10 +465,24 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    /// Body counts at every residue of the widest lane count: the zero-mass
+    /// padding is what absorbs the remainder under each backend.
+    #[test]
+    fn ninja_rung_conforms_on_every_backend_at_every_residue() {
+        crate::framework::assert_ninja_conforms(
+            57..57 + MAX_ISA_F32_LANES,
+            2e-3,
+            |n| NBody::with_len(n, 21),
+            NBody::run_naive,
+            NBody::run_ninja_on,
+        );
+    }
+
     #[test]
     fn soa_padding_is_zero_mass() {
-        let k = NBody::generate(ProblemSize::Test, 4);
-        assert_eq!(k.xs.len() % 4, 0);
+        let k = NBody::with_len(61, 4);
+        assert_eq!(k.xs.len() % MAX_ISA_F32_LANES, 0);
+        assert!(k.xs.len() > k.len());
         for j in k.len()..k.xs.len() {
             assert_eq!(k.ms[j], 0.0);
         }

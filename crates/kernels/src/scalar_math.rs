@@ -1,23 +1,23 @@
-//! Scalar mirrors of the `ninja-simd` vector transcendentals.
+//! Scalar mirrors of the `ninja_simd::isa::math` vector transcendentals.
 //!
 //! These are the "restructured for the compiler" forms: straight-line `f32`
-//! polynomial code with no opaque libm calls, exactly lane 0 of the vector
-//! versions. The `Simd`/`Algorithmic` tiers of the transcendental-heavy
+//! polynomial code with no opaque libm calls, bit-identical to a lane of
+//! the vector versions on a backend without FMA. The `Simd`/`Algorithmic` tiers of the transcendental-heavy
 //! kernels (BlackScholes, Libor) inline these so an auto-vectorizer can in
 //! principle vectorize the whole loop — the paper's `#pragma simd` + SVML
 //! configuration.
 
 /// Branch-free lane select: `if cond { a } else { b }`, computed with bit
-/// masks exactly like `Mask32x4::select`, so scalar and vector code stay
-/// bit-identical while remaining auto-vectorizable.
+/// masks exactly like the SSE2 backend's `select`, so scalar and vector
+/// code stay bit-identical while remaining auto-vectorizable.
 #[inline(always)]
 pub fn select_f32(cond: bool, a: f32, b: f32) -> f32 {
     let mask = (cond as u32).wrapping_neg();
     f32::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
 }
 
-/// Branch-free floor that mirrors `F32x4::floor` (truncate, then correct
-/// negative non-integers). Unlike `f32::floor`, this lowers to straight-line
+/// Branch-free floor that mirrors the SSE2 backend's `floor` (truncate,
+/// then correct negative non-integers). Unlike `f32::floor`, this lowers to straight-line
 /// code on bare SSE2 instead of a `floorf` libm call, so loops using it stay
 /// auto-vectorizable. Exact for `|x| < 2^31`.
 #[inline(always)]
@@ -26,7 +26,7 @@ pub fn floor_f32(x: f32) -> f32 {
     select_f32(t > x, t - 1.0, t)
 }
 
-/// Scalar mirror of [`ninja_simd::math::exp_v4`]'s polynomial.
+/// Scalar mirror of [`ninja_simd::isa::math::exp`]'s polynomial.
 #[inline(always)]
 pub fn exp_poly(x: f32) -> f32 {
     let x = x.clamp(-87.336_54, 88.376_26);
@@ -43,7 +43,7 @@ pub fn exp_poly(x: f32) -> f32 {
     y * pow2n
 }
 
-/// Scalar mirror of [`ninja_simd::math::ln_v4`]'s polynomial.
+/// Scalar mirror of [`ninja_simd::isa::math::ln`]'s polynomial.
 #[inline(always)]
 pub fn ln_poly(x: f32) -> f32 {
     let bits = x.to_bits() as i32;
@@ -62,7 +62,7 @@ pub fn ln_poly(x: f32) -> f32 {
     e * std::f32::consts::LN_2 + p * t
 }
 
-/// Scalar mirror of [`ninja_simd::math::norm_cdf_v4`] (A&S 26.2.17).
+/// Scalar mirror of [`ninja_simd::isa::math::norm_cdf`] (A&S 26.2.17).
 #[inline(always)]
 pub fn cnd_poly(x: f32) -> f32 {
     let ax = x.abs();
@@ -81,17 +81,19 @@ pub fn cnd_poly(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ninja_simd::math::{exp_v4, ln_v4, norm_cdf_v4};
-    use ninja_simd::F32x4;
+    use ninja_simd::isa::math::{exp, ln, norm_cdf};
+    use ninja_simd::isa::{Scalar, ScalarF32};
 
+    /// Bit-equality with the one-lane reference backend, which the
+    /// differential suite in `ninja-simd` holds every unfused backend to.
     #[test]
-    fn scalar_polys_match_vector_lane0() {
+    fn scalar_polys_match_the_vector_math_bitwise() {
         for i in -50..=50 {
             let x = i as f32 * 0.73;
-            assert_eq!(exp_poly(x), exp_v4(F32x4::splat(x)).lane(0), "exp {x}");
-            assert_eq!(cnd_poly(x), norm_cdf_v4(F32x4::splat(x)).lane(0), "cnd {x}");
+            assert_eq!(exp_poly(x), exp::<Scalar>(ScalarF32(x)).0, "exp {x}");
+            assert_eq!(cnd_poly(x), norm_cdf::<Scalar>(ScalarF32(x)).0, "cnd {x}");
             if x > 0.0 {
-                assert_eq!(ln_poly(x), ln_v4(F32x4::splat(x)).lane(0), "ln {x}");
+                assert_eq!(ln_poly(x), ln::<Scalar>(ScalarF32(x)).0, "ln {x}");
             }
         }
     }

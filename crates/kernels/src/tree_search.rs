@@ -5,7 +5,7 @@
 //! version chases heap pointers; the **algorithmic changes** are exactly the
 //! paper's — a *linearized* (breadth-first / Eytzinger) array layout that
 //! removes pointers and improves locality, and *SIMD blocking* that descends
-//! four queries per instruction using gathers.
+//! one vector of queries per instruction using gathers.
 //!
 //! Every variant returns, for each query, the rank (position in sorted
 //! order) of the first key `>=` the query, or `n` when no such key exists —
@@ -15,7 +15,7 @@ use crate::framework::{
     Adapter, Characterization, Instance, KernelSpec, ProblemSize, Variant, VariantInfo, Work,
 };
 use ninja_parallel::{par_chunks_mut, ThreadPool};
-use ninja_simd::isa::{dispatch, Isa, IsaOp, SimdF32, SimdI32, SimdMask, Sse2};
+use ninja_simd::isa::{self, dispatch_on, Isa, IsaKind, IsaOp, SimdF32, SimdI32, SimdMask};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -209,7 +209,7 @@ impl TreeSearch {
     /// trait, so the same descent runs 4 queries per step under SSE2/NEON
     /// and 8 under AVX2. `qs` and `out` must both hold exactly one group
     /// (`LANES` queries).
-    #[inline]
+    #[inline(always)]
     // ninja-lint: effort(ninja)
     fn search_group<I: Isa>(&self, qs: &[f32], out: &mut [u32]) {
         let lanes = <I::F32 as SimdF32>::LANES;
@@ -262,61 +262,76 @@ impl TreeSearch {
         self.search_eytzinger(q)
     }
 
-    /// Serving-layer ninja rung: four lower bounds per SIMD descent (the
-    /// generic group descent pinned to the portable 128-bit backend so
-    /// the serving batch shape is stable across hosts).
-    pub fn lower_bound4(&self, qs: [f32; 4]) -> [u32; 4] {
-        let mut out = [0u32; 4];
-        self.search_group::<Sse2>(&qs, &mut out);
-        out
+    /// Serving-layer ninja rung: the lower bound of every query in `qs`,
+    /// one vector group of queries per SIMD descent on the active ISA
+    /// backend (a trailing partial group takes the linearized scalar
+    /// search).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != qs.len()`.
+    pub fn lower_bound_batch(&self, qs: &[f32], out: &mut [u32]) {
+        assert_eq!(qs.len(), out.len(), "one rank per query");
+        isa::dispatch(SearchChunk {
+            kernel: self,
+            queries: qs,
+            out,
+        });
     }
 
     /// Ninja tier: SIMD-blocked search — one vector group of queries per
-    /// descent step with gathered key loads — plus query parallelism. The
-    /// ISA backend (and so the group width) is dispatched *inside* each
-    /// worker closure because `#[target_feature]` trampolines do not
-    /// cross thread boundaries (see `ninja_simd::isa::dispatch`).
+    /// descent step with gathered key loads — plus query parallelism.
     // ninja-lint: variant(ninja)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<u32> {
-        let m = self.queries.len();
-        let mut out = vec![0u32; m];
+        self.run_ninja_on(isa::active(), pool)
+    }
+
+    /// The ninja rung on a chosen backend (and so group width). Dispatch
+    /// happens *inside* each worker closure because `#[target_feature]`
+    /// trampolines do not cross thread boundaries (see
+    /// `ninja_simd::isa::dispatch`).
+    // ninja-lint: effort(ninja)
+    fn run_ninja_on(&self, kind: IsaKind, pool: &ThreadPool) -> Vec<u32> {
+        let mut out = vec![0u32; self.queries.len()];
         par_chunks_mut(pool, &mut out, 4096, |chunk_idx, chunk| {
-            dispatch(SearchChunk {
-                kernel: self,
-                base: chunk_idx * 4096,
-                out: chunk,
-            });
+            let base = chunk_idx * 4096;
+            dispatch_on(
+                kind,
+                SearchChunk {
+                    kernel: self,
+                    queries: &self.queries[base..base + chunk.len()],
+                    out: chunk,
+                },
+            );
         });
         out
     }
 }
 
-/// One output chunk of the ninja rung: whole vector groups through the
-/// SIMD descent, the sub-group remainder through the scalar Eytzinger
-/// search.
+/// One chunk of queries through the ninja rung: whole vector groups
+/// through the SIMD descent, the sub-group remainder through the scalar
+/// Eytzinger search.
 struct SearchChunk<'a> {
     kernel: &'a TreeSearch,
-    /// First query index covered by `out`.
-    base: usize,
+    queries: &'a [f32],
     out: &'a mut [u32],
 }
 
 impl IsaOp for SearchChunk<'_> {
     type Output = ();
+    #[inline(always)]
     fn run<I: Isa>(self) {
         let lanes = <I::F32 as SimdF32>::LANES;
         let k = self.kernel;
-        let m = self.out.len();
-        let groups = m / lanes;
-        for g in 0..groups {
-            let i = self.base + lanes * g;
-            k.search_group::<I>(
-                &k.queries[i..i + lanes],
-                &mut self.out[lanes * g..lanes * (g + 1)],
-            );
+        let whole = self.queries.len() / lanes * lanes;
+        for (qs, out) in self.queries[..whole]
+            .chunks_exact(lanes)
+            .zip(self.out.chunks_exact_mut(lanes))
+        {
+            k.search_group::<I>(qs, out);
         }
-        for (j, o) in self.out.iter_mut().enumerate().skip(groups * lanes) {
-            *o = k.search_eytzinger(k.queries[self.base + j]);
+        for (q, o) in self.queries[whole..].iter().zip(&mut self.out[whole..]) {
+            *o = k.search_eytzinger(*q);
         }
     }
 }
@@ -451,48 +466,35 @@ mod tests {
     }
 
     #[test]
-    fn simd_block_matches_scalar() {
+    fn simd_batch_matches_scalar_at_every_length() {
         let k = TreeSearch::generate(ProblemSize::Test, 3);
-        for w in k.queries.chunks_exact(4).take(100) {
-            let got = k.lower_bound4([w[0], w[1], w[2], w[3]]);
-            for i in 0..4 {
-                assert_eq!(got[i], k.search_eytzinger(w[i]));
+        for len in 0..=2 * ninja_simd::isa::MAX_ISA_F32_LANES + 1 {
+            let qs = &k.queries[len..2 * len];
+            let mut got = vec![0u32; len];
+            k.lower_bound_batch(qs, &mut got);
+            for (g, &q) in got.iter().zip(qs) {
+                assert_eq!(*g, k.search_eytzinger(q), "len {len}, q={q}");
             }
         }
     }
 
     /// Bit-exact agreement (tolerance 0) of the generic SIMD descent with
-    /// the naive BST under every reachable ISA backend, including a chunk
-    /// length that forces the sub-group scalar remainder.
+    /// the naive BST under every reachable ISA backend, at query counts on
+    /// every residue of the widest lane count (the sub-group remainder
+    /// takes the scalar search).
     #[test]
-    fn ninja_rung_agrees_under_every_reachable_backend() {
-        use ninja_simd::isa::{available_kinds, dispatch_on};
-        let k = TreeSearch::generate(ProblemSize::Test, 13);
-        let reference = k.run_naive();
-        for kind in available_kinds() {
-            let mut out = vec![0u32; k.num_queries()];
-            dispatch_on(
-                kind,
-                SearchChunk {
-                    kernel: &k,
-                    base: 0,
-                    out: &mut out,
-                },
-            );
-            assert_eq!(out, reference, "{kind}");
-
-            // An odd-length window exercises the scalar remainder path.
-            let mut tail = vec![0u32; 13];
-            dispatch_on(
-                kind,
-                SearchChunk {
-                    kernel: &k,
-                    base: 32,
-                    out: &mut tail,
-                },
-            );
-            assert_eq!(tail, reference[32..45], "{kind} remainder");
-        }
+    fn ninja_rung_conforms_on_every_backend_at_every_residue() {
+        crate::framework::assert_ninja_conforms(
+            96..96 + ninja_simd::isa::MAX_ISA_F32_LANES,
+            0.0,
+            |m| {
+                let mut k = TreeSearch::generate(ProblemSize::Test, 13);
+                k.queries.truncate(m);
+                k
+            },
+            TreeSearch::run_naive,
+            TreeSearch::run_ninja_on,
+        );
     }
 
     #[test]
@@ -537,14 +539,14 @@ mod tests {
     #[test]
     fn serving_surface_delegates_match_partition_point() {
         let k = TreeSearch::generate(ProblemSize::Test, 12);
-        for w in k.queries.chunks_exact(4).take(50) {
-            let v4 = k.lower_bound4([w[0], w[1], w[2], w[3]]);
-            for (i, &q) in w.iter().enumerate() {
-                let want = lower_bound(&k.keys, q);
-                assert_eq!(k.lower_bound_bst(q), want);
-                assert_eq!(k.lower_bound_linearized(q), want);
-                assert_eq!(v4[i], want);
-            }
+        let qs = &k.queries[..203];
+        let mut batch = vec![0u32; qs.len()];
+        k.lower_bound_batch(qs, &mut batch);
+        for (&q, &got) in qs.iter().zip(&batch) {
+            let want = lower_bound(&k.keys, q);
+            assert_eq!(k.lower_bound_bst(q), want);
+            assert_eq!(k.lower_bound_linearized(q), want);
+            assert_eq!(got, want);
         }
     }
 

@@ -12,10 +12,11 @@
 //! rounding (termination decisions are bit-reproducible).
 
 use crate::framework::{
-    Adapter, Characterization, Instance, KernelSpec, ProblemSize, Variant, VariantInfo, Work,
+    lane_ramp, Adapter, Characterization, Instance, KernelSpec, ProblemSize, Variant, VariantInfo,
+    Work,
 };
 use ninja_parallel::{par_chunks_mut, ThreadPool};
-use ninja_simd::{F32x4, I32x4};
+use ninja_simd::isa::{self, dispatch_on, Isa, IsaKind, IsaOp, SimdF32, SimdI32, SimdMask};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -46,7 +47,10 @@ impl VolumeRender {
 
     /// Generates a deterministic random density volume in `[0, 1)`.
     pub fn generate(size: ProblemSize, seed: u64) -> Self {
-        let dim = Self::dim_for(size);
+        Self::with_dim(Self::dim_for(size), seed)
+    }
+
+    fn with_dim(dim: usize, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         // Sparse-ish density so early termination kicks in at varied depths.
         let voxels = (0..dim * dim * dim)
@@ -183,36 +187,35 @@ impl VolumeRender {
         out
     }
 
-    /// Traces a packet of four horizontally adjacent rays with masked
-    /// compositing and shared early termination.
-    #[inline]
+    /// Traces a packet of horizontally adjacent rays — one per lane — with
+    /// masked compositing and shared early termination. No `mul_add`: the
+    /// arithmetic must stay bit-identical to [`Self::trace`] so every
+    /// backend takes the same termination decisions.
+    #[inline(always)]
     // ninja-lint: effort(ninja)
-    fn trace4(&self, px: usize, py: usize) -> [f32; 4] {
+    fn trace_packet<I: Isa>(&self, px: usize, py: usize) -> I::F32 {
+        let splat = I::F32::splat;
         let d = self.dim;
-        let dim_i = I32x4::splat(d as i32);
+        let dim_i = I::I32::splat(d as i32);
+        let one_i = I::I32::splat(1);
         let steps = d - 1;
-        let x0 = F32x4::new(
-            px as f32 + 0.5,
-            px as f32 + 1.5,
-            px as f32 + 2.5,
-            px as f32 + 3.5,
-        );
-        let y0 = F32x4::splat(py as f32 + 0.5);
-        let max = F32x4::splat((d - 2) as f32);
-        let zero = F32x4::zero();
-        let one = F32x4::splat(1.0);
-        let mut color = F32x4::zero();
-        let mut opacity = F32x4::zero();
-        let terminate = F32x4::splat(TERMINATE);
+        let x0 = splat(px as f32 + 0.5) + lane_ramp::<I>();
+        let y0 = splat(py as f32 + 0.5);
+        let max = splat((d - 2) as f32);
+        let zero = I::F32::zero();
+        let one = splat(1.0);
+        let mut color = I::F32::zero();
+        let mut opacity = I::F32::zero();
+        let terminate = splat(TERMINATE);
         for t in 0..steps {
             let active = opacity.simd_lt(terminate);
             if !active.any() {
                 break;
             }
-            let tf = F32x4::splat(t as f32);
-            let cx = x0.mul_add(one, tf * F32x4::splat(DIR_X)).min(max).max(zero);
-            let cy = y0.mul_add(one, tf * F32x4::splat(DIR_Y)).min(max).max(zero);
-            let cz = F32x4::splat(0.5 + t as f32).min(max).max(zero);
+            let tf = splat(t as f32);
+            let cx = (x0 + tf * splat(DIR_X)).min(max).max(zero);
+            let cy = (y0 + tf * splat(DIR_Y)).min(max).max(zero);
+            let cz = splat(0.5 + t as f32).min(max).max(zero);
             let ix = cx.floor();
             let iy = cy.floor();
             let iz = cz.floor();
@@ -223,15 +226,15 @@ impl VolumeRender {
             let base = (iz.to_i32_trunc() * dim_i + iy.to_i32_trunc()) * dim_i + ix.to_i32_trunc();
             let row = dim_i;
             let plane = dim_i * dim_i;
-            let g = |idx: I32x4| F32x4::gather(&self.voxels, idx);
+            let g = |idx: I::I32| I::F32::gather(&self.voxels, idx);
             let c000 = g(base);
-            let c100 = g(base + I32x4::splat(1));
+            let c100 = g(base + one_i);
             let c010 = g(base + row);
-            let c110 = g(base + row + I32x4::splat(1));
+            let c110 = g(base + row + one_i);
             let c001 = g(base + plane);
-            let c101 = g(base + plane + I32x4::splat(1));
+            let c101 = g(base + plane + one_i);
             let c011 = g(base + plane + row);
-            let c111 = g(base + plane + row + I32x4::splat(1));
+            let c111 = g(base + plane + row + one_i);
             let x00 = c000 + (c100 - c000) * fx;
             let x10 = c010 + (c110 - c010) * fx;
             let x01 = c001 + (c101 - c001) * fx;
@@ -239,34 +242,66 @@ impl VolumeRender {
             let yy0 = x00 + (x10 - x00) * fy;
             let yy1 = x01 + (x11 - x01) * fy;
             let s = yy0 + (yy1 - yy0) * fz;
-            let alpha = s * F32x4::splat(ALPHA_SCALE);
+            let alpha = s * splat(ALPHA_SCALE);
             let w = one - opacity;
             let dc = w * (alpha * s);
             let da = w * alpha;
-            color = active.select(color + dc, color);
-            opacity = active.select(opacity + da, opacity);
+            color = I::F32::select(active, color + dc, color);
+            opacity = I::F32::select(active, opacity + da, opacity);
         }
-        color.to_array()
+        color
     }
 
-    /// Ninja tier: 4-wide ray packets with masked compositing and gathered
-    /// trilinear sampling, row-parallel.
+    /// Ninja tier: vector-width ray packets with masked compositing and
+    /// gathered trilinear sampling, row-parallel.
     // ninja-lint: variant(ninja)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
+        self.run_ninja_on(isa::active(), pool)
+    }
+
+    /// The ninja rung on a chosen backend, dispatched per row inside the
+    /// worker closure (`#[target_feature]` trampolines do not cross
+    /// thread boundaries).
+    // ninja-lint: effort(ninja)
+    fn run_ninja_on(&self, kind: IsaKind, pool: &ThreadPool) -> Vec<f32> {
         let d = self.dim;
         let mut out = vec![0.0f32; d * d];
         par_chunks_mut(pool, &mut out, d, |py, row| {
-            let packs = d / 4;
-            for p in 0..packs {
-                let px = 4 * p;
-                let res = self.trace4(px, py);
-                row[px..px + 4].copy_from_slice(&res);
-            }
-            for px in packs * 4..d {
-                row[px] = self.trace(px, py);
-            }
+            dispatch_on(
+                kind,
+                RenderRow {
+                    kernel: self,
+                    py,
+                    row,
+                },
+            );
         });
         out
+    }
+}
+
+/// One image row of the ninja rung: whole ray packets, then the
+/// sub-packet remainder through the scalar march.
+struct RenderRow<'a> {
+    kernel: &'a VolumeRender,
+    py: usize,
+    row: &'a mut [f32],
+}
+
+impl IsaOp for RenderRow<'_> {
+    type Output = ();
+    #[inline(always)]
+    // ninja-lint: effort(ninja)
+    fn run<I: Isa>(self) {
+        let lanes = <I::F32 as SimdF32>::LANES;
+        let (k, py, row) = (self.kernel, self.py, self.row);
+        let packed = k.dim / lanes * lanes;
+        for px in (0..packed).step_by(lanes) {
+            k.trace_packet::<I>(px, py).store(&mut row[px..]);
+        }
+        for (px, o) in row.iter_mut().enumerate().skip(packed) {
+            *o = k.trace(px, py);
+        }
     }
 }
 
@@ -321,7 +356,7 @@ pub fn spec() -> KernelSpec {
             VariantInfo {
                 variant: Variant::Ninja,
                 effort_loc: 120,
-                what_changed: "4-ray packets, masked compositing, manual gathers",
+                what_changed: "vector-width ray packets, masked compositing, manual gathers",
             },
         ],
         character: Characterization {
@@ -420,6 +455,19 @@ mod tests {
                 assert!(err < 1e-4, "{label}[{i}]: {a} vs {b}");
             }
         }
+    }
+
+    /// Image widths at every residue of the widest lane count: each row
+    /// ends in a scalar remainder of every length under each backend.
+    #[test]
+    fn ninja_rung_conforms_on_every_backend_at_every_residue() {
+        crate::framework::assert_ninja_conforms(
+            12..12 + ninja_simd::isa::MAX_ISA_F32_LANES,
+            1e-4,
+            |dim| VolumeRender::with_dim(dim, 7),
+            VolumeRender::run_naive,
+            VolumeRender::run_ninja_on,
+        );
     }
 
     #[test]

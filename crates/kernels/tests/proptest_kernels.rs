@@ -30,7 +30,7 @@ proptest! {
         let mut want = data.clone();
         want.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let mut tmp = vec![0.0f32; data.len()];
-        bottom_up_sort_with_cutoff(&mut data, &mut tmp, merge_scalar, cutoff);
+        bottom_up_sort_with_cutoff(&mut data, &mut tmp, &merge_scalar, cutoff);
         prop_assert_eq!(data, want);
     }
 }

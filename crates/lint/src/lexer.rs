@@ -318,21 +318,21 @@ mod tests {
 
     #[test]
     fn comments_do_not_produce_tokens() {
-        let l = lex("// ThreadPool here\nfn f() {} /* F32x4 */");
+        let l = lex("// ThreadPool here\nfn f() {} /* SimdF32 */");
         assert!(l.tokens.iter().all(|t| !t.is_ident("ThreadPool")));
-        assert!(l.tokens.iter().all(|t| !t.is_ident("F32x4")));
+        assert!(l.tokens.iter().all(|t| !t.is_ident("SimdF32")));
         assert_eq!(l.comments.len(), 2);
         assert_eq!(l.comments[0].line, 1);
         assert!(l.comments[0].text.contains("ThreadPool"));
-        assert!(l.comments[1].text.contains("F32x4"));
+        assert!(l.comments[1].text.contains("SimdF32"));
     }
 
     #[test]
     fn strings_hide_identifiers() {
-        let l = lex("let s = \"ThreadPool {}\"; let r = r#\"F32x4 \"x\" \"#;");
+        let l = lex("let s = \"ThreadPool {}\"; let r = r#\"SimdF32 \"x\" \"#;");
         assert!(!idents("").contains(&"ThreadPool".into()));
         assert!(l.tokens.iter().all(|t| !t.is_ident("ThreadPool")));
-        assert!(l.tokens.iter().all(|t| !t.is_ident("F32x4")));
+        assert!(l.tokens.iter().all(|t| !t.is_ident("SimdF32")));
         // Braces inside strings must not unbalance brace matching.
         assert!(l.tokens.iter().all(|t| !t.is_punct('{')));
     }

@@ -41,18 +41,12 @@ pub const THREAD_IDENTS: [&str; 8] = [
 ];
 
 /// Identifiers whose presence in a traditional-rung body means the
-/// variant smuggles in Ninja machinery: explicit vectors, masks,
-/// `unsafe`, or the width-generic `Isa` surface — writing a rung against
-/// the trait is still hand-SIMD, whatever backend the dispatcher picks.
-pub const EXPLICIT_SIMD_IDENTS: [&str; 20] = [
+/// variant smuggles in Ninja machinery: the `ninja-simd` crate, its
+/// aligned buffers, or the width-generic `Isa` surface — writing a rung
+/// against the trait is hand-SIMD, whatever backend the dispatcher
+/// picks.
+pub const EXPLICIT_SIMD_IDENTS: [&str; 13] = [
     "ninja_simd",
-    "F32x4",
-    "F32x8",
-    "F64x2",
-    "F64x4",
-    "I32x4",
-    "Mask32x4",
-    "Mask64x2",
     "AlignedVec",
     "Isa",
     "IsaOp",
@@ -67,20 +61,12 @@ pub const EXPLICIT_SIMD_IDENTS: [&str; 20] = [
     "Neon",
 ];
 
-/// Vector/mask identifiers that count as *evidence of* explicit SIMD for
-/// the Ninja-tier requirement (a strict subset of
-/// [`EXPLICIT_SIMD_IDENTS`]: owning an [`AlignedVec`] is not by itself
-/// vector code). A rung written once against the width-generic `Isa`
-/// trait — `fn body<I: Isa>(..)` dispatched at runtime — counts exactly
-/// like a fixed-width `F32x4` body.
-pub const SIMD_EVIDENCE_IDENTS: [&str; 18] = [
-    "F32x4",
-    "F32x8",
-    "F64x2",
-    "F64x4",
-    "I32x4",
-    "Mask32x4",
-    "Mask64x2",
+/// Identifiers that count as *evidence of* explicit SIMD for the
+/// Ninja-tier requirement (a strict subset of [`EXPLICIT_SIMD_IDENTS`]:
+/// owning an [`AlignedVec`] is not by itself vector code): the `Isa`
+/// trait surface a rung is written against — `fn run<I: Isa>(..)`
+/// dispatched at runtime — and the backends that instantiate it.
+pub const SIMD_EVIDENCE_IDENTS: [&str; 11] = [
     "Isa",
     "IsaOp",
     "dispatch",
@@ -156,7 +142,7 @@ pub enum RuleId {
     /// NL002: a Naive/Parallel-rung body references explicit SIMD or
     /// `unsafe`.
     SimdInScalarRung,
-    /// NL003: a kernel's Ninja tier never touches an explicit vector type.
+    /// NL003: a kernel's Ninja tier never touches the explicit-SIMD surface.
     NinjaWithoutSimd,
     /// NL004: declared `effort_loc` disagrees with the measured diff size.
     EffortLocDrift,
@@ -226,13 +212,12 @@ impl RuleId {
             }
             RuleId::SimdInScalarRung => {
                 "naive/parallel variant bodies must not reference explicit SIMD \
-                 types (F32x4, masks, AlignedVec, ...), the width-generic Isa \
-                 dispatch surface, or use `unsafe`"
+                 (ninja_simd, AlignedVec, the width-generic Isa dispatch \
+                 surface), or use `unsafe`"
             }
             RuleId::NinjaWithoutSimd => {
-                "a kernel's ninja tier must reference an explicit vector type \
-                 or the width-generic Isa surface, or carry an allow() with a \
-                 reason"
+                "a kernel's ninja tier must reference the width-generic Isa \
+                 surface, or carry an allow() with a reason"
             }
             RuleId::EffortLocDrift => {
                 "declared effort_loc must be within tolerance of the measured \
@@ -390,7 +375,7 @@ fn check_ninja_simd(file: &SourceFile, findings: &mut Vec<Finding>) {
             line: entry.sig_line,
             message: format!(
                 "no span attributed to the ninja rung (starting at fn `{}`) \
-                 references an explicit vector type ({})",
+                 references the explicit-SIMD surface ({})",
                 entry.name,
                 SIMD_EVIDENCE_IDENTS.join("/")
             ),
@@ -735,8 +720,8 @@ mod tests {
 
     #[test]
     fn isa_generic_body_satisfies_nl003() {
-        // A ninja tier written once against `Isa` — no fixed-width type
-        // anywhere — is hand-SIMD evidence, not an NL003 violation.
+        // A ninja tier written once against `Isa` is hand-SIMD evidence,
+        // not an NL003 violation.
         let findings = analyze(
             "// ninja-lint: variant(ninja)\nfn run_ninja(&self) {\n    dispatch(DotRange { out: &mut self.out });\n}\n// ninja-lint: effort(ninja)\nfn dot_range<I: Isa>(xs: &[f32], out: &mut [f32]) {\n    let lanes = <I::F32 as SimdF32>::LANES;\n    let v = I::F32::load(&xs[..lanes]);\n    v.store(out);\n}\n",
         );

@@ -147,11 +147,18 @@ fn real_tree_asm_audit_is_clean() {
         "real-tree asm audit must pass:\n{}",
         audit.report.render_text()
     );
-    assert!(
-        audit
-            .profiles
-            .iter()
-            .any(|p| p.rung == "ninja" && p.width_bits >= 128),
-        "at least one ninja rung shows vector evidence"
-    );
+    let ninja: Vec<_> = audit
+        .profiles
+        .iter()
+        .filter(|p| p.rung == "ninja")
+        .collect();
+    assert_eq!(ninja.len(), 10, "one ninja profile per kernel");
+    for p in ninja {
+        assert!(
+            p.width_bits >= 128,
+            "{}/ninja shows no vector evidence: {}",
+            p.kernel,
+            p.classification
+        );
+    }
 }

@@ -2,15 +2,43 @@
 //!
 //! Fixtures are lexed by the lint, never compiled; they mirror the shape
 //! of a real `crates/kernels/src/*.rs` entry (variant ladder, markers,
-//! `VariantInfo` effort declarations, one justified unsafe site).
+//! `VariantInfo` effort declarations, a ninja tier written once against
+//! the width-generic `Isa` trait, one justified unsafe site). NL003
+//! accepts the trait surface as hand-SIMD evidence: the whole point of
+//! the dispatcher is that one kernel source measures at every vector
+//! width, and the lint must not punish that.
 
 use ninja_parallel::{par_chunks_mut, ThreadPool};
-use ninja_simd::F32x4;
+use ninja_simd::isa::{dispatch, Isa, IsaOp, SimdF32};
 
 pub struct DotProd {
     xs: Vec<f32>,
     ys: Vec<f32>,
     n: usize,
+}
+
+/// One chunk of the ninja tier, generic over the dispatched backend.
+struct DotRange<'a> {
+    xs: &'a [f32],
+    ys: &'a [f32],
+    out: &'a mut [f32],
+}
+
+impl IsaOp for DotRange<'_> {
+    type Output = ();
+
+    // ninja-lint: effort(ninja)
+    fn run<I: Isa>(self) {
+        let lanes = <I::F32 as SimdF32>::LANES;
+        let one = I::F32::splat(1.0);
+        for (k, group) in self.out.chunks_mut(lanes).enumerate() {
+            let x = I::F32::load(&self.xs[k * lanes..]);
+            let y = I::F32::load(&self.ys[k * lanes..]);
+            let tail = I::F32::first_n_mask(group.len());
+            // SAFETY: the mask enables only the lanes `group` holds.
+            unsafe { x.mul_add(y, one).store_ptr_mask(group.as_mut_ptr(), tail) };
+        }
+    }
 }
 
 impl DotProd {
@@ -63,19 +91,17 @@ impl DotProd {
         out
     }
 
-    /// Hand 4-wide SIMD plus threads plus an unsafe pointer fast path.
+    /// Hand-vectorized once plus threads; measured at whatever width the
+    /// dispatcher resolves (or a `NINJA_ISA` override forces).
     // ninja-lint: variant(ninja)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
         let mut out = vec![0.0f32; self.n];
         par_chunks_mut(pool, &mut out, 64, |base, chunk| {
-            for (k, quad) in chunk.chunks_mut(4).enumerate() {
-                let i = base * 64 + k * 4;
-                let x = F32x4::from_slice(&self.xs[i..]);
-                let y = F32x4::from_slice(&self.ys[i..]);
-                let v = x * y + F32x4::splat(1.0);
-                // SAFETY: quads are padded to a multiple of 4 elements.
-                unsafe { v.store_unchecked(quad.as_mut_ptr()) };
-            }
+            dispatch(DotRange {
+                xs: &self.xs[base * 64..],
+                ys: &self.ys[base * 64..],
+                out: chunk,
+            });
         });
         out
     }
@@ -108,7 +134,7 @@ pub fn spec() -> KernelSpec {
             VariantInfo {
                 variant: Variant::Ninja,
                 effort_loc: 25,
-                what_changed: "hand 4-wide SIMD, unchecked stores",
+                what_changed: "width-generic Isa body, masked stores, runtime dispatch",
             },
         ],
     }

@@ -4,7 +4,6 @@
 //! so NL003 must fire exactly once.
 
 use ninja_parallel::{par_chunks_mut, ThreadPool};
-use ninja_simd::F32x4;
 
 pub struct DotProd {
     xs: Vec<f32>,
@@ -106,7 +105,7 @@ pub fn spec() -> KernelSpec {
             VariantInfo {
                 variant: Variant::Ninja,
                 effort_loc: 25,
-                what_changed: "hand 4-wide SIMD, unchecked stores",
+                what_changed: "width-generic Isa body, masked stores, runtime dispatch",
             },
         ],
     }

@@ -6,7 +6,6 @@
 
 use ninja_parallel::{par_chunks_mut, ThreadPool};
 use ninja_simd::isa::{dispatch, Isa, IsaOp, SimdF32};
-use ninja_simd::F32x4;
 
 pub struct DotProd {
     xs: Vec<f32>,
@@ -14,7 +13,7 @@ pub struct DotProd {
     n: usize,
 }
 
-/// One chunk of the dot-product, generic over the dispatched backend.
+/// One chunk of the ninja tier, generic over the dispatched backend.
 struct DotRange<'a> {
     xs: &'a [f32],
     ys: &'a [f32],
@@ -24,12 +23,16 @@ struct DotRange<'a> {
 impl IsaOp for DotRange<'_> {
     type Output = ();
 
+    // ninja-lint: effort(ninja)
     fn run<I: Isa>(self) {
         let lanes = <I::F32 as SimdF32>::LANES;
-        for (k, slot) in self.out.iter_mut().enumerate() {
+        let one = I::F32::splat(1.0);
+        for (k, group) in self.out.chunks_mut(lanes).enumerate() {
             let x = I::F32::load(&self.xs[k * lanes..]);
             let y = I::F32::load(&self.ys[k * lanes..]);
-            *slot = (x * y).reduce_sum() + 1.0;
+            let tail = I::F32::first_n_mask(group.len());
+            // SAFETY: the mask enables only the lanes `group` holds.
+            unsafe { x.mul_add(y, one).store_ptr_mask(group.as_mut_ptr(), tail) };
         }
     }
 }
@@ -85,19 +88,17 @@ impl DotProd {
         out
     }
 
-    /// Hand 4-wide SIMD plus threads plus an unsafe pointer fast path.
+    /// Hand-vectorized once plus threads; measured at whatever width the
+    /// dispatcher resolves (or a `NINJA_ISA` override forces).
     // ninja-lint: variant(ninja)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
         let mut out = vec![0.0f32; self.n];
         par_chunks_mut(pool, &mut out, 64, |base, chunk| {
-            for (k, quad) in chunk.chunks_mut(4).enumerate() {
-                let i = base * 64 + k * 4;
-                let x = F32x4::from_slice(&self.xs[i..]);
-                let y = F32x4::from_slice(&self.ys[i..]);
-                let v = x * y + F32x4::splat(1.0);
-                // SAFETY: quads are padded to a multiple of 4 elements.
-                unsafe { v.store_unchecked(quad.as_mut_ptr()) };
-            }
+            dispatch(DotRange {
+                xs: &self.xs[base * 64..],
+                ys: &self.ys[base * 64..],
+                out: chunk,
+            });
         });
         out
     }
@@ -130,7 +131,7 @@ pub fn spec() -> KernelSpec {
             VariantInfo {
                 variant: Variant::Ninja,
                 effort_loc: 25,
-                what_changed: "hand 4-wide SIMD, unchecked stores",
+                what_changed: "width-generic Isa body, masked stores, runtime dispatch",
             },
         ],
     }

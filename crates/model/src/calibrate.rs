@@ -4,7 +4,7 @@
 //! per-core capability instead of datasheet numbers.
 
 use crate::Machine;
-use ninja_simd::F32x4;
+use ninja_simd::isa::{dispatch, Isa, IsaOp, SimdF32};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -13,7 +13,8 @@ use std::time::Instant;
 pub struct HostCalibration {
     /// Sustained scalar multiply-add rate of one core, GFLOP/s.
     pub scalar_gflops: f64,
-    /// Sustained 4-wide SIMD multiply-add rate of one core, GFLOP/s.
+    /// Sustained SIMD multiply-add rate of one core at the dispatched
+    /// vector width (fused where the backend has FMA), GFLOP/s.
     pub simd_gflops: f64,
     /// Sustained single-thread streaming read bandwidth, GB/s.
     pub bandwidth_gbs: f64,
@@ -55,27 +56,30 @@ fn measure_scalar_gflops() -> f64 {
     (ITERS as f64 * 8.0 * 2.0) / secs / 1e9
 }
 
-/// SIMD multiply-add throughput with four independent vector chains.
-fn measure_simd_gflops() -> f64 {
-    const ITERS: u64 = 4_000_000;
-    let mut acc = [
-        F32x4::splat(1.0),
-        F32x4::splat(1.1),
-        F32x4::splat(1.2),
-        F32x4::splat(1.3),
-    ];
-    let a = F32x4::splat(black_box(1.000_000_1f32));
-    let b = F32x4::splat(black_box(1e-9f32));
-    let start = Instant::now();
-    for _ in 0..ITERS {
-        for v in acc.iter_mut() {
-            *v = v.mul_add(a, b);
+/// SIMD multiply-add throughput with four independent vector chains, on
+/// the ISA backend the kernels' ninja rungs dispatch to.
+struct SimdFlops;
+
+impl IsaOp for SimdFlops {
+    /// GFLOP/s.
+    type Output = f64;
+    fn run<I: Isa>(self) -> f64 {
+        const ITERS: u64 = 4_000_000;
+        let mut acc = [1.0f32, 1.1, 1.2, 1.3].map(I::F32::splat);
+        let a = I::F32::splat(black_box(1.000_000_1f32));
+        let b = I::F32::splat(black_box(1e-9f32));
+        let start = Instant::now();
+        for _ in 0..ITERS {
+            for v in acc.iter_mut() {
+                *v = v.mul_add(a, b);
+            }
         }
+        let secs = start.elapsed().as_secs_f64();
+        black_box(acc.map(|v| v.reduce_sum()));
+        // 4 chains x LANES x (1 mul + 1 add).
+        let lanes = <I::F32 as SimdF32>::LANES as f64;
+        (ITERS as f64 * 4.0 * lanes * 2.0) / secs / 1e9
     }
-    let secs = start.elapsed().as_secs_f64();
-    black_box(acc.map(|v| v.reduce_sum()));
-    // 4 chains x 4 lanes x (1 mul + 1 add).
-    (ITERS as f64 * 4.0 * 4.0 * 2.0) / secs / 1e9
 }
 
 /// Streaming read bandwidth over a buffer far larger than the LLC.
@@ -110,7 +114,7 @@ fn measure_bandwidth_gbs() -> f64 {
 pub fn measure_host() -> HostCalibration {
     HostCalibration {
         scalar_gflops: measure_scalar_gflops(),
-        simd_gflops: measure_simd_gflops(),
+        simd_gflops: dispatch(SimdFlops),
         bandwidth_gbs: measure_bandwidth_gbs(),
     }
 }

@@ -1,44 +1,46 @@
 //! Countdown latch used to wait for stack-borrowed jobs to finish.
 
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A counter that threads decrement as they finish; `wait` blocks until it
 /// reaches zero.
 ///
 /// Used to guarantee that every job referencing stack data has completed
-/// before the frame owning that data returns.
+/// before the frame owning that data returns — and the latch itself lives
+/// in that frame. So the count is only ever read or written under the
+/// lock: the waiter can observe zero only after the last `count_down` has
+/// released the mutex, which is that helper's final touch of `self`. (A
+/// lock-free decrement would let `wait` return, and the frame die, while
+/// the helper was still on its way to notify.)
 pub(crate) struct CountLatch {
-    remaining: AtomicUsize,
-    lock: Mutex<()>,
+    remaining: Mutex<usize>,
     cv: Condvar,
 }
 
 impl CountLatch {
     pub(crate) fn new(count: usize) -> Self {
         Self {
-            remaining: AtomicUsize::new(count),
-            lock: Mutex::new(()),
+            remaining: Mutex::new(count),
             cv: Condvar::new(),
         }
     }
 
     /// Decrements the counter, waking waiters when it hits zero.
     pub(crate) fn count_down(&self) {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = self.lock.lock();
+        let mut remaining = self.remaining.lock();
+        *remaining -= 1;
+        if *remaining == 0 {
+            // Notify before the guard drops: once the lock is released a
+            // waiter may return and free the latch.
             self.cv.notify_all();
         }
     }
 
     /// Blocks until the counter reaches zero.
     pub(crate) fn wait(&self) {
-        if self.remaining.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        let mut guard = self.lock.lock();
-        while self.remaining.load(Ordering::Acquire) != 0 {
-            self.cv.wait(&mut guard);
+        let mut remaining = self.remaining.lock();
+        while *remaining != 0 {
+            self.cv.wait(&mut remaining);
         }
     }
 }

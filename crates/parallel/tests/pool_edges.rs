@@ -6,7 +6,8 @@
 
 use ninja_parallel::ThreadPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Runs `parallel_for` over `0..n` and returns per-index visit counts.
 fn visit_counts(pool: &ThreadPool, n: usize, grain: usize) -> Vec<usize> {
@@ -107,4 +108,71 @@ fn exact_chunk_division_has_no_ragged_tail() {
     let mut chunks = chunks.into_inner().unwrap();
     chunks.sort_by_key(|r| r.start);
     assert_eq!(chunks, vec![0..4, 4..8, 8..12]);
+}
+
+/// One two-chunk region in a frame of its own, so that the frame — and
+/// the region's completion latch in it — is dead once this returns. The
+/// caller's chunk spins for `busy`, which sets how the caller's arrival
+/// at the latch lines up with the helper's.
+#[inline(never)]
+fn region_in_its_own_frame(pool: &ThreadPool, busy: Duration) {
+    pool.parallel_for(0..2, 1, |r| {
+        let start = Instant::now();
+        while r.start == 0 && start.elapsed() < busy {
+            std::hint::spin_loop();
+        }
+    });
+}
+
+/// Lays a canary over the stack area a just-returned callee's frame
+/// occupied, gives a straggler a moment to touch it, and reports whether
+/// it survived.
+#[inline(never)]
+fn dead_stack_stays_untouched() -> bool {
+    let mut canary = [u64::MAX; 512];
+    std::hint::black_box(&mut canary);
+    for _ in 0..100 {
+        std::hint::spin_loop();
+    }
+    std::hint::black_box(&mut canary);
+    canary.iter().all(|&word| word == u64::MAX)
+}
+
+/// Regression: a region's completion latch lives in the `parallel_for`
+/// frame, and its `count_down` used to take the latch's mutex *after* the
+/// decrement that lets the caller's lock-free `wait` return — so a helper
+/// finishing just as the caller arrived was still locking, notifying and
+/// unlocking inside a frame the caller had left, and stored into whatever
+/// the caller kept there next (SIGSEGV once that is a pointer; a worker
+/// parked for ever on a garbage futex word, and the next region hanging,
+/// when the word read as locked). Sweeping the caller's share of each
+/// region from nothing to well past a worker wake-up makes the two
+/// arrivals cross thousands of times; the joins in between vary where the
+/// worker is when the next region starts.
+#[test]
+fn regions_never_outlive_their_latch() {
+    let (done_tx, done_rx) = mpsc::channel();
+    let hammer = std::thread::spawn(move || {
+        let pool = ThreadPool::with_threads(2);
+        for i in 0..20_000usize {
+            region_in_its_own_frame(&pool, Duration::from_micros((i * 7 % 64) as u64));
+            assert!(
+                dead_stack_stays_untouched(),
+                "region {i}: a helper wrote into its region's dead frame"
+            );
+            if i % 4 == 0 {
+                let (a, b) = pool.join(|| i, || i + 1);
+                assert_eq!(a + 1, b);
+            }
+        }
+        done_tx.send(()).expect("the test thread is waiting");
+    });
+    // A wedged pool shows up as a hang: turn it into a failure. Otherwise
+    // the hammer finished or panicked (dropping the sender); join says which.
+    if let Err(mpsc::RecvTimeoutError::Timeout) = done_rx.recv_timeout(Duration::from_secs(120)) {
+        panic!("the pool wedged: a helper outlived its region's latch");
+    }
+    if let Err(panic) = hammer.join() {
+        std::panic::resume_unwind(panic);
+    }
 }

@@ -373,7 +373,7 @@ pub struct MachineFingerprint {
     pub hostname: String,
     /// Logical cores visible to the process.
     pub logical_cores: u32,
-    /// Active SIMD backend (from `ninja_simd::backend_name` via the
+    /// Active SIMD backend (`ninja_simd::isa::active().name()` via the
     /// suite report).
     pub simd_backend: String,
     /// Calibrated core frequency proxy in GHz (scalar GFLOP/s ÷ 2),

@@ -4,7 +4,8 @@
 //! layout its rung needs and calls the kernel crate's serving surface:
 //! the scalar rung is the trusted `f64` math, the SIMD rung the
 //! restructured `f32` polynomial math, and the ninja rung the explicit
-//! 4-wide SIMD math parallelized over the shared thread pool.
+//! SIMD math (at whatever vector width the kernel crate dispatches to)
+//! parallelized over the shared thread pool.
 
 use std::sync::Arc;
 
@@ -13,7 +14,8 @@ use ninja_kernels::black_scholes::{
 };
 use ninja_kernels::chaos::FailureMode;
 use ninja_kernels::libor::{
-    default_init_rates, default_vols, price_path_f64, price_path_poly, price_paths4, NMAT, N_RATES,
+    default_init_rates, default_vols, price_path_f64, price_path_poly, price_paths_simd, NMAT,
+    N_RATES,
 };
 use ninja_kernels::tree_search::TreeSearch;
 use ninja_kernels::ProblemSize;
@@ -21,7 +23,7 @@ use ninja_parallel::{par_chunks_mut, ThreadPool};
 
 use crate::{BatchKernel, Rung};
 
-/// Options per parallel chunk on the ninja rung.
+/// Requests per parallel chunk on the ninja rung.
 const NINJA_CHUNK: usize = 16;
 
 fn rel_close(got: f32, reference: f32, tol: f32) -> bool {
@@ -48,26 +50,19 @@ impl BlackScholesServe {
         Self { pool }
     }
 
-    /// AoS → padded SoA (multiple of 4, benign pad values).
+    /// AoS → SoA.
     fn soa(reqs: &[OptionContract]) -> [Vec<f32>; 5] {
-        let padded = reqs.len().div_ceil(4) * 4;
-        let mut spot = vec![1.0f32; padded];
-        let mut strike = vec![1.0f32; padded];
-        let mut years = vec![1.0f32; padded];
-        let mut rate = vec![0.0f32; padded];
-        let mut vol = vec![0.5f32; padded];
-        for (i, c) in reqs.iter().enumerate() {
-            spot[i] = c.spot;
-            strike[i] = c.strike;
-            years[i] = c.years;
-            rate[i] = c.rate;
-            vol[i] = c.vol;
-        }
-        [spot, strike, years, rate, vol]
+        [
+            reqs.iter().map(|c| c.spot).collect(),
+            reqs.iter().map(|c| c.strike).collect(),
+            reqs.iter().map(|c| c.years).collect(),
+            reqs.iter().map(|c| c.rate).collect(),
+            reqs.iter().map(|c| c.vol).collect(),
+        ]
     }
 
-    fn deinterleave(pairs: &[f32], n: usize) -> Vec<(f32, f32)> {
-        (0..n).map(|i| (pairs[2 * i], pairs[2 * i + 1])).collect()
+    fn deinterleave(pairs: &[f32]) -> Vec<(f32, f32)> {
+        pairs.chunks_exact(2).map(|p| (p[0], p[1])).collect()
     }
 }
 
@@ -86,7 +81,7 @@ impl BatchKernel for BlackScholesServe {
                 let [spot, strike, years, rate, vol] = Self::soa(reqs);
                 let mut out = vec![0.0f32; 2 * spot.len()];
                 price_batch_poly(&spot, &strike, &years, &rate, &vol, &mut out);
-                Self::deinterleave(&out, reqs.len())
+                Self::deinterleave(&out)
             }
             Rung::Ninja => {
                 let [spot, strike, years, rate, vol] = Self::soa(reqs);
@@ -103,7 +98,7 @@ impl BatchKernel for BlackScholesServe {
                         chunk,
                     );
                 });
-                Self::deinterleave(&out, reqs.len())
+                Self::deinterleave(&out)
             }
         }
     }
@@ -166,20 +161,8 @@ impl BatchKernel for TreeSearchServe {
                 let mut out = vec![0u32; reqs.len()];
                 par_chunks_mut(&self.pool, &mut out, NINJA_CHUNK, |ci, chunk| {
                     let base = ci * NINJA_CHUNK;
-                    let groups = chunk.len() / 4;
-                    for g in 0..groups {
-                        let i = base + 4 * g;
-                        let res = self.tree.lower_bound4([
-                            reqs[i],
-                            reqs[i + 1],
-                            reqs[i + 2],
-                            reqs[i + 3],
-                        ]);
-                        chunk[4 * g..4 * g + 4].copy_from_slice(&res);
-                    }
-                    for j in groups * 4..chunk.len() {
-                        chunk[j] = self.tree.lower_bound_linearized(reqs[base + j]);
-                    }
+                    self.tree
+                        .lower_bound_batch(&reqs[base..base + chunk.len()], chunk);
                 });
                 out
             }
@@ -244,24 +227,10 @@ impl BatchKernel for LiborServe {
                 .collect(),
             Rung::Ninja => {
                 let mut out = vec![0.0f32; reqs.len()];
-                par_chunks_mut(&self.pool, &mut out, 4, |g, chunk| {
-                    let base = 4 * g;
-                    if chunk.len() == 4 {
-                        // Transpose four paths' draws into lane-major order.
-                        let mut zs = [0.0f32; 4 * NMAT];
-                        for lane in 0..4 {
-                            for n in 0..NMAT {
-                                zs[4 * n + lane] = reqs[base + lane][n];
-                            }
-                        }
-                        let vals = price_paths4(&self.init_rates, &self.vols, &zs);
-                        chunk.copy_from_slice(&vals);
-                    } else {
-                        // Remainder lanes: restructured scalar math.
-                        for (j, o) in chunk.iter_mut().enumerate() {
-                            *o = price_path_poly(&self.init_rates, &self.vols, &reqs[base + j]);
-                        }
-                    }
+                par_chunks_mut(&self.pool, &mut out, NINJA_CHUNK, |ci, chunk| {
+                    let base = ci * NINJA_CHUNK;
+                    let paths = &reqs[base..base + chunk.len()];
+                    price_paths_simd(&self.init_rates, &self.vols, paths, chunk);
                 });
                 out
             }

@@ -348,6 +348,11 @@ impl SimdF32 for AvxF32 {
     }
 
     #[inline(always)]
+    fn rsqrt(self) -> Self {
+        super::refine_rsqrt(self, Self(avx!(_mm256_rsqrt_ps(self.0))))
+    }
+
+    #[inline(always)]
     fn floor(self) -> Self {
         Self(avx!(_mm256_floor_ps(self.0)))
     }
@@ -448,6 +453,12 @@ impl SimdF32 for AvxF32 {
         let lo = avx!(_mm256_permute2f128_ps::<0x20>(even, odd));
         let hi = avx!(_mm256_permute2f128_ps::<0x31>(even, odd));
         (Self(lo), Self(hi))
+    }
+
+    #[inline(always)]
+    fn reverse(self) -> Self {
+        let idx = avx!(_mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0));
+        Self(avx!(_mm256_permutevar8x32_ps(self.0, idx)))
     }
 }
 

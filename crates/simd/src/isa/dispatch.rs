@@ -15,15 +15,14 @@
 //! per-chunk call costs one atomic load.
 
 use super::scalar::Scalar;
-use super::sse2::Sse2;
 use super::Isa;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-#[cfg(target_arch = "x86_64")]
-use super::avx2::Avx2;
 #[cfg(target_arch = "aarch64")]
 use super::neon::Neon;
+#[cfg(target_arch = "x86_64")]
+use super::{avx2::Avx2, sse2::Sse2};
 
 /// Environment variable that forces a backend (`scalar`, `sse2`,
 /// `avx2`, `neon`) instead of CPUID-based detection.
@@ -38,7 +37,7 @@ pub const NINJA_ISA_ENV: &str = "NINJA_ISA";
 pub enum IsaKind {
     /// One-lane pure-Rust reference backend.
     Scalar,
-    /// 128-bit portable types (SSE2 instructions on x86_64).
+    /// 128-bit SSE2 (x86_64 baseline).
     Sse2,
     /// 256-bit AVX2+FMA (x86_64 with CPUID support).
     Avx2,
@@ -54,7 +53,7 @@ impl IsaKind {
     pub fn name(self) -> &'static str {
         match self {
             IsaKind::Scalar => Scalar::NAME,
-            IsaKind::Sse2 => Sse2::NAME,
+            IsaKind::Sse2 => "sse2",
             IsaKind::Avx2 => "avx2",
             IsaKind::Neon => "neon",
         }
@@ -84,11 +83,12 @@ impl IsaKind {
     pub fn available(self) -> bool {
         match self {
             IsaKind::Scalar => Scalar::available(),
+            #[cfg(target_arch = "x86_64")]
             IsaKind::Sse2 => Sse2::available(),
             #[cfg(target_arch = "x86_64")]
             IsaKind::Avx2 => Avx2::available(),
             #[cfg(not(target_arch = "x86_64"))]
-            IsaKind::Avx2 => false,
+            IsaKind::Sse2 | IsaKind::Avx2 => false,
             #[cfg(target_arch = "aarch64")]
             IsaKind::Neon => Neon::available(),
             #[cfg(not(target_arch = "aarch64"))]
@@ -201,6 +201,13 @@ pub trait IsaOp {
     type Output;
 
     /// The width-generic body.
+    ///
+    /// Mark implementations (and the generic helpers they call)
+    /// `#[inline(always)]`. The body only becomes straight-line vector
+    /// code once it is inlined into the backend's `#[target_feature]`
+    /// trampoline; left to LLVM's cost model, a large body stays a
+    /// function of its own, compiled at the baseline feature level,
+    /// where every wide intrinsic is an out-of-line call.
     fn run<I: Isa>(self) -> Self::Output;
 }
 
@@ -224,6 +231,7 @@ pub fn dispatch_on<Op: IsaOp>(kind: IsaKind, op: Op) -> Op::Output {
     );
     match kind {
         IsaKind::Scalar => op.run::<Scalar>(),
+        #[cfg(target_arch = "x86_64")]
         IsaKind::Sse2 => op.run::<Sse2>(),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the availability assert above verified avx2+fma via

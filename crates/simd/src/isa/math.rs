@@ -1,14 +1,15 @@
 //! Width-generic transcendental math over any [`Isa`] backend.
 //!
-//! The same Cephes-style polynomial kernels as [`crate::math`], written
-//! once against the [`SimdF32`] contract so BlackScholes and Libor run
-//! them at 1, 4, or 8 lanes from one source. Constants are identical to
-//! the concrete versions; results differ across backends only through
-//! `mul_add` fusion (see the [`super`] numeric contract).
+//! Cephes-style polynomial kernels — what the paper's financial
+//! benchmarks get from ICC's SVML — written once against the [`SimdF32`]
+//! contract so BlackScholes and Libor run them at 1, 4, or 8 lanes from
+//! one source. Results differ across backends only through `mul_add`
+//! fusion (see the [`super`] numeric contract).
 //!
-//! Accuracy matches [`crate::math`]: relative error below ~2e-6 for
-//! [`exp`] over `[-87, 88]` and [`ln`] on normal positive inputs,
-//! absolute error below ~1e-6 for [`norm_cdf`] (A&S 26.2.17).
+//! Accuracy: relative error below ~2e-6 for [`exp`] over `[-87, 88]`
+//! and [`ln`] on normal positive inputs, absolute error below ~1e-6 for
+//! [`norm_cdf`] (A&S 26.2.17). [`norm_cdf_scalar`] is the `f64`
+//! reference of the same formula.
 
 use super::{Isa, SimdF32, SimdI32};
 
@@ -106,86 +107,158 @@ pub fn norm_cdf<I: Isa>(x: I::F32) -> I::F32 {
     I::F32::select(x.simd_ge(I::F32::zero()), cdf_pos, one - cdf_pos)
 }
 
+/// Scalar standard normal CDF (same A&S 26.2.17 formula, `f64` arithmetic).
+///
+/// This is the reference the vector version is validated against, and the
+/// implementation the *naive* Black-Scholes kernel calls per element.
+#[inline]
+pub fn norm_cdf_scalar(x: f64) -> f64 {
+    let ax = x.abs();
+    let k = 1.0 / (1.0 + 0.2316419 * ax);
+    let poly = k
+        * (0.319381530
+            + k * (-0.356563782 + k * (1.781477937 + k * (-1.821255978 + k * 1.330274429))));
+    let pdf = (-(ax * ax) * 0.5).exp() * 0.39894228040143267;
+    let cdf_pos = 1.0 - pdf * poly;
+    if x >= 0.0 {
+        cdf_pos
+    } else {
+        1.0 - cdf_pos
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::super::{available_kinds, dispatch_on, IsaKind, IsaOp, Scalar, Sse2};
+    use super::super::{available_kinds, dispatch_on, IsaKind, IsaOp};
     use super::*;
-    use crate::math as concrete;
-    use crate::F32x4;
 
-    #[test]
-    fn sse2_instantiation_matches_concrete_math_bitwise() {
-        // The Sse2 backend reuses F32x4, so the generic functions must be
-        // the same computation as crate::math lane for lane.
-        let xs: Vec<f32> = (-400..400).map(|i| i as f32 * 0.21).collect();
-        for c in xs.chunks_exact(4) {
-            let v = F32x4::from_slice(c);
-            assert_eq!(
-                exp::<Sse2>(v).to_array(),
-                concrete::exp_v4(v).to_array(),
-                "exp at {c:?}"
-            );
-            assert_eq!(
-                norm_cdf::<Sse2>(v).to_array(),
-                concrete::norm_cdf_v4(v).to_array(),
-                "norm_cdf at {c:?}"
-            );
-            let pos = v.abs() + F32x4::splat(1e-3);
-            assert_eq!(
-                ln::<Sse2>(pos).to_array(),
-                concrete::ln_v4(pos).to_array(),
-                "ln at {c:?}"
-            );
-        }
+    #[derive(Copy, Clone)]
+    enum Func {
+        Exp,
+        Ln,
+        NormCdf,
     }
 
-    #[test]
-    fn scalar_matches_std_functions() {
-        for i in -860..880 {
-            let x = i as f32 * 0.1;
-            let got = exp::<Scalar>(crate::isa::scalar::ScalarF32(x)).0;
-            let want = x.exp();
-            let rel = (got - want).abs() / want.abs().max(1e-30);
-            assert!(rel < 2e-6, "exp({x}) = {got}, want {want}");
-        }
-        for i in 1..2000 {
-            let x = i as f32 * 0.05;
-            let got = ln::<Scalar>(crate::isa::scalar::ScalarF32(x)).0;
-            let rel = (got - x.ln()).abs() / x.ln().abs().max(1e-30);
-            assert!(rel < 2e-6, "ln({x}) = {got}");
-        }
-        for i in -100..=100 {
-            let x = i as f32 * 0.1;
-            let got = norm_cdf::<Scalar>(crate::isa::scalar::ScalarF32(x)).0;
-            let want = concrete::norm_cdf_scalar(x as f64) as f32;
-            assert!((got - want).abs() < 2e-6, "norm_cdf({x}) = {got}");
-        }
-    }
-
-    struct MathSweep;
-    impl IsaOp for MathSweep {
+    /// Maps one function over `xs` (zero-padded to whole vectors).
+    struct Map<'a>(Func, &'a [f32]);
+    impl IsaOp for Map<'_> {
         type Output = Vec<f32>;
         fn run<I: Isa>(self) -> Vec<f32> {
             let lanes = <I::F32 as SimdF32>::LANES;
-            let xs: Vec<f32> = (0..64).map(|i| i as f32 * 0.37 - 11.0).collect();
-            let mut out = vec![0.0; xs.len()];
-            for (c, o) in xs.chunks_exact(lanes).zip(out.chunks_exact_mut(lanes)) {
-                let v = I::F32::load(c);
-                let y = norm_cdf::<I>(v) + exp::<I>(v) + ln::<I>(v.abs() + I::F32::splat(0.5));
-                y.store(o);
+            let mut out = vec![0.0; self.1.len()];
+            for (c, o) in self.1.chunks(lanes).zip(out.chunks_mut(lanes)) {
+                let v = I::F32::load_partial(c);
+                let y = match self.0 {
+                    Func::Exp => exp::<I>(v),
+                    Func::Ln => ln::<I>(v),
+                    Func::NormCdf => norm_cdf::<I>(v),
+                };
+                y.store_partial(o);
             }
             out
         }
     }
 
-    #[test]
-    fn every_reachable_backend_agrees_on_a_sweep() {
-        let reference = dispatch_on(IsaKind::Scalar, MathSweep);
+    /// Checks `f` against `reference` within relative `tol` on every
+    /// reachable backend.
+    fn check(f: Func, reference: impl Fn(f32) -> f32, xs: &[f32], tol: f32) {
         for kind in available_kinds() {
-            let got = dispatch_on(kind, MathSweep);
-            for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
-                let rel = (g - r).abs() / r.abs().max(1e-6);
-                assert!(rel < 1e-5, "{kind} lane {i}: {g} vs scalar {r}");
+            for (&x, got) in xs.iter().zip(dispatch_on(kind, Map(f, xs))) {
+                let want = reference(x);
+                let err = (got - want).abs() / want.abs().max(1e-30);
+                assert!(err < tol, "{kind}: x={x} got={got} want={want} err={err}");
+            }
+        }
+    }
+
+    #[test]
+    fn exp_matches_std() {
+        let xs: Vec<f32> = (-860..880).map(|i| i as f32 * 0.1).collect();
+        check(Func::Exp, f32::exp, &xs, 2e-6);
+    }
+
+    #[test]
+    fn exp_extreme_inputs_clamped() {
+        for kind in available_kinds() {
+            let y = dispatch_on(kind, Map(Func::Exp, &[-1000.0, 1000.0, 0.0]));
+            assert!(y[0] > 0.0 && y[0] < 1e-37, "{kind} underflow: {}", y[0]);
+            assert!(y[1].is_finite() && y[1] > 1e38, "{kind} overflow: {}", y[1]);
+            assert!((y[2] - 1.0).abs() < 1e-6, "{kind}");
+        }
+    }
+
+    #[test]
+    fn ln_matches_std() {
+        let xs: Vec<f32> = (1..2000)
+            .map(|i| i as f32 * 0.05)
+            .chain([1e-6, 1e6, 3.3e7, 0.999, 1.001])
+            .collect();
+        check(Func::Ln, f32::ln, &xs, 2e-6);
+    }
+
+    #[test]
+    fn ln_exp_roundtrip() {
+        let xs = [0.1f32, 0.5, 1.0, 2.0, 10.0, 42.0];
+        for kind in available_kinds() {
+            let e = dispatch_on(kind, Map(Func::Exp, &xs));
+            for (&x, rt) in xs.iter().zip(dispatch_on(kind, Map(Func::Ln, &e))) {
+                assert!((rt - x).abs() < 1e-4, "{kind}: roundtrip {x} -> {rt}");
+            }
+        }
+    }
+
+    #[test]
+    fn norm_cdf_matches_scalar_reference() {
+        let xs: Vec<f32> = (-100..=100).map(|i| i as f32 * 0.1).collect();
+        for kind in available_kinds() {
+            for (&x, got) in xs.iter().zip(dispatch_on(kind, Map(Func::NormCdf, &xs))) {
+                let want = norm_cdf_scalar(x as f64) as f32;
+                assert!(
+                    (got - want).abs() < 2e-6,
+                    "{kind}: x={x} got={got} want={want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn norm_cdf_basic_properties() {
+        for kind in available_kinds() {
+            let y = dispatch_on(kind, Map(Func::NormCdf, &[0.0, -8.0, 8.0, 1.0]));
+            assert!((y[0] - 0.5).abs() < 1e-6, "{kind}");
+            assert!(y[1] < 1e-6, "{kind}");
+            assert!(y[2] > 1.0 - 1e-6, "{kind}");
+            assert!((y[3] - 0.841_344_7).abs() < 1e-5, "{kind}");
+            // Symmetry: N(x) + N(-x) == 1.
+            let xs: Vec<f32> = (0..40).map(|i| i as f32 * 0.25).collect();
+            let neg: Vec<f32> = xs.iter().map(|x| -x).collect();
+            let (p, n) = (
+                dispatch_on(kind, Map(Func::NormCdf, &xs)),
+                dispatch_on(kind, Map(Func::NormCdf, &neg)),
+            );
+            for (a, b) in p.iter().zip(&n) {
+                assert!((a + b - 1.0).abs() < 2e-6, "{kind}: {a} + {b}");
+            }
+            // Bounded, and monotone up to f32 rounding of the approximation.
+            let sweep: Vec<f32> = (-480..=480).map(|i| i as f32 * 0.025).collect();
+            let cdf = dispatch_on(kind, Map(Func::NormCdf, &sweep));
+            assert!(cdf.iter().all(|y| (0.0..=1.0).contains(y)), "{kind}");
+            assert!(cdf.windows(2).all(|w| w[1] >= w[0] - 2e-6), "{kind}");
+        }
+    }
+
+    #[test]
+    fn every_reachable_backend_agrees_with_scalar() {
+        let xs: Vec<f32> = (0..64).map(|i| i as f32 * 0.37 - 11.0).collect();
+        let pos: Vec<f32> = xs.iter().map(|x| x.abs() + 0.5).collect();
+        for (f, input) in [(Func::Exp, &xs), (Func::NormCdf, &xs), (Func::Ln, &pos)] {
+            let reference = dispatch_on(IsaKind::Scalar, Map(f, input));
+            for kind in available_kinds() {
+                let got = dispatch_on(kind, Map(f, input));
+                for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
+                    let rel = (g - r).abs() / r.abs().max(1e-6);
+                    assert!(rel < 1e-5, "{kind} lane {i}: {g} vs scalar {r}");
+                }
             }
         }
     }

@@ -1,11 +1,10 @@
 //! Width-generic ISA abstraction with runtime dispatch.
 //!
-//! The concrete vector types of this crate ([`crate::F32x4`] and friends)
-//! pin every kernel to one vector width — exactly the situation the Ninja
-//! paper warns about, where code tuned for one processor generation cannot
-//! ride the next one's wider registers. This module abstracts the *ISA*
-//! behind a trait so a kernel written once against [`Isa`] measures at
-//! 128-bit (SSE2/NEON) and 256-bit (AVX2) widths from the same source.
+//! A kernel hard-coded to one vector width is exactly the situation the
+//! Ninja paper warns about: code tuned for one processor generation
+//! cannot ride the next one's wider registers. This module abstracts the
+//! *ISA* behind a trait so a kernel written once against [`Isa`] measures
+//! at 128-bit (SSE2/NEON) and 256-bit (AVX2) widths from the same source.
 //!
 //! # Architecture
 //!
@@ -14,12 +13,14 @@
 //! * [`SimdF32`]/[`SimdF64`]/[`SimdI32`]/[`SimdMask`] are the per-type
 //!   operation contracts: lane-wise arithmetic, comparisons, blends,
 //!   masked loads/stores with [`SimdMask::first_n`] tail handling,
-//!   fused multiply-add, and (for `f32`) a bounds-checked gather.
-//! * Four backends implement [`Isa`]: [`Scalar`] (one lane, pure safe
-//!   Rust — the conformance reference), [`Sse2`] (the crate's portable
-//!   128-bit types; SSE2 instructions on x86_64), [`Avx2`] (256-bit
-//!   `core::arch::x86_64` intrinsics, requires AVX2+FMA), and [`Neon`]
-//!   (128-bit `core::arch::aarch64` intrinsics).
+//!   fused multiply-add, and (for `f32`) a bounds-checked gather, a
+//!   Newton-refined reciprocal square root and the two lane permutes
+//!   (`interleave`, `reverse`) a bitonic merge network needs.
+//! * Four backends implement [`Isa`], each owning its intrinsics:
+//!   [`Scalar`] (one lane, pure safe Rust — the conformance reference
+//!   and the portable fallback), `Sse2` (128-bit, x86_64 baseline),
+//!   `Avx2` (256-bit, x86_64 with AVX2+FMA) and `Neon` (128-bit,
+//!   aarch64). A backend exists only on the architecture it targets.
 //! * [`dispatch`] selects a backend at runtime: CPUID-based detection
 //!   (best available wins) with a `NINJA_ISA` environment override for
 //!   forced-backend testing, and an [`IsaOp`] visitor so the selected
@@ -37,6 +38,9 @@
 //! * `mul_add` may round once (fused, AVX2/NEON) or twice (unfused,
 //!   Scalar/SSE2). Differential tests accept a result within 2 ULP of
 //!   *either* reference.
+//! * `rsqrt` is a hardware estimate plus one refinement step (Scalar
+//!   divides): within 2 ULP of `1.0 / x.sqrt()` for normal positive
+//!   inputs on every backend, not bit-exact across them.
 //! * Reductions may reassociate; they are compared against an `f64`
 //!   reference with a small relative tolerance instead of bit-exactly.
 //!
@@ -72,6 +76,7 @@ pub mod math;
 #[cfg(target_arch = "aarch64")]
 mod neon;
 mod scalar;
+#[cfg(target_arch = "x86_64")]
 mod sse2;
 
 #[cfg(target_arch = "x86_64")]
@@ -83,7 +88,8 @@ pub use dispatch::{
 #[cfg(target_arch = "aarch64")]
 pub use neon::{Neon, NeonF32, NeonF64, NeonI32, NeonM32, NeonM64};
 pub use scalar::{Scalar, ScalarF32, ScalarF64, ScalarI32, ScalarMask};
-pub use sse2::Sse2;
+#[cfg(target_arch = "x86_64")]
+pub use sse2::{Sse2, SseF32, SseF64, SseI32, SseM32, SseM64};
 
 /// The widest `f32` lane count any compiled-in backend exposes; kernels
 /// pad SoA buffers to a multiple of this so full-width loads at the end
@@ -249,6 +255,13 @@ pub trait SimdF32:
     /// Lane-wise square root (correctly rounded).
     fn sqrt(self) -> Self;
 
+    /// Lane-wise reciprocal square root: the hardware estimate plus one
+    /// refinement step — the idiom at the heart of ninja N-body code,
+    /// cheaper than a division plus square root. Within 2 ULP of
+    /// `1.0 / x.sqrt()` for normal positive lanes; unspecified for
+    /// zero, negative, subnormal or non-finite lanes.
+    fn rsqrt(self) -> Self;
+
     /// Lane-wise floor. Backends agree for inputs whose truncation fits
     /// `i32` (the SSE2 lowering converts through `i32`); kernels in this
     /// workspace only call it on reduced-range values.
@@ -304,8 +317,27 @@ pub trait SimdF32:
     /// Interleaves lanes of `self` and `rhs` pairwise: conceptually the
     /// sequence `[a0, b0, a1, b1, ...]`, returned as (first `LANES`
     /// values, second `LANES` values). The ninja kernels use it to write
-    /// `(call, put)`-style paired outputs with full-width stores.
+    /// `(call, put)`-style paired outputs with full-width stores, and
+    /// as the perfect shuffle between bitonic compare-exchange stages.
     fn interleave(self, rhs: Self) -> (Self, Self);
+
+    /// Reverses the lane order: `[a(L-1), .., a1, a0]`. Concatenating an
+    /// ascending vector with a reversed ascending one gives the bitonic
+    /// sequence a merge network starts from.
+    fn reverse(self) -> Self;
+}
+
+/// Refines a ~12-bit reciprocal-square-root estimate `y` of `x` (x86
+/// `rsqrtps`) with one third-order step: with `r = 1 - x*y*y`,
+/// `y' = y + y*r*(1/2 + 3r/8)`. A second-order Newton step would leave
+/// `1.5 * err^2`, up to 5 ULP from an estimate this coarse (measured
+/// over every normal `f32`); this step's `err^3` term is below rounding
+/// and the same sweep stays within 2 ULP.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn refine_rsqrt<V: SimdF32>(x: V, y: V) -> V {
+    let r = V::splat(1.0) - x * y * y;
+    y.mul_add(r * r.mul_add(V::splat(0.375), V::splat(0.5)), y)
 }
 
 /// A vector of `f64` lanes (half the `f32` lane count on every backend).

@@ -366,6 +366,16 @@ impl SimdF32 for NeonF32 {
     }
 
     #[inline(always)]
+    fn rsqrt(self) -> Self {
+        // vrsqrte is only an ~8-bit estimate, so it takes two Newton
+        // steps to meet the 2-ULP contract; vrsqrts(a, b) computes the
+        // step factor (3 - a*b) / 2.
+        let y = neon!(vrsqrteq_f32(self.0));
+        let y = neon!(vmulq_f32(y, vrsqrtsq_f32(vmulq_f32(self.0, y), y)));
+        Self(neon!(vmulq_f32(y, vrsqrtsq_f32(vmulq_f32(self.0, y), y))))
+    }
+
+    #[inline(always)]
     fn floor(self) -> Self {
         Self(neon!(vrndmq_f32(self.0)))
     }
@@ -451,6 +461,13 @@ impl SimdF32 for NeonF32 {
         let lo = neon!(vzip1q_f32(self.0, rhs.0));
         let hi = neon!(vzip2q_f32(self.0, rhs.0));
         (Self(lo), Self(hi))
+    }
+
+    #[inline(always)]
+    fn reverse(self) -> Self {
+        // Swap within each 64-bit half, then swap the halves.
+        let r = neon!(vrev64q_f32(self.0));
+        Self(neon!(vextq_f32::<2>(r, r)))
     }
 }
 

@@ -5,7 +5,7 @@
 //! backend against, and the guaranteed-available fallback the runtime
 //! dispatcher bottoms out on. `min`/`max` deliberately reproduce the SSE
 //! convention (`a < b ? a : b`) and `mul_add` deliberately rounds twice
-//! so Scalar and [`super::Sse2`] are bit-identical.
+//! so Scalar and the SSE2 backend are bit-identical.
 
 use super::{Isa, SimdF32, SimdF64, SimdI32, SimdMask};
 use core::ops::{Add, BitAnd, BitOr, Div, Mul, Neg, Shl, Shr, Sub};
@@ -195,6 +195,11 @@ impl SimdF32 for ScalarF32 {
     }
 
     #[inline(always)]
+    fn rsqrt(self) -> Self {
+        Self(1.0 / self.0.sqrt())
+    }
+
+    #[inline(always)]
     fn floor(self) -> Self {
         Self(self.0.floor())
     }
@@ -276,6 +281,11 @@ impl SimdF32 for ScalarF32 {
     #[inline(always)]
     fn interleave(self, rhs: Self) -> (Self, Self) {
         (self, rhs)
+    }
+
+    #[inline(always)]
+    fn reverse(self) -> Self {
+        self
     }
 }
 

@@ -1,4 +1,4 @@
-//! Explicit SIMD vectors and vector math for the Ninja-gap reproduction.
+//! Explicit, width-generic SIMD for the Ninja-gap reproduction.
 //!
 //! The ISCA 2012 "Ninja gap" study distinguishes three ways of getting SIMD
 //! performance out of a core:
@@ -8,91 +8,56 @@
 //!    no cross-iteration dependences) that an auto-vectorizer handles, and
 //! 3. **Ninja code** — hand-written SIMD intrinsics.
 //!
-//! This crate is the substrate for tier 3. It provides small, explicit
-//! vector types ([`F32x4`], [`F32x8`], [`F64x2`], [`F64x4`], [`I32x4`]) with
-//! lane-wise arithmetic, comparisons producing [`Mask32x4`]/[`Mask64x2`],
-//! blends, reductions, and software gather — plus the vectorized
-//! transcendentals ([`math`]) that the paper's financial kernels obtain from
-//! ICC's SVML.
+//! This crate is the substrate for tier 3, and it is one layer: the
+//! [`isa`] module. A kernel is written once against the [`isa::Isa`]
+//! trait bundle (lane-wise arithmetic, comparisons and blends, masked
+//! tail loads/stores, reductions, gather, `rsqrt`, the bitonic-merge
+//! permutes, and the vector transcendentals in [`isa::math`] that the
+//! paper's financial kernels obtain from ICC's SVML) and
+//! [`isa::dispatch`] runs it at the widest vector width the CPU has.
+//! [`AlignedVec`] provides the cache-line-aligned SoA buffers such
+//! kernels stream through.
 //!
 //! # Backends
 //!
-//! On `x86_64` every operation lowers to SSE2 (and, where the binary is
-//! compiled with SSE4.1, a few operations use SSE4.1 forms); on other
-//! architectures a portable scalar implementation with identical semantics
-//! is used. The two backends are covered by the same test suite, including
-//! property tests asserting lane-exact agreement with scalar arithmetic.
-//!
-//! The 128-bit types are the workhorses: the paper's Westmere machine is a
-//! 4-wide (SSE) part, so `F32x4` is exactly the "Ninja" vector width of the
-//! original study. `F32x8`/`F64x4` are pairs of 128-bit registers, standing
-//! in for AVX on machines where it is unavailable.
+//! `Scalar` (one lane, pure safe Rust: the conformance reference and the
+//! fallback on any architecture), `Sse2` (128-bit, the paper's Westmere
+//! width), `Avx2` (256-bit with FMA, behind a CPUID check) and `Neon`
+//! (128-bit, aarch64). The `NINJA_ISA` environment variable forces one.
+//! Every backend is held to the `Scalar` semantics by the differential
+//! suites in `tests/`.
 //!
 //! # Example
 //!
 //! ```
-//! use ninja_simd::F32x4;
+//! use ninja_simd::isa::{dispatch, Isa, IsaOp, SimdF32};
 //!
-//! let a = F32x4::new(1.0, 2.0, 3.0, 4.0);
-//! let b = F32x4::splat(10.0);
-//! let c = a.mul_add(b, a); // a * b + a
-//! assert_eq!(c.to_array(), [11.0, 22.0, 33.0, 44.0]);
-//! assert_eq!(c.reduce_sum(), 110.0);
+//! /// `y[i] = a * x[i] + y[i]`, at whatever width the host offers.
+//! struct Saxpy<'a>(f32, &'a [f32], &'a mut [f32]);
 //!
-//! // Branch-free selection: keep lanes of `a` greater than 2.5, else 0.
-//! let m = a.simd_gt(F32x4::splat(2.5));
-//! let kept = m.select(a, F32x4::splat(0.0));
-//! assert_eq!(kept.to_array(), [0.0, 0.0, 3.0, 4.0]);
+//! impl IsaOp for Saxpy<'_> {
+//!     type Output = ();
+//!     fn run<I: Isa>(self) {
+//!         let lanes = <I::F32 as SimdF32>::LANES;
+//!         let a = I::F32::splat(self.0);
+//!         for (x, y) in self.1.chunks(lanes).zip(self.2.chunks_mut(lanes)) {
+//!             // Partial loads/stores mask the tail; no scalar remainder loop.
+//!             let r = a.mul_add(I::F32::load_partial(x), I::F32::load_partial(y));
+//!             r.store_partial(y);
+//!         }
+//!     }
+//! }
+//!
+//! let x: Vec<f32> = (0..11).map(|i| i as f32).collect();
+//! let mut y = vec![1.0f32; 11];
+//! dispatch(Saxpy(2.0, &x, &mut y));
+//! assert_eq!(y[10], 21.0);
 //! ```
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 mod aligned;
-mod f32x4;
-mod f32x8;
-mod f64x2;
-mod f64x4;
-mod i32x4;
 pub mod isa;
-mod masks;
-pub mod math;
 
 pub use aligned::{AlignedVec, Element, CACHE_LINE};
-pub use f32x4::F32x4;
-pub use f32x8::F32x8;
-pub use f64x2::F64x2;
-pub use f64x4::F64x4;
-pub use i32x4::I32x4;
-pub use masks::{Mask32x4, Mask64x2};
-
-/// Number of `f32` lanes in the widest vector this crate emulates.
-pub const MAX_F32_LANES: usize = 8;
-
-/// Returns a human-readable description of the active SIMD backend.
-///
-/// Useful for experiment logs: the Ninja-gap harness records which backend
-/// produced each measurement.
-///
-/// ```
-/// let b = ninja_simd::backend_name();
-/// assert!(b == "x86-64 sse2" || b == "portable scalar");
-/// ```
-pub fn backend_name() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        "x86-64 sse2"
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        "portable scalar"
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn backend_reported() {
-        assert!(!super::backend_name().is_empty());
-    }
-}

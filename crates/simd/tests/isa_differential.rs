@@ -9,8 +9,10 @@
 //!   are not compared — any NaN matches any NaN);
 //! * `mul_add` must land within 2 ULP of either the fused or the
 //!   unfused scalar reference (backends differ in FMA contraction);
-//! * width-dependent operations (reductions, interleave) are checked
-//!   per backend against a lane-count-parameterized scalar model.
+//! * `rsqrt` must land within 2 ULP of `1.0 / x.sqrt()` for normal
+//!   positive inputs (backends differ in estimate and refinement);
+//! * width-dependent operations (reductions, interleave, reverse) are
+//!   checked per backend against a lane-count-parameterized scalar model.
 //!
 //! Buffers are `LCM(1, 2, 4, 8) = 8` elements so every backend covers
 //! them with whole vectors.
@@ -249,6 +251,64 @@ proptest! {
                     a[i], b[i], c[i], got[i], fused, unfused
                 );
             }
+        }
+    }
+}
+
+/// `rsqrt` over a strided sweep of the bit patterns of `[first, last)`.
+struct RsqrtSweep {
+    first: f32,
+    last: f32,
+    stride: u32,
+}
+
+impl IsaOp for RsqrtSweep {
+    /// Worst (input, got, ULP distance) of the sweep.
+    type Output = (f32, f32, u32);
+    fn run<I: Isa>(self) -> (f32, f32, u32) {
+        let lanes = <I::F32 as SimdF32>::LANES;
+        let mut worst = (0.0, 0.0, 0);
+        let mut xs = [1.0f32; N];
+        let mut ys = [0.0f32; N];
+        let (mut bits, last) = (self.first.to_bits(), self.last.to_bits());
+        while bits < last {
+            for x in xs.iter_mut().take(lanes) {
+                *x = f32::from_bits(bits.min(last - 1));
+                bits = bits.saturating_add(self.stride);
+            }
+            I::F32::load(&xs).rsqrt().store(&mut ys);
+            for (&x, &y) in xs.iter().zip(&ys).take(lanes) {
+                let ulps = ulp_diff_f32(y, 1.0 / x.sqrt());
+                if ulps > worst.2 {
+                    worst = (x, y, ulps);
+                }
+            }
+        }
+        worst
+    }
+}
+
+#[test]
+fn f32_rsqrt_within_2ulp_for_normal_positive_inputs() {
+    // Every 4099th pattern of the whole normal range (about half a
+    // million inputs in every binade), plus every input in [1, 4): the
+    // error depends only on the mantissa and the exponent's parity, so
+    // two adjacent binades at full density stand for all of them.
+    for (first, last, stride) in [(f32::MIN_POSITIVE, f32::MAX, 4099), (1.0, 4.0, 1)] {
+        for kind in available_kinds() {
+            let (x, y, ulps) = dispatch_on(
+                kind,
+                RsqrtSweep {
+                    first,
+                    last,
+                    stride,
+                },
+            );
+            assert!(
+                ulps <= 2,
+                "{kind}: rsqrt({x:e}) = {y:e}, {ulps} ULP from {:e}",
+                1.0 / x.sqrt()
+            );
         }
     }
 }
@@ -557,14 +617,15 @@ struct WidthOps {
     b: [f32; N],
 }
 
-/// (lanes, sums, mins, maxs, interleaved) per vector processed.
-type WidthReport = (usize, Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>);
+/// (lanes, sums, mins, maxs, interleaved, reversed) per vector processed.
+type WidthReport = (usize, Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>);
 
 impl IsaOp for WidthOps {
     type Output = WidthReport;
     fn run<I: Isa>(self) -> WidthReport {
         let lanes = <I::F32 as SimdF32>::LANES;
-        let (mut sums, mut mins, mut maxs, mut inter) = (vec![], vec![], vec![], vec![]);
+        let (mut sums, mut mins, mut maxs, mut inter, mut rev) =
+            (vec![], vec![], vec![], vec![], vec![]);
         for k in (0..N).step_by(lanes) {
             let a = I::F32::load(&self.a[k..]);
             let b = I::F32::load(&self.b[k..]);
@@ -577,19 +638,21 @@ impl IsaOp for WidthOps {
             inter.extend_from_slice(&buf);
             hi.store(&mut buf);
             inter.extend_from_slice(&buf);
+            a.reverse().store(&mut buf);
+            rev.extend_from_slice(&buf);
         }
-        (lanes, sums, mins, maxs, inter)
+        (lanes, sums, mins, maxs, inter, rev)
     }
 }
 
 proptest! {
     #[test]
-    fn reductions_and_interleave_match_width_model(
+    fn reductions_and_permutes_match_width_model(
         a in prop::array::uniform8(-1e4f32..1e4f32),
         b in prop::array::uniform8(-1e4f32..1e4f32),
     ) {
         for kind in available_kinds() {
-            let (lanes, sums, mins, maxs, inter) = dispatch_on(kind, WidthOps { a, b });
+            let (lanes, sums, mins, maxs, inter, rev) = dispatch_on(kind, WidthOps { a, b });
             for (v, chunk) in sums.iter().zip(a.chunks_exact(lanes)) {
                 let want: f64 = chunk.iter().map(|&x| x as f64).sum();
                 prop_assert!(
@@ -614,6 +677,58 @@ proptest! {
                 }
             }
             prop_assert_eq!(&inter, &want, "{} interleave", kind);
+            // reverse spec: each vector's lanes come back last-first.
+            let want: Vec<f32> = a.chunks_exact(lanes).flat_map(|c| c.iter().rev().copied()).collect();
+            prop_assert_eq!(&rev, &want, "{} reverse", kind);
+        }
+    }
+}
+
+/// `i32` and `f64` horizontal sums, one per vector processed.
+struct OtherSums {
+    ints: [i32; N],
+    doubles: [f64; N],
+}
+
+impl IsaOp for OtherSums {
+    type Output = (Vec<i32>, Vec<f64>);
+    fn run<I: Isa>(self) -> (Vec<i32>, Vec<f64>) {
+        let int_sums = self
+            .ints
+            .chunks_exact(<I::I32 as SimdI32>::LANES)
+            .map(|c| I::I32::load(c).reduce_sum())
+            .collect();
+        let double_sums = self
+            .doubles
+            .chunks_exact(<I::F64 as SimdF64>::LANES)
+            .map(|c| I::F64::load(c).reduce_sum())
+            .collect();
+        (int_sums, double_sums)
+    }
+}
+
+proptest! {
+    #[test]
+    fn i32_and_f64_reductions_match_width_model(
+        ints in prop::array::uniform8(any::<i32>()),
+        doubles in prop::array::uniform8(-1e9f64..1e9),
+    ) {
+        for kind in available_kinds() {
+            let (int_sums, double_sums) = dispatch_on(kind, OtherSums { ints, doubles });
+            // Integer sums wrap, so they are exact whatever the order.
+            let lanes = N / int_sums.len();
+            for (got, chunk) in int_sums.iter().zip(ints.chunks_exact(lanes)) {
+                let want = chunk.iter().fold(0i32, |a, &b| a.wrapping_add(b));
+                prop_assert_eq!(*got, want, "{} i32 reduce_sum", kind);
+            }
+            let lanes = N / double_sums.len();
+            for (got, chunk) in double_sums.iter().zip(doubles.chunks_exact(lanes)) {
+                let want: f64 = chunk.iter().sum();
+                prop_assert!(
+                    (got - want).abs() <= 1e-12 * chunk.iter().map(|x| x.abs()).sum::<f64>(),
+                    "{kind} f64 reduce_sum: {got} vs {want}"
+                );
+            }
         }
     }
 }

@@ -6,7 +6,9 @@
 //! exactly the window so an out-of-bounds access would be out of the
 //! allocation).
 
-use ninja_simd::isa::{available_kinds, dispatch_on, Isa, IsaOp, SimdF32, SimdF64, SimdMask};
+use ninja_simd::isa::{
+    available_kinds, dispatch_on, Isa, IsaOp, SimdF32, SimdF64, SimdI32, SimdMask,
+};
 
 /// Loads `n` elements from an unaligned window and stores them back into
 /// a sentinel-filled destination at a different unaligned offset.
@@ -184,6 +186,69 @@ fn f64_masked_roundtrip_preserves_sentinels() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Gathers with one lane's index replaced by `bad`.
+struct GatherWithBadLane {
+    bad: i32,
+    lane: usize,
+}
+
+impl IsaOp for GatherWithBadLane {
+    type Output = ();
+    fn run<I: Isa>(self) {
+        let lanes = <I::I32 as SimdI32>::LANES;
+        let table = [1.0f32; 4];
+        let mut idx = [0i32; 8];
+        idx[self.lane % lanes] = self.bad;
+        let _ = I::F32::gather(&table, I::I32::load(&idx));
+    }
+}
+
+#[test]
+fn gather_panics_on_any_out_of_bounds_or_negative_lane() {
+    // The hardware gather on AVX2 would read arbitrary memory; the
+    // contract is a panic, whichever lane holds the bad index.
+    for kind in available_kinds() {
+        for bad in [4, 9, i32::MAX, -1, i32::MIN] {
+            for lane in [0, 3, 7] {
+                let r =
+                    std::panic::catch_unwind(|| dispatch_on(kind, GatherWithBadLane { bad, lane }));
+                assert!(r.is_err(), "{kind}: index {bad} in lane {lane} must panic");
+            }
+        }
+    }
+}
+
+/// A full-width load or store on a slice one element short.
+struct ShortSlice {
+    store: bool,
+}
+
+impl IsaOp for ShortSlice {
+    type Output = ();
+    fn run<I: Isa>(self) {
+        let mut short = vec![0.0f32; <I::F32 as SimdF32>::LANES - 1];
+        if self.store {
+            I::F32::zero().store(&mut short);
+        } else {
+            let _ = I::F32::load(&short);
+        }
+    }
+}
+
+#[test]
+fn full_width_load_and_store_panic_on_a_short_slice() {
+    // The partial forms exist for tails; the full forms must refuse.
+    for kind in available_kinds() {
+        for store in [false, true] {
+            let r = std::panic::catch_unwind(|| dispatch_on(kind, ShortSlice { store }));
+            assert!(
+                r.is_err(),
+                "{kind}: store={store} on a short slice must panic"
+            );
         }
     }
 }

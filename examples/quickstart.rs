@@ -17,7 +17,7 @@ fn main() {
     println!(
         "measuring on this host ({} thread(s), {} backend)...\n",
         harness.num_threads(),
-        ninja_gap::simd::backend_name()
+        ninja_gap::simd::isa::active()
     );
     let suite = harness.run_kernels(&[spec_name]);
     let report = suite.kernel(spec_name).expect("kernel ran");

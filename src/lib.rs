@@ -14,8 +14,8 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! * [`simd`] — explicit SIMD vectors and vector math (the intrinsics
-//!   substrate),
+//! * [`simd`] — the width-generic `Isa` SIMD layer with runtime dispatch
+//!   and vector math (the intrinsics substrate),
 //! * [`parallel`] — the OpenMP-style thread pool,
 //! * [`kernels`] — the ten throughput benchmarks, each at five
 //!   optimization tiers,
@@ -54,5 +54,4 @@ pub mod prelude {
     pub use ninja_kernels::{registry, ProblemSize, Variant};
     pub use ninja_model::{machines, predicted_gap, predicted_residual, Machine};
     pub use ninja_parallel::ThreadPool;
-    pub use ninja_simd::{F32x4, F32x8, F64x2, F64x4, I32x4, Mask32x4};
 }
