@@ -367,9 +367,9 @@ fn main() {
         // numbers are only worth quoting against a calibrated machine.
         harness = harness.attribution_machine(ninja_model::calibrate::calibrated_host(cli.threads));
     }
-    let mut extra = Vec::new();
+    let mut specs = cli.suite_specs();
     if let Some(mode) = cli.chaos {
-        extra.push(ninja_kernels::chaos::spec(mode));
+        specs.push(ninja_kernels::chaos::spec(mode));
     }
     if let Some(sched) = cli.chaos_schedule() {
         // The same deterministic schedule ninja-serve replays: install it
@@ -380,10 +380,10 @@ fn main() {
             sched.rate()
         );
         ninja_kernels::chaos::set_schedule(Some(sched));
-        extra.push(ninja_kernels::chaos::spec_scheduled());
+        specs.push(ninja_kernels::chaos::spec_scheduled());
     }
 
-    let (mut suite, rendered) = ninja_core::experiments::full_report_with(&harness, extra);
+    let (mut suite, rendered) = ninja_core::experiments::full_report_with(&harness, &specs);
     suite.vec_profiles = vec_profiles;
     println!("{rendered}");
     std::fs::write("suite_report.json", suite.to_json()).expect("write suite_report.json");

@@ -56,7 +56,8 @@
 //!                           (default: hardware threads)
 //! --sizes a,b,c             comma-separated problem sizes for the --scale
 //!                           grid (default: the --size preset)
-//! --kernels a,b,c           restrict the --scale sweep to these kernels
+//! --kernels a,b,c           restrict the suite (or the --scale sweep) to
+//!                           these registry kernels; unknown names exit 2
 //! --serve                   run the ninja-serve SLO load sweep instead of
 //!                           the suite: open-loop load at each offered rate,
 //!                           p50/p99 + shed/expired/degraded per point,
@@ -135,9 +136,9 @@ pub struct Cli {
     /// Problem sizes for the `--scale` grid; `None` sweeps only the
     /// `--size` preset.
     pub sizes: Option<Vec<ProblemSize>>,
-    /// Kernel names the `--scale` sweep is restricted to; `None` sweeps
-    /// the whole registry. For `--serve` the first name picks the served
-    /// kernel.
+    /// Registry kernel names the suite and the `--scale` sweep are
+    /// restricted to; `None` runs the whole registry. For `--serve` the
+    /// first name picks the served kernel.
     pub kernels: Option<Vec<String>>,
     /// Run the `ninja-serve` SLO load sweep instead of the suite.
     pub serve: bool,
@@ -156,6 +157,16 @@ impl Cli {
     /// The watchdog budget as a `Duration`, or `None` when disabled.
     pub fn timeout(&self) -> Option<std::time::Duration> {
         (self.timeout_s > 0).then(|| std::time::Duration::from_secs(self.timeout_s))
+    }
+
+    /// The registry specs the measured suite runs: all ten, or the
+    /// `--kernels` subset in registry order.
+    pub fn suite_specs(&self) -> Vec<ninja_kernels::KernelSpec> {
+        let mut specs = ninja_kernels::registry();
+        if let Some(names) = &self.kernels {
+            specs.retain(|s| names.iter().any(|n| n == s.name));
+        }
+        specs
     }
 
     /// Builds the `--scale` sweep grid from the parsed flags:
@@ -299,6 +310,13 @@ pub fn parse_args<I: Iterator<Item = String>>(mut args: I) -> Result<Cli, String
                     .collect();
                 if kernels.is_empty() {
                     return Err("--kernels needs at least one kernel name".into());
+                }
+                let valid: Vec<&str> = ninja_kernels::registry().iter().map(|s| s.name).collect();
+                if let Some(unknown) = kernels.iter().find(|k| !valid.contains(&k.as_str())) {
+                    return Err(format!(
+                        "--kernels: unknown kernel '{unknown}' (valid: {})",
+                        valid.join(", ")
+                    ));
                 }
                 cli.kernels = Some(kernels);
             }
@@ -594,6 +612,24 @@ mod tests {
             cli.kernels.as_deref(),
             Some(&["blackscholes".to_owned(), "nbody".to_owned()][..])
         );
+    }
+
+    #[test]
+    fn kernels_flag_restricts_the_measured_suite() {
+        let names = |cli: &Cli| -> Vec<&str> { cli.suite_specs().iter().map(|s| s.name).collect() };
+        assert_eq!(names(&parse(&[]).unwrap()).len(), 10);
+        // Registry order, whatever order the flag lists them in.
+        let cli = parse(&["--kernels", "libor,nbody"]).unwrap();
+        assert_eq!(names(&cli), ["nbody", "libor"]);
+    }
+
+    #[test]
+    fn kernels_flag_rejects_unknown_names_with_the_valid_list() {
+        let err = parse(&["--kernels", "nbody,black_scholes"]).unwrap_err();
+        assert!(err.contains("unknown kernel 'black_scholes'"), "{err}");
+        for spec in ninja_kernels::registry() {
+            assert!(err.contains(spec.name), "{err} should list {}", spec.name);
+        }
     }
 
     #[test]

@@ -371,17 +371,16 @@ pub fn full_report(size: ProblemSize, threads: usize, reps: u32) -> (SuiteReport
         .size(size)
         .threads(threads)
         .repetitions(reps);
-    full_report_with(&harness, Vec::new())
+    full_report_with(&harness, &registry())
 }
 
 /// [`full_report`] over a pre-configured harness (timeout, fail-fast, …)
-/// plus injected extra specs — e.g. chaos kernels — which run after the
-/// registry suite. A failed variant never aborts the run; the rendered
-/// output ends with a failure summary when anything went wrong.
-pub fn full_report_with(harness: &crate::Harness, extra: Vec<KernelSpec>) -> (SuiteReport, String) {
-    let mut specs = registry();
-    specs.extend(extra);
-    let suite = harness.run_specs(&specs);
+/// and a chosen list of specs — a subset of the registry, or the registry
+/// plus injected chaos kernels. A failed variant never aborts the run;
+/// the rendered output ends with a failure summary when anything went
+/// wrong.
+pub fn full_report_with(harness: &crate::Harness, specs: &[KernelSpec]) -> (SuiteReport, String) {
+    let suite = harness.run_specs(specs);
     let mut out = String::new();
     out.push_str("== T1: benchmark suite ==\n\n");
     out.push_str(&table1_suite());

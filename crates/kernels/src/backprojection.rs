@@ -406,7 +406,7 @@ mod tests {
     /// ends in a scalar remainder of every length under each backend.
     #[test]
     fn ninja_rung_conforms_on_every_backend_at_every_residue() {
-        crate::framework::assert_ninja_conforms(
+        crate::framework::assert_conforms_on_every_backend(
             16..16 + ninja_simd::isa::MAX_ISA_F32_LANES,
             2e-3,
             |dim| BackProjection::with_shape(dim, 9, 12),

@@ -163,6 +163,9 @@ impl BlackScholes {
     /// Prices a block of options with staged unit-stride `f32` loops —
     /// the restructuring an auto-vectorizer needs: each stage is a simple
     /// elementwise pass with branch-free polynomial bodies.
+    /// `inline(always)` so it compiles inside its callers' feature frames
+    /// (see `isa::with_active_features`).
+    #[inline(always)]
     // ninja-lint: effort(simd, algorithmic)
     fn price_block_poly(&self, lo: usize, n: usize, out: &mut [f32]) {
         debug_assert!(n <= POLY_BLOCK);
@@ -212,12 +215,17 @@ impl BlackScholes {
     pub fn run_simd(&self) -> Vec<f32> {
         let n = self.len();
         let mut out = vec![0.0f32; 2 * n];
-        let mut lo = 0;
-        while lo < n {
-            let len = POLY_BLOCK.min(n - lo);
-            self.price_block_poly(lo, len, &mut out[2 * lo..2 * (lo + len)]);
-            lo += len;
-        }
+        isa::with_active_features(
+            #[inline(always)]
+            || {
+                let mut lo = 0;
+                while lo < n {
+                    let len = POLY_BLOCK.min(n - lo);
+                    self.price_block_poly(lo, len, &mut out[2 * lo..2 * (lo + len)]);
+                    lo += len;
+                }
+            },
+        );
         out
     }
 
@@ -229,7 +237,10 @@ impl BlackScholes {
         let mut out = vec![0.0f32; 2 * n];
         par_chunks_mut(pool, &mut out, 2 * POLY_BLOCK, |chunk_idx, chunk| {
             let lo = chunk_idx * POLY_BLOCK;
-            self.price_block_poly(lo, chunk.len() / 2, chunk);
+            isa::with_active_features(
+                #[inline(always)]
+                || self.price_block_poly(lo, chunk.len() / 2, chunk),
+            );
         });
         out
     }
@@ -601,12 +612,34 @@ mod tests {
     /// and without whole groups before it.
     #[test]
     fn ninja_rung_conforms_on_every_backend_at_every_residue() {
-        crate::framework::assert_ninja_conforms(
+        crate::framework::assert_conforms_on_every_backend(
             1..=2 * ninja_simd::isa::MAX_ISA_F32_LANES + 1,
             5e-3,
             |n| BlackScholes::with_len(n, 3),
             BlackScholes::run_naive,
             BlackScholes::run_ninja_on,
+        );
+    }
+
+    /// The compiler rungs' loop body inside each backend's feature frame,
+    /// at lengths on both sides of a 256-bit vector so the auto-vectorized
+    /// loops' scalar epilogues run too.
+    #[test]
+    fn compiler_rung_body_conforms_on_every_backend_at_every_residue() {
+        crate::framework::assert_conforms_on_every_backend(
+            1..=2 * ninja_simd::isa::MAX_ISA_F32_LANES + 1,
+            5e-3,
+            |n| BlackScholes::with_len(n, 3),
+            BlackScholes::run_naive,
+            |k, kind, _| {
+                let mut out = vec![0.0f32; 2 * k.len()];
+                isa::with_features_on(
+                    kind,
+                    #[inline(always)]
+                    || k.price_block_poly(0, k.len(), &mut out),
+                );
+                out
+            },
         );
     }
 

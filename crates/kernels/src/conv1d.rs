@@ -123,7 +123,9 @@ impl Conv1d {
 
     /// Fills SoA outputs for `i` in `[lo, hi)` with a vectorizable loop
     /// (tap-outer, sample-inner; unit-stride float arithmetic only).
-    #[inline]
+    /// `inline(always)` so it compiles inside its callers' feature frames
+    /// (see `isa::with_active_features`).
+    #[inline(always)]
     // ninja-lint: effort(simd, algorithmic)
     fn soa_range(&self, lo: usize, hi: usize, out_re: &mut [f32], out_im: &mut [f32]) {
         out_re.fill(0.0);
@@ -152,7 +154,10 @@ impl Conv1d {
         let m = self.out_len();
         let mut re = vec![0.0f32; m];
         let mut im = vec![0.0f32; m];
-        self.soa_range(0, m, &mut re, &mut im);
+        isa::with_active_features(
+            #[inline(always)]
+            || self.soa_range(0, m, &mut re, &mut im),
+        );
         interleave(&re, &im)
     }
 
@@ -165,7 +170,10 @@ impl Conv1d {
         let this = self;
         ninja_parallel::par_zip_chunks_mut(pool, &mut re, &mut im, 8192, |chunk_idx, cre, cim| {
             let lo = chunk_idx * 8192;
-            this.soa_range(lo, lo + cre.len(), cre, cim);
+            isa::with_active_features(
+                #[inline(always)]
+                || this.soa_range(lo, lo + cre.len(), cre, cim),
+            );
         });
         interleave(&re, &im)
     }
@@ -425,12 +433,36 @@ mod tests {
     #[test]
     fn ninja_rung_conforms_on_every_backend_at_every_residue() {
         let first = TAPS + 40;
-        crate::framework::assert_ninja_conforms(
+        crate::framework::assert_conforms_on_every_backend(
             first..first + 2 * ninja_simd::isa::MAX_ISA_F32_LANES,
             1e-4,
             |n| Conv1d::with_len(n, 9),
             Conv1d::run_naive,
             Conv1d::run_ninja_on,
+        );
+    }
+
+    /// The compiler rungs' loop body inside each backend's feature frame,
+    /// at output lengths on both sides of a 256-bit vector so the
+    /// auto-vectorized loop's scalar epilogue runs too.
+    #[test]
+    fn compiler_rung_body_conforms_on_every_backend_at_every_residue() {
+        let first = TAPS + 40;
+        crate::framework::assert_conforms_on_every_backend(
+            first..first + 2 * ninja_simd::isa::MAX_ISA_F32_LANES,
+            1e-4,
+            |n| Conv1d::with_len(n, 9),
+            Conv1d::run_naive,
+            |k, kind, _| {
+                let m = k.out_len();
+                let (mut re, mut im) = (vec![0.0f32; m], vec![0.0f32; m]);
+                isa::with_features_on(
+                    kind,
+                    #[inline(always)]
+                    || k.soa_range(0, m, &mut re, &mut im),
+                );
+                interleave(&re, &im)
+            },
         );
     }
 

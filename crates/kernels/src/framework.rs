@@ -356,23 +356,25 @@ pub(crate) fn lane_ramp<I: Isa>() -> I::F32 {
     I::F32::load(&ramp)
 }
 
-/// The conformance check every ninja rung gets: for each size and each
-/// ISA backend reachable on this host, the rung forced onto that backend
-/// must match the naive reference within the kernel's tolerance.
+/// The conformance check for code instantiated per ISA backend — every
+/// ninja rung, and the loop bodies the compiler rungs run inside a
+/// feature frame: for each size and each backend reachable on this host,
+/// `rung_on` forced onto that backend must match the naive reference
+/// within the kernel's tolerance.
 #[cfg(test)]
-pub(crate) fn assert_ninja_conforms<K, O: OutputData>(
+pub(crate) fn assert_conforms_on_every_backend<K, O: OutputData>(
     sizes: impl IntoIterator<Item = usize>,
     tolerance: f64,
     make: impl Fn(usize) -> K,
     naive: impl Fn(&K) -> O,
-    ninja_on: impl Fn(&K, ninja_simd::isa::IsaKind, &ThreadPool) -> O,
+    rung_on: impl Fn(&K, ninja_simd::isa::IsaKind, &ThreadPool) -> O,
 ) {
     let pool = ThreadPool::with_threads(2);
     for size in sizes {
         let kernel = make(size);
         let reference = naive(&kernel);
         for kind in ninja_simd::isa::available_kinds() {
-            let (err, at) = ninja_on(&kernel, kind, &pool)
+            let (err, at) = rung_on(&kernel, kind, &pool)
                 .worst_error(&reference)
                 .unwrap_or_else(|| panic!("{kind} size {size}: output shape differs"));
             assert!(

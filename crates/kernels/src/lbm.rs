@@ -714,7 +714,7 @@ mod tests {
     /// collide ends in a scalar remainder of every length.
     #[test]
     fn ninja_rung_conforms_on_every_backend_at_every_residue() {
-        crate::framework::assert_ninja_conforms(
+        crate::framework::assert_conforms_on_every_backend(
             16..16 + ninja_simd::isa::MAX_ISA_F32_LANES,
             1e-3,
             |dim| Lbm::with_shape(dim, 3, 8),

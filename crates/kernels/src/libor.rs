@@ -147,6 +147,9 @@ impl Libor {
     /// Advances a group of exactly `GROUP` paths in lock-step with
     /// constant-trip-count `f32` lane loops — the auto-vectorizable
     /// path-SoA form (a runtime trip count would block unrolling).
+    /// `inline(always)` so it compiles inside its callers' feature frames
+    /// (see `isa::with_active_features`).
+    #[inline(always)]
     // ninja-lint: effort(simd, algorithmic)
     fn group_values_f32(&self, group_base: usize, out: &mut [f32]) {
         assert_eq!(out.len(), GROUP, "group_values_f32 needs a full group");
@@ -201,9 +204,14 @@ impl Libor {
             "path count must be a multiple of {GROUP}"
         );
         let mut out = vec![0.0f32; self.paths];
-        for (g, chunk) in out.chunks_mut(GROUP).enumerate() {
-            self.group_values_f32(g * GROUP, chunk);
-        }
+        isa::with_active_features(
+            #[inline(always)]
+            || {
+                for (g, chunk) in out.chunks_mut(GROUP).enumerate() {
+                    self.group_values_f32(g * GROUP, chunk);
+                }
+            },
+        );
         out
     }
 
@@ -212,7 +220,10 @@ impl Libor {
     pub fn run_algorithmic(&self, pool: &ThreadPool) -> Vec<f32> {
         let mut out = vec![0.0f32; self.paths];
         par_chunks_mut(pool, &mut out, GROUP, |g, chunk| {
-            self.group_values_f32(g * GROUP, chunk);
+            isa::with_active_features(
+                #[inline(always)]
+                || self.group_values_f32(g * GROUP, chunk),
+            );
         });
         out
     }
@@ -500,7 +511,7 @@ pub fn spec() -> KernelSpec {
             VariantInfo {
                 variant: Variant::Ninja,
                 effort_loc: 80,
-                what_changed: "4 paths per SIMD lane group, vector exp",
+                what_changed: "one vector group of paths per step (8 under AVX2), vector exp",
             },
         ],
         character: Characterization {
@@ -588,12 +599,35 @@ mod tests {
     /// covers the other residues.
     #[test]
     fn ninja_rung_conforms_on_every_backend() {
-        crate::framework::assert_ninja_conforms(
+        crate::framework::assert_conforms_on_every_backend(
             [0],
             1e-2,
             |_| Libor::generate(ProblemSize::Test, 4),
             Libor::run_naive,
             Libor::run_ninja_on,
+        );
+    }
+
+    /// The compiler rungs' loop body inside each backend's feature frame:
+    /// the same scalar source at 1x, 128-bit and 256-bit code generation.
+    #[test]
+    fn compiler_rung_body_conforms_on_every_backend() {
+        crate::framework::assert_conforms_on_every_backend(
+            [0],
+            1e-2,
+            |_| Libor::generate(ProblemSize::Test, 4),
+            Libor::run_naive,
+            |k, kind, _| {
+                let mut out = vec![0.0f32; k.paths];
+                for (g, chunk) in out.chunks_mut(GROUP).enumerate() {
+                    isa::with_features_on(
+                        kind,
+                        #[inline(always)]
+                        || k.group_values_f32(g * GROUP, chunk),
+                    );
+                }
+                out
+            },
         );
     }
 

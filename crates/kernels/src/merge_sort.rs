@@ -529,7 +529,7 @@ mod tests {
     /// the widest lane count (exact comparison: a sort has no tolerance).
     #[test]
     fn ninja_rung_conforms_on_every_backend_at_every_residue() {
-        crate::framework::assert_ninja_conforms(
+        crate::framework::assert_conforms_on_every_backend(
             1000..1000 + MAX_ISA_F32_LANES,
             0.0,
             |n| {

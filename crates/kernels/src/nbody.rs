@@ -12,13 +12,16 @@
 //! * the **naive** version stores bodies as an array of structs and divides
 //!   by `sqrt` — unvectorizable as written because of the AoS layout;
 //! * **algorithmic change**: convert to SoA (`x[]`, `y[]`, `z[]`, `m[]`),
-//!   after which the inner loop is a textbook auto-vectorization target;
+//!   after which the inner loop is a textbook auto-vectorization target,
+//!   and take `1/sqrt` from multiplies (`rsqrt_fast`) so the vector loop
+//!   is not serialized on the divide/sqrt unit — what `-fp:fast` does;
 //! * **Ninja**: explicit SIMD over `j` at the host's vector width with the
 //!   `rsqrt` estimate-plus-refinement idiom and register accumulation.
 
 use crate::framework::{
     Adapter, Characterization, Instance, KernelSpec, ProblemSize, Variant, VariantInfo, Work,
 };
+use crate::scalar_math::rsqrt_fast;
 use ninja_parallel::{par_chunks_mut, ThreadPool};
 use ninja_simd::isa::{self, dispatch_on, Isa, IsaKind, IsaOp, SimdF32, MAX_ISA_F32_LANES};
 use ninja_simd::AlignedVec;
@@ -163,15 +166,18 @@ impl NBody {
         out
     }
 
-    /// Computes the acceleration of body `i` from the SoA arrays with four
+    /// Computes the acceleration of body `i` from the SoA arrays with eight
     /// independent partial accumulators — the restructuring that lets the
     /// compiler vectorize a floating-point reduction without reassociation
     /// licenses (`rustc` has no `#pragma simd`, so the programmer splits
-    /// the accumulator; the paper counts this as low-effort).
-    #[inline]
+    /// the accumulator; the paper counts this as low-effort). Eight is one
+    /// 256-bit register per sum, two 128-bit ones at the baseline width.
+    /// `inline(always)` so it compiles inside its callers' feature frames
+    /// (see `isa::with_active_features`).
+    #[inline(always)]
     // ninja-lint: effort(simd, algorithmic)
     fn accel_soa(&self, i: usize) -> [f32; 3] {
-        const LANES: usize = 4;
+        const LANES: usize = 8;
         let (xi, yi, zi) = (self.xs[i], self.ys[i], self.zs[i]);
         let mut ax = [0.0f32; LANES];
         let mut ay = [0.0f32; LANES];
@@ -191,14 +197,14 @@ impl NBody {
                 let dy = yc[l] - yi;
                 let dz = zc[l] - zi;
                 let r2 = dx * dx + dy * dy + dz * dz + EPS2;
-                let inv_r = 1.0 / r2.sqrt();
+                let inv_r = rsqrt_fast(r2);
                 let s = mc[l] * inv_r * inv_r * inv_r;
                 ax[l] += dx * s;
                 ay[l] += dy * s;
                 az[l] += dz * s;
             }
         }
-        let sum = |a: [f32; LANES]| (a[0] + a[1]) + (a[2] + a[3]);
+        let sum = |a: [f32; LANES]| a.iter().sum::<f32>();
         [sum(ax), sum(ay), sum(az)]
     }
 
@@ -208,10 +214,15 @@ impl NBody {
     pub fn run_simd(&self) -> Vec<f32> {
         let n = self.len();
         let mut out = vec![0.0f32; 3 * n];
-        for i in 0..n {
-            let a = self.accel_soa(i);
-            out[3 * i..3 * i + 3].copy_from_slice(&a);
-        }
+        isa::with_active_features(
+            #[inline(always)]
+            || {
+                for i in 0..n {
+                    let a = self.accel_soa(i);
+                    out[3 * i..3 * i + 3].copy_from_slice(&a);
+                }
+            },
+        );
         out
     }
 
@@ -222,9 +233,14 @@ impl NBody {
         let mut out = vec![0.0f32; 3 * n];
         par_chunks_mut(pool, &mut out, 3 * 64, |chunk_idx, chunk| {
             let base = chunk_idx * 64;
-            for (k, trio) in chunk.chunks_mut(3).enumerate() {
-                trio.copy_from_slice(&self.accel_soa(base + k));
-            }
+            isa::with_active_features(
+                #[inline(always)]
+                || {
+                    for (k, trio) in chunk.chunks_mut(3).enumerate() {
+                        trio.copy_from_slice(&self.accel_soa(base + k));
+                    }
+                },
+            );
         });
         out
     }
@@ -469,12 +485,34 @@ mod tests {
     /// padding is what absorbs the remainder under each backend.
     #[test]
     fn ninja_rung_conforms_on_every_backend_at_every_residue() {
-        crate::framework::assert_ninja_conforms(
+        crate::framework::assert_conforms_on_every_backend(
             57..57 + MAX_ISA_F32_LANES,
             2e-3,
             |n| NBody::with_len(n, 21),
             NBody::run_naive,
             NBody::run_ninja_on,
+        );
+    }
+
+    /// The compiler rungs' loop body inside each backend's feature frame:
+    /// the same scalar source at 1x, 128-bit and 256-bit code generation.
+    #[test]
+    fn compiler_rung_body_conforms_on_every_backend_at_every_residue() {
+        crate::framework::assert_conforms_on_every_backend(
+            57..57 + MAX_ISA_F32_LANES,
+            2e-3,
+            |n| NBody::with_len(n, 21),
+            NBody::run_naive,
+            |k, kind, _| {
+                let accels = (0..k.len()).map(|i| {
+                    isa::with_features_on(
+                        kind,
+                        #[inline(always)]
+                        || k.accel_soa(i),
+                    )
+                });
+                accels.flatten().collect::<Vec<f32>>()
+            },
         );
     }
 

@@ -2,10 +2,34 @@
 //!
 //! These are the "restructured for the compiler" forms: straight-line `f32`
 //! polynomial code with no opaque libm calls, bit-identical to a lane of
-//! the vector versions on a backend without FMA. The `Simd`/`Algorithmic` tiers of the transcendental-heavy
-//! kernels (BlackScholes, Libor) inline these so an auto-vectorizer can in
-//! principle vectorize the whole loop — the paper's `#pragma simd` + SVML
-//! configuration.
+//! the vector versions on a backend without FMA. The `Simd`/`Algorithmic`
+//! tiers of the transcendental-heavy kernels (BlackScholes, Libor, NBody)
+//! inline these so the auto-vectorizer vectorizes the whole loop — the
+//! paper's `#pragma simd` + SVML configuration, at whatever width the
+//! enclosing [`ninja_simd::isa::with_active_features`] frame compiles for.
+//!
+//! "Straight-line" is a property of the emitted code, not of the source:
+//! `f32::clamp`, `f32::floor` and the saturating `as i32` cast all look
+//! branch-free and all lower to per-lane scalar compare/convert sequences
+//! (`ucomiss`, `cvttss2si`) inside an otherwise packed loop. Everything
+//! here is built from compares, bit masks and `f32` adds instead, and the
+//! asm oracle's `sconv=` count keeps it that way.
+//!
+//! # Accuracy policy
+//!
+//! One rule: a function here either reproduces its reference bit for bit,
+//! or states a ULP bound that an exhaustive or dense test enforces.
+//!
+//! * [`exp_poly`], [`ln_poly`], [`cnd_poly`] are **bit-identical** to
+//!   `isa::math::{exp, ln, norm_cdf}::<Scalar>` for finite inputs (the
+//!   differential suite in `ninja-simd` holds every unfused backend to
+//!   the same reference). `exp_poly` propagates NaN and clamps `±inf`
+//!   to the ends of its range.
+//! * [`floor_f32`] is **exact** for `|x| < 2^22`; it returns `+0.0`
+//!   where `f32::floor` returns `-0.0`.
+//! * [`rsqrt_fast`] is within **2 ULP** of `1/sqrt(x)` rounded from
+//!   `f64` for every normal `x >= 2^-125`, and within 3 ULP in the lowest
+//!   normal binade (every positive normal `f32` is tested).
 
 /// Branch-free lane select: `if cond { a } else { b }`, computed with bit
 /// masks exactly like the SSE2 backend's `select`, so scalar and vector
@@ -16,20 +40,30 @@ pub fn select_f32(cond: bool, a: f32, b: f32) -> f32 {
     f32::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
 }
 
-/// Branch-free floor that mirrors the SSE2 backend's `floor` (truncate,
-/// then correct negative non-integers). Unlike `f32::floor`, this lowers to straight-line
-/// code on bare SSE2 instead of a `floorf` libm call, so loops using it stay
-/// auto-vectorizable. Exact for `|x| < 2^31`.
+/// `1.5 * 2^23`: adding it to an `f32` of magnitude below `2^22` lands in
+/// `[2^23, 2^24)`, where the spacing is exactly 1, so the addition itself
+/// rounds to the nearest integer and leaves that integer (biased by
+/// `2^22`) in the low mantissa bits.
+const ROUND_MAGIC: f32 = 12_582_912.0;
+
+/// Branch-free floor: round to nearest with the magic-number addition,
+/// then step down where that rounded up. Unlike `f32::floor` (a `floorf`
+/// libm call on bare SSE2) and `x as i32 as f32` (a scalar saturating
+/// conversion per lane) this is adds, a compare and a mask, so loops
+/// using it auto-vectorize at any width. Exact for `|x| < 2^22`; `-0.0`
+/// floors to `+0.0`.
 #[inline(always)]
 pub fn floor_f32(x: f32) -> f32 {
-    let t = x as i32 as f32;
+    let t = (x + ROUND_MAGIC) - ROUND_MAGIC;
     select_f32(t > x, t - 1.0, t)
 }
 
 /// Scalar mirror of [`ninja_simd::isa::math::exp`]'s polynomial.
 #[inline(always)]
 pub fn exp_poly(x: f32) -> f32 {
-    let x = x.clamp(-87.336_54, 88.376_26);
+    // A clamp from selects: NaN fails both compares and passes through.
+    let x = select_f32(x > 88.376_26, 88.376_26, x);
+    let x = select_f32(x < -87.336_54, -87.336_54, x);
     let fx = floor_f32(x * std::f32::consts::LOG2_E + 0.5);
     let r = x - fx * 0.693_359_4 - fx * -2.121_944_4e-4;
     let mut p = 1.987_569_1e-4;
@@ -39,17 +73,48 @@ pub fn exp_poly(x: f32) -> f32 {
     p = p * r + 1.666_666_6e-1;
     p = p * r + 0.5;
     let y = p * (r * r) + (r + 1.0);
-    let pow2n = f32::from_bits((((fx as i32) + 127) << 23) as u32);
+    // `fx` is an integer in [-126, 128]: its magic-number sum carries it
+    // in the mantissa, so the integer falls out of a bit subtraction.
+    let n = (fx + ROUND_MAGIC)
+        .to_bits()
+        .wrapping_sub(ROUND_MAGIC.to_bits());
+    let pow2n = f32::from_bits(n.wrapping_add(127) << 23);
     y * pow2n
 }
 
+/// Fast reciprocal square root for positive normal `x`: the exponent-
+/// halving bit trick for a seed (relative error under 3.5%), then three
+/// Newton steps `y <- y * (1.5 - 0.5 * x * y * y)`, each squaring the
+/// error (3.5e-2, 1.8e-3, 4.7e-6, below rounding). Multiplies and
+/// subtracts only, so a loop calling it is not serialized on the
+/// divide/sqrt unit the way `1.0 / x.sqrt()` is — what a compiler does
+/// to that expression under `-fp:fast`. Within 2 ULP of the correctly
+/// rounded `1/sqrt(x)` (3 ULP below `2^-125`, where `0.5 * x` is
+/// subnormal); unspecified for zero, negative, subnormal or non-finite
+/// `x`.
+#[inline(always)]
+pub fn rsqrt_fast(x: f32) -> f32 {
+    let half_x = 0.5 * x;
+    let mut y = f32::from_bits(0x5f37_59df_u32.wrapping_sub(x.to_bits() >> 1));
+    y *= 1.5 - half_x * y * y;
+    y *= 1.5 - half_x * y * y;
+    y *= 1.5 - half_x * y * y;
+    y
+}
+
 /// Scalar mirror of [`ninja_simd::isa::math::ln`]'s polynomial.
+///
+/// The exponent reaches `f32` through the mantissa of `2^23` (exact, as
+/// in [`floor_f32`]) and the fold compares mantissa bits as integers —
+/// `m_raw` is in `[1, 2)`, where float order is bit order — so neither
+/// step needs a scalar `cvtsi2ss`/`ucomiss` in a loop's remainder.
 #[inline(always)]
 pub fn ln_poly(x: f32) -> f32 {
-    let bits = x.to_bits() as i32;
-    let e_raw = ((bits >> 23) - 127) as f32;
-    let m_raw = f32::from_bits(((bits & 0x007f_ffff) | 0x3f80_0000) as u32);
-    let fold = m_raw > std::f32::consts::SQRT_2;
+    let bits = x.to_bits();
+    let e_raw = f32::from_bits((bits >> 23) | 0x4b00_0000) - 8_388_735.0;
+    let m_bits = (bits & 0x007f_ffff) | 0x3f80_0000;
+    let m_raw = f32::from_bits(m_bits);
+    let fold = m_bits > std::f32::consts::SQRT_2.to_bits();
     let m = select_f32(fold, m_raw * 0.5, m_raw);
     let e = select_f32(fold, e_raw + 1.0, e_raw);
     let t = (m - 1.0) / (m + 1.0);
@@ -86,15 +151,99 @@ mod tests {
 
     /// Bit-equality with the one-lane reference backend, which the
     /// differential suite in `ninja-simd` holds every unfused backend to.
+    /// The sweep is dense where `exp_poly` changes regime: 0.001 steps
+    /// across the whole clamped range and a little beyond both clamps.
     #[test]
     fn scalar_polys_match_the_vector_math_bitwise() {
-        for i in -50..=50 {
-            let x = i as f32 * 0.73;
-            assert_eq!(exp_poly(x), exp::<Scalar>(ScalarF32(x)).0, "exp {x}");
+        for i in -95_000..=95_000 {
+            let x = i as f32 * 0.001;
+            assert_eq!(
+                exp_poly(x).to_bits(),
+                exp::<Scalar>(ScalarF32(x)).0.to_bits(),
+                "exp {x}"
+            );
+        }
+        for i in -8_000..=8_000 {
+            let x = i as f32 * 0.005;
             assert_eq!(cnd_poly(x), norm_cdf::<Scalar>(ScalarF32(x)).0, "cnd {x}");
             if x > 0.0 {
                 assert_eq!(ln_poly(x), ln::<Scalar>(ScalarF32(x)).0, "ln {x}");
             }
+        }
+        // ln across the exponent range, on both sides of the sqrt(2) fold.
+        for k in -126..=127 {
+            for m in [
+                1.0f32,
+                1.37,
+                std::f32::consts::SQRT_2,
+                1.414_213_7,
+                1.999_999_9,
+            ] {
+                let x = m * 2.0f32.powi(k);
+                assert_eq!(ln_poly(x), ln::<Scalar>(ScalarF32(x)).0, "ln {x:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn exp_poly_propagates_nan_and_clamps_infinities() {
+        assert!(exp_poly(f32::NAN).is_nan());
+        assert_eq!(exp_poly(f32::INFINITY), exp_poly(88.376_26));
+        assert_eq!(exp_poly(f32::NEG_INFINITY), exp_poly(-87.336_54));
+        assert!(exp_poly(f32::INFINITY).is_finite());
+        assert!(exp_poly(f32::NEG_INFINITY) > 0.0);
+    }
+
+    #[test]
+    fn floor_is_exact_on_its_documented_domain() {
+        // Negative integers and -0.0 stay put; ties and near-integers go
+        // down, including where the magic-number add rounded up.
+        for x in [-1.0f32, -2.0, -127.0, -4_194_303.0, 0.0, 1.0, 128.0] {
+            assert_eq!(floor_f32(x), x, "{x}");
+        }
+        assert_eq!(floor_f32(-0.0).to_bits(), 0.0f32.to_bits());
+        for (x, want) in [
+            (0.5f32, 0.0f32),
+            (1.5, 1.0),
+            (2.5, 2.0),
+            (-0.5, -1.0),
+            (-1.5, -2.0),
+            (-2.5, -3.0),
+            (0.999_999_94, 0.0),
+            (-0.000_000_1, -1.0),
+            (127.999_99, 127.0),
+        ] {
+            assert_eq!(floor_f32(x), want, "{x}");
+        }
+        // Both edges of |x| < 2^22: the largest magnitudes below it (the
+        // spacing there is 0.25), and the first integer beyond it, where
+        // the sum lands on a tie and the result is no longer the floor.
+        let edge = 4_194_304.0f32;
+        assert_eq!(floor_f32(edge - 0.25), edge - 1.0);
+        assert_eq!(floor_f32(-edge + 0.25), -edge);
+        assert_ne!(floor_f32(edge + 1.0), edge + 1.0);
+        // Agreement with std over a dense sweep of the range exp uses.
+        for i in -130_000..=130_000 {
+            let x = i as f32 * 0.001;
+            assert_eq!(floor_f32(x), x.floor(), "{x}");
+        }
+    }
+
+    /// `rsqrt_fast` against `1/sqrt` evaluated in `f64`. A release build
+    /// visits every positive normal `f32` (2^31 of them, about 10 s: the
+    /// `isa-matrix` CI job runs this suite in release); a debug build
+    /// every 251st. The bound is 2 ULP, except in the lowest normal
+    /// binade, where `0.5 * x` is subnormal and has lost a bit: 3 ULP.
+    #[test]
+    fn rsqrt_fast_is_within_two_ulp_of_every_positive_normal() {
+        let stride = if cfg!(debug_assertions) { 251 } else { 1 };
+        let lowest_binade_end = (2.0 * f32::MIN_POSITIVE).to_bits();
+        for bits in (f32::MIN_POSITIVE.to_bits()..=f32::MAX.to_bits()).step_by(stride) {
+            let x = f32::from_bits(bits);
+            let want = (1.0 / f64::from(x).sqrt()) as f32;
+            let ulps = rsqrt_fast(x).to_bits().abs_diff(want.to_bits());
+            let bound = if bits < lowest_binade_end { 3 } else { 2 };
+            assert!(ulps <= bound, "rsqrt_fast({x:e}): {ulps} ULP from {want:e}");
         }
     }
 

@@ -484,7 +484,7 @@ mod tests {
     /// takes the scalar search).
     #[test]
     fn ninja_rung_conforms_on_every_backend_at_every_residue() {
-        crate::framework::assert_ninja_conforms(
+        crate::framework::assert_conforms_on_every_backend(
             96..96 + ninja_simd::isa::MAX_ISA_F32_LANES,
             0.0,
             |m| {

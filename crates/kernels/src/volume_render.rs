@@ -461,7 +461,7 @@ mod tests {
     /// ends in a scalar remainder of every length under each backend.
     #[test]
     fn ninja_rung_conforms_on_every_backend_at_every_residue() {
-        crate::framework::assert_ninja_conforms(
+        crate::framework::assert_conforms_on_every_backend(
             12..12 + ninja_simd::isa::MAX_ISA_F32_LANES,
             1e-4,
             |dim| VolumeRender::with_dim(dim, 7),

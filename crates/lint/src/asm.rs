@@ -8,15 +8,20 @@
 //! constitute vectorization evidence: packed FP arithmetic, integer
 //! vector arithmetic, FMA, gather/scatter, and the widest vector
 //! register touched by a *classified* instruction (so `vzeroupper` and
-//! `vxorps` zeroing idioms never inflate the width).
+//! `vxorps` zeroing idioms never inflate the width). It also counts the
+//! scalar compares and float/integer conversions (`ucomiss`,
+//! `cvttss2si`, ...) that a clamp, a `floor` or a saturating `as i32`
+//! lowers to: inside a loop that is otherwise packed they mean the
+//! compiler took each vector apart lane by lane, which no arithmetic
+//! count shows.
 //!
 //! Like the rest of the crate this is a hand-rolled classifier — no
 //! `object`, no `capstone`, no external disassembler — because the
 //! workspace builds offline and the lint must stay a std-only leaf.
 //!
 //! Known limits (documented in DESIGN.md "Vectorization evidence"):
-//! moves, shuffles and conversions are deliberately *not* counted as
-//! arithmetic; a function fully inlined into its caller leaves no symbol
+//! moves, shuffles and packed conversions are deliberately *not* counted
+//! as arithmetic; a function fully inlined into its caller leaves no symbol
 //! of its own, so evidence attribution (see [`crate::vecprofile`]) works
 //! on the call graph of symbols that survive codegen.
 
@@ -40,6 +45,8 @@ pub struct InsnCounts {
     pub scalar_fp_ops: u32,
     /// Integer vector arithmetic/shuffle instructions.
     pub vector_int_ops: u32,
+    /// Scalar FP compares and scalar float/integer conversions.
+    pub scalar_conv_ops: u32,
     /// Widest vector register (bits) on a *classified* instruction; zero
     /// when no vector arithmetic was seen.
     pub max_vector_bits: u32,
@@ -58,6 +65,7 @@ impl InsnCounts {
         self.vector_fp_ops += other.vector_fp_ops;
         self.scalar_fp_ops += other.scalar_fp_ops;
         self.vector_int_ops += other.vector_int_ops;
+        self.scalar_conv_ops += other.scalar_conv_ops;
         self.max_vector_bits = self.max_vector_bits.max(other.max_vector_bits);
         self.fma |= other.fma;
         self.gather |= other.gather;
@@ -257,6 +265,15 @@ fn classify_x86(mnemonic: &str, operands: &str, c: &mut InsnCounts) {
     {
         return;
     }
+    // Scalar compares (ucomiss, vcomisd) and scalar float<->integer
+    // conversions (cvttss2si, vcvtsi2ssl, vcvttsd2usi, ...).
+    if core.starts_with("ucomis")
+        || core.starts_with("comis")
+        || (core.starts_with("cvt") && ["2si", "2usi", "si2s"].iter().any(|t| core.contains(t)))
+    {
+        c.scalar_conv_ops += 1;
+        return;
+    }
     // Fused multiply-add family (vfmadd231ps, vfnmsub132sd, ...).
     if core.starts_with("fmadd")
         || core.starts_with("fmsub")
@@ -332,6 +349,11 @@ const A64_INT_VECTOR_MNEMONICS: [&str; 21] = [
     "cmgt", "cmge", "cmhi", "cmhs", "shl", "sshr", "ushr", "abs", "neg",
 ];
 
+/// Scalar compares and float/integer conversions; the same mnemonics
+/// with a vector arrangement are packed and not counted.
+const A64_SCALAR_CONV_MNEMONICS: [&str; 6] =
+    ["fcmp", "fcmpe", "fcvtzs", "fcvtzu", "scvtf", "ucvtf"];
+
 fn classify_aarch64(mnemonic: &str, operands: &str, c: &mut InsnCounts) {
     let bits = if A64_ARR_128.iter().any(|a| operands.contains(a)) {
         128
@@ -340,6 +362,10 @@ fn classify_aarch64(mnemonic: &str, operands: &str, c: &mut InsnCounts) {
     } else {
         0
     };
+    if bits == 0 && A64_SCALAR_CONV_MNEMONICS.contains(&mnemonic) {
+        c.scalar_conv_ops += 1;
+        return;
+    }
     if A64_FP_MNEMONICS.contains(&mnemonic) {
         if bits > 0 {
             c.vector_fp_ops += 1;
@@ -523,6 +549,34 @@ mod tests {
     }
 
     #[test]
+    fn x86_classifier_counts_scalar_compares_and_conversions_apart() {
+        let mut c = InsnCounts::default();
+        for (m, ops) in [
+            ("ucomiss", "%xmm1, %xmm0"),
+            ("vucomiss", "%xmm1, %xmm0"),
+            ("comisd", "%xmm1, %xmm0"),
+            ("cvttss2si", "%xmm0, %eax"),
+            ("vcvttss2si", "%xmm0, %rax"),
+            ("cvtss2si", "%xmm0, %eax"),
+            ("cvtsi2ssl", "%eax, %xmm0"),
+            ("vcvtsi2ss", "%rax, %xmm1, %xmm0"),
+            ("cvttsd2si", "%xmm0, %rax"),
+        ] {
+            classify_x86(m, ops, &mut c);
+        }
+        assert_eq!(c.scalar_conv_ops, 9);
+        // Packed conversions and float-width changes are not lane-by-lane
+        // work; compares that produce masks are arithmetic, as before.
+        classify_x86("cvttps2dq", "%xmm0, %xmm0", &mut c);
+        classify_x86("vcvtdq2ps", "%ymm0, %ymm0", &mut c);
+        classify_x86("cvtss2sd", "%xmm0, %xmm0", &mut c);
+        classify_x86("cmpltss", "%xmm1, %xmm0", &mut c);
+        assert_eq!(c.scalar_conv_ops, 9);
+        assert_eq!((c.vector_fp_ops, c.scalar_fp_ops), (0, 1));
+        assert_eq!(c.max_vector_bits, 0);
+    }
+
+    #[test]
     fn aarch64_classifier_reads_arrangements() {
         let mut c = InsnCounts::default();
         classify_aarch64("fmul", "v0.4s, v1.4s, v2.4s", &mut c);
@@ -530,9 +584,13 @@ mod tests {
         classify_aarch64("fadd", "s0, s1, s2", &mut c); // scalar
         classify_aarch64("add", "v3.4s, v3.4s, v4.4s", &mut c);
         classify_aarch64("movi", "v0.4s, #0", &mut c); // zeroing
+        classify_aarch64("fcvtzs", "w0, s0", &mut c); // scalar conversion
+        classify_aarch64("fcmp", "s0, s1", &mut c); // scalar compare
+        classify_aarch64("fcvtzs", "v0.4s, v1.4s", &mut c); // packed: not counted
         assert_eq!(c.vector_fp_ops, 2);
         assert_eq!(c.scalar_fp_ops, 1);
         assert_eq!(c.vector_int_ops, 1);
+        assert_eq!(c.scalar_conv_ops, 2);
         assert_eq!(c.max_vector_bits, 128);
         assert!(c.fma);
     }

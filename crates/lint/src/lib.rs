@@ -20,11 +20,12 @@
 //!   crates needs an adjacent `// SAFETY:` justification.
 //! * **Coverage & hygiene** (NL006/NL007): every rung must be annotated,
 //!   and marker typos fail loudly.
-//! * **Assembly evidence** (NL008/NL009, `--asm` mode): the [`asm`] and
-//!   [`vecprofile`] modules parse `rustc --emit asm` output, attribute
-//!   symbols back to rungs, and check that simd/ninja rungs actually
-//!   compiled to vector code (and report when the compiler bridged the
-//!   gap on a naive rung by itself).
+//! * **Assembly evidence** (NL008/NL009/NL011, `--asm` mode): the
+//!   [`asm`] and [`vecprofile`] modules parse `rustc --emit asm` output,
+//!   attribute symbols back to rungs, and check that simd/ninja rungs
+//!   actually compiled to vector code (and report when the compiler
+//!   bridged the gap on a naive rung by itself, or vectorized a compiler
+//!   rung's arithmetic while still comparing or converting lane by lane).
 //! * **Ordering audit** (NL010): every `Ordering::Relaxed` site and
 //!   `static mut` declaration needs an adjacent `// ORDERING:`
 //!   justification, the concurrency sibling of NL005.

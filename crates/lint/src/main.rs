@@ -16,7 +16,7 @@
 //! `crates/kernels` with `--emit asm` (optionally at a specific
 //! `-C target-cpu` level), attributes the emitted symbols back to rungs,
 //! prints one grep-friendly `vecprofile kernel/rung: ...` line per cell,
-//! and runs the NL008/NL009 evidence rules. `--asm-file` audits
+//! and runs the NL008/NL009/NL011 evidence rules. `--asm-file` audits
 //! pre-emitted `.s` listings instead of driving cargo.
 
 #![deny(missing_docs)]

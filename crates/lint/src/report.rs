@@ -175,7 +175,7 @@ mod tests {
         assert_eq!(r.findings[0].file, "a.rs");
         assert_eq!(r.findings[0].rule, "NL001");
         assert_eq!(r.findings[0].severity, "warning");
-        assert_eq!(r.rules.len(), 10);
+        assert_eq!(r.rules.len(), 11);
         assert_eq!(r.by_rule(RuleId::MissingSafetyComment).count(), 1);
     }
 

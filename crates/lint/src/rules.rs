@@ -17,8 +17,9 @@
 //! | NL008 | ninja-rung-not-vectorized   | `--asm` mode |
 //! | NL009 | scalar-rung-autovectorized  | `--asm` mode |
 //! | NL010 | unjustified-relaxed-ordering| every file   |
+//! | NL011 | scalar-conv-in-vector-rung  | `--asm` mode |
 //!
-//! NL008/NL009 live in [`crate::vecprofile`] because they judge compiler
+//! NL008/NL009/NL011 live in [`crate::vecprofile`] because they judge compiler
 //! output, not source tokens; they share this module's `RuleId` space so
 //! `allow(...)` markers and `--deny-warnings` treat them uniformly.
 
@@ -99,7 +100,7 @@ const SAFETY_WINDOW: usize = 10;
 const ORDERING_WINDOW: usize = 10;
 
 /// All rules, in ID order.
-pub const ALL_RULES: [RuleId; 10] = [
+pub const ALL_RULES: [RuleId; 11] = [
     RuleId::ThreadsInSerialRung,
     RuleId::SimdInScalarRung,
     RuleId::NinjaWithoutSimd,
@@ -110,12 +111,13 @@ pub const ALL_RULES: [RuleId; 10] = [
     RuleId::NinjaRungNotVectorized,
     RuleId::ScalarRungAutovectorized,
     RuleId::UnjustifiedRelaxedOrdering,
+    RuleId::ScalarConversionsInVectorRung,
 ];
 
 /// Severity of a finding. `Warning` findings gate `--deny-warnings` and
 /// flip a report to not-clean; `Info` findings are advisory observations
-/// (today only NL009, which reports the *good* news that the compiler
-/// auto-vectorized a naive rung).
+/// (NL009, the *good* news that the compiler auto-vectorized a naive
+/// rung, and NL011, a vectorized compiler rung with scalarized lanes).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Severity {
     /// Advisory: reported, never fails the build.
@@ -160,6 +162,9 @@ pub enum RuleId {
     /// NL010: `Ordering::Relaxed` or a `static mut` declaration without
     /// an adjacent `// ORDERING:` justification.
     UnjustifiedRelaxedOrdering,
+    /// NL011 (info): a Simd/Algorithmic rung with vector evidence that
+    /// also emits scalar FP compares or float/integer conversions.
+    ScalarConversionsInVectorRung,
 }
 
 impl RuleId {
@@ -176,13 +181,16 @@ impl RuleId {
             RuleId::NinjaRungNotVectorized => "NL008",
             RuleId::ScalarRungAutovectorized => "NL009",
             RuleId::UnjustifiedRelaxedOrdering => "NL010",
+            RuleId::ScalarConversionsInVectorRung => "NL011",
         }
     }
 
     /// Severity class of findings from this rule.
     pub fn severity(self) -> Severity {
         match self {
-            RuleId::ScalarRungAutovectorized => Severity::Info,
+            RuleId::ScalarRungAutovectorized | RuleId::ScalarConversionsInVectorRung => {
+                Severity::Info
+            }
             _ => Severity::Warning,
         }
     }
@@ -200,6 +208,7 @@ impl RuleId {
             RuleId::NinjaRungNotVectorized => "ninja-rung-not-vectorized",
             RuleId::ScalarRungAutovectorized => "scalar-rung-autovectorized",
             RuleId::UnjustifiedRelaxedOrdering => "unjustified-relaxed-ordering",
+            RuleId::ScalarConversionsInVectorRung => "scalar-conv-in-vector-rung",
         }
     }
 
@@ -247,6 +256,11 @@ impl RuleId {
             RuleId::UnjustifiedRelaxedOrdering => {
                 "every `Ordering::Relaxed` site and `static mut` declaration \
                  needs an adjacent `// ORDERING:` justification"
+            }
+            RuleId::ScalarConversionsInVectorRung => {
+                "info: a vectorized simd/algorithmic rung still emits scalar FP \
+                 compares or float/integer conversions (ucomiss, cvttss2si, ...) \
+                 — lanes the compiler took apart; reported in --asm mode"
             }
         }
     }
@@ -667,7 +681,7 @@ mod tests {
             ids,
             [
                 "NL001", "NL002", "NL003", "NL004", "NL005", "NL006", "NL007", "NL008", "NL009",
-                "NL010"
+                "NL010", "NL011"
             ]
         );
         for r in ALL_RULES {
@@ -675,12 +689,18 @@ mod tests {
             assert!(!r.name().is_empty() && !r.description().is_empty());
         }
         assert_eq!(RuleId::from_id("NL999"), None);
-        // Exactly one info-severity rule: the auto-vectorization observer.
+        // The info-severity rules: the two asm-evidence observers.
         let infos: Vec<_> = ALL_RULES
             .iter()
             .filter(|r| r.severity() == Severity::Info)
             .collect();
-        assert_eq!(infos, [&RuleId::ScalarRungAutovectorized]);
+        assert_eq!(
+            infos,
+            [
+                &RuleId::ScalarRungAutovectorized,
+                &RuleId::ScalarConversionsInVectorRung
+            ]
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Maps assembly evidence (see [`crate::asm`]) back to kernel rungs and
-//! turns it into per-rung vectorization profiles plus the NL008/NL009
-//! findings.
+//! turns it into per-rung vectorization profiles plus the
+//! NL008/NL009/NL011 findings.
 //!
 //! Attribution works symbol-first: a listing function is a *root* for a
 //! rung when its demangled path names both the kernel module (the source
@@ -60,6 +60,9 @@ pub struct VecProfile {
     pub scalar_fp_ops: u32,
     /// Integer vector arithmetic count.
     pub vector_int_ops: u32,
+    /// Scalar FP compare and float/integer conversion count — in a
+    /// vectorized rung, the lanes the compiler took apart one by one.
+    pub scalar_conv_ops: u32,
     /// Number of listing symbols that matched this rung directly
     /// (before the transitive walk). Zero = everything inlined away.
     pub matched_symbols: u32,
@@ -93,13 +96,14 @@ impl VecProfile {
             vector_fp_ops: counts.vector_fp_ops,
             scalar_fp_ops: counts.scalar_fp_ops,
             vector_int_ops: counts.vector_int_ops,
+            scalar_conv_ops: counts.scalar_conv_ops,
             matched_symbols: matched,
             classification: classification.to_string(),
         }
     }
 }
 
-/// The result of an `--asm` audit: the lint report (NL008/NL009
+/// The result of an `--asm` audit: the lint report (NL008/NL009/NL011
 /// findings) plus every per-rung profile that produced evidence.
 #[derive(Clone, Debug)]
 pub struct AsmAudit {
@@ -201,9 +205,11 @@ pub fn profile_rungs(files: &[SourceFile], listings: &[AsmListing]) -> Vec<VecPr
 }
 
 /// Runs the asm-evidence rules over `files` + `listings`: NL008
-/// (simd/ninja rung with zero vector arithmetic) and NL009 (naive rung
-/// the compiler auto-vectorized; info severity). Returns the profiles
-/// alongside the findings so callers render both.
+/// (simd/ninja rung with zero vector arithmetic), NL009 (naive rung the
+/// compiler auto-vectorized; info severity) and NL011 (compiler rung
+/// that is vectorized but still compares or converts lane by lane; info
+/// severity). Returns the profiles alongside the findings so callers
+/// render both.
 pub fn check_asm(files: &[SourceFile], listings: &[AsmListing]) -> (Vec<VecProfile>, Vec<Finding>) {
     let profiles = profile_rungs(files, listings);
     let by_cell: HashMap<(&str, &str), &VecProfile> = profiles
@@ -222,6 +228,26 @@ pub fn check_asm(files: &[SourceFile], listings: &[AsmListing]) -> (Vec<VecProfi
                 let Some(profile) = by_cell.get(&(module.as_str(), rung.name())) else {
                     continue;
                 };
+                if matches!(rung, Rung::Simd | Rung::Algorithmic)
+                    && (profile.vector_fp_ops > 0 || profile.vector_int_ops > 0)
+                    && profile.scalar_conv_ops > 0
+                    && span.allowed("NL011").is_none()
+                {
+                    findings.push(Finding {
+                        rule: RuleId::ScalarConversionsInVectorRung,
+                        file: file.rel_path.clone(),
+                        line: span.sig_line,
+                        message: format!(
+                            "{} rung of `{}` is vectorized ({}) but also emits {} scalar \
+                             compare/conversion op(s) — a clamp, floor or `as i32` the \
+                             compiler scalarized lane by lane",
+                            rung.name(),
+                            module,
+                            profile.classification,
+                            profile.scalar_conv_ops
+                        ),
+                    });
+                }
                 match rung {
                     Rung::Simd | Rung::Ninja => {
                         // A rung whose symbols were all inlined away is a
@@ -287,12 +313,12 @@ pub fn check_asm(files: &[SourceFile], listings: &[AsmListing]) -> (Vec<VecProfi
 }
 
 /// Renders profiles as stable, grep-friendly lines (one per cell):
-/// `vecprofile <kernel>/<rung>: <classification> fma=<y|n> ...`.
+/// `vecprofile <kernel>/<rung>: <classification> fma=<y|n> ... sconv=<n> ...`.
 pub fn render_profiles(profiles: &[VecProfile]) -> String {
     let mut out = String::new();
     for p in profiles {
         out.push_str(&format!(
-            "vecprofile {}/{}: {} width={} fma={} gather={} scatter={} vfp={} sfp={} vint={} symbols={}\n",
+            "vecprofile {}/{}: {} width={} fma={} gather={} scatter={} vfp={} sfp={} vint={} sconv={} symbols={}\n",
             p.kernel,
             p.rung,
             p.classification,
@@ -303,6 +329,7 @@ pub fn render_profiles(profiles: &[VecProfile]) -> String {
             p.vector_fp_ops,
             p.scalar_fp_ops,
             p.vector_int_ops,
+            p.scalar_conv_ops,
             p.matched_symbols
         ));
     }

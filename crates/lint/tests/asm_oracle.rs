@@ -2,8 +2,9 @@
 //!
 //! The classifier runs against checked-in listings (x86-64 AVX2, x86-64
 //! SSE-only, AArch64 NEON, fully scalar) so its counting rules are pinned
-//! without invoking a compiler; NL008/NL009 are then exercised through
-//! `check_asm` against paired source fixtures, each firing exactly once.
+//! without invoking a compiler; NL008/NL009/NL011 are then exercised
+//! through `check_asm` against paired source fixtures, each firing
+//! exactly once.
 
 use ninja_lint::{check_asm, parse_listing, Arch, AsmListing, RuleId, Severity, SourceFile};
 use std::path::{Path, PathBuf};
@@ -119,6 +120,32 @@ fn nl009_fires_exactly_once_on_a_vectorized_naive_rung() {
 }
 
 #[test]
+fn nl011_fires_exactly_once_on_a_vectorized_rung_with_scalarized_lanes() {
+    let files = [source("asm_simd_scalarized.rs")];
+    let (profiles, findings) = check_asm(&files, &[listing("scalarized.s")]);
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+    let f = &findings[0];
+    assert_eq!(f.rule, RuleId::ScalarConversionsInVectorRung);
+    assert_eq!(f.rule.severity(), Severity::Info, "NL011 is advisory");
+    assert_eq!(f.file, "asm_simd_scalarized.rs");
+    assert!(f.message.contains("3 scalar"), "{}", f.message);
+    let p = &profiles[0];
+    assert_eq!(
+        (p.kernel.as_str(), p.rung.as_str()),
+        ("asm_simd_scalarized", "simd")
+    );
+    assert_eq!(
+        p.classification, "vec128",
+        "the arithmetic alone reads clean"
+    );
+    assert_eq!(
+        (p.vector_fp_ops, p.scalar_fp_ops, p.scalar_conv_ops),
+        (2, 0, 3)
+    );
+    assert!(ninja_lint::render_profiles(&profiles).contains(" sconv=3 "));
+}
+
+#[test]
 fn mismatched_listing_yields_no_evidence_and_no_findings() {
     // Pairing the ninja source with an unrelated listing must classify as
     // no-evidence (symbols inlined away / absent) and stay silent.
@@ -152,6 +179,18 @@ fn real_tree_asm_audit_is_clean() {
         .iter()
         .filter(|p| p.rung == "ninja")
         .collect();
+    // The compiler rungs the feature frame recompiles: 256-bit at the
+    // default target-cpu, and no lane taken apart by a scalar compare or
+    // conversion in the two kernels whose math is all polynomial.
+    for p in &audit.profiles {
+        let framed = matches!(p.kernel.as_str(), "nbody" | "libor" | "black_scholes");
+        if framed && matches!(p.rung.as_str(), "simd" | "algorithmic") {
+            assert_eq!(p.width_bits, 256, "{}/{}", p.kernel, p.rung);
+            if p.kernel != "nbody" {
+                assert_eq!(p.scalar_conv_ops, 0, "{}/{}", p.kernel, p.rung);
+            }
+        }
+    }
     assert_eq!(ninja.len(), 10, "one ninja profile per kernel");
     for p in ninja {
         assert!(

@@ -190,6 +190,7 @@ fn binary_lists_rules() {
     assert_eq!(code, 0);
     for id in [
         "NL001", "NL002", "NL003", "NL004", "NL005", "NL006", "NL007", "NL008", "NL009", "NL010",
+        "NL011",
     ] {
         assert!(stdout.contains(id), "{stdout}");
     }

@@ -256,6 +256,44 @@ unsafe fn run_avx2<Op: IsaOp>(op: Op) -> Op::Output {
     op.run::<Avx2>()
 }
 
+/// A plain closure riding the [`IsaOp`] trampoline: it ignores the
+/// backend type and only wants the backend's `#[target_feature]` frame.
+struct Framed<F>(F);
+
+impl<R, F: FnOnce() -> R> IsaOp for Framed<F> {
+    type Output = R;
+    #[inline(always)]
+    fn run<I: Isa>(self) -> R {
+        (self.0)()
+    }
+}
+
+/// Runs the scalar closure `f` compiled for the [`active`] backend's
+/// feature set: the stand-in for a compiler's auto-dispatch (`icc -ax`).
+///
+/// `f` names no vector type. It is instantiated once per [`dispatch_on`]
+/// arm, and whatever inlines into the AVX2 arm is auto-vectorized with
+/// 256-bit registers even at a baseline `target-cpu`; the other arms are
+/// the baseline build. Write the closure as `#[inline(always)] || ..` and
+/// mark everything hot it calls `#[inline(always)]`, exactly as for
+/// [`IsaOp::run`]: the closure has one call site per arm, so LLVM keeps a
+/// large one out of line, and anything out of line is compiled at
+/// baseline, silently (the frame becomes a `jmp` to 128-bit code).
+#[inline(always)]
+pub fn with_active_features<R>(f: impl FnOnce() -> R) -> R {
+    with_features_on(active(), f)
+}
+
+/// [`with_active_features`] on an explicitly chosen backend.
+///
+/// # Panics
+///
+/// Panics if `kind` is not available on this CPU/build.
+#[inline(always)]
+pub fn with_features_on<R>(kind: IsaKind, f: impl FnOnce() -> R) -> R {
+    dispatch_on(kind, Framed(f))
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::{SimdF32, SimdI32};
@@ -357,6 +395,20 @@ mod tests {
         fn run<I: Isa>(self) -> usize {
             <I::I32 as SimdI32>::LANES
         }
+    }
+
+    #[test]
+    fn feature_frame_returns_the_closure_result_on_every_backend() {
+        let xs: Vec<f32> = (0..100).map(|i| i as f32).collect();
+        for kind in available_kinds() {
+            let mut calls = 0;
+            let sum = with_features_on(kind, || {
+                calls += 1;
+                xs.iter().sum::<f32>()
+            });
+            assert_eq!((sum, calls), (4950.0, 1), "{kind}");
+        }
+        assert_eq!(with_active_features(|| xs.len()), 100);
     }
 
     #[test]

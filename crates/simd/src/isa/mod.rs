@@ -83,7 +83,7 @@ mod sse2;
 pub use avx2::{Avx2, AvxF32, AvxF64, AvxI32, AvxM32, AvxM64};
 pub use dispatch::{
     active, available_kinds, detect_best, dispatch, dispatch_on, force_for_test, resolve,
-    resolve_from_env, IsaKind, IsaOp, NINJA_ISA_ENV,
+    resolve_from_env, with_active_features, with_features_on, IsaKind, IsaOp, NINJA_ISA_ENV,
 };
 #[cfg(target_arch = "aarch64")]
 pub use neon::{Neon, NeonF32, NeonF64, NeonI32, NeonM32, NeonM64};
