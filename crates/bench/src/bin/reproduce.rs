@@ -90,7 +90,7 @@ fn run_scale(cli: &ninja_bench::Cli) {
         let meta = ninja_perfdb::RecordMeta::detect(&report.simd_backend);
         let record = ninja_perfdb::SweepRecord::from_sweep_json(&report.to_json(), &meta)
             .expect("sweep report round-trips into the store schema");
-        if let Err(msg) = store.append_sweep(&record) {
+        if let Err(msg) = store.append(&record) {
             eprintln!("reproduce: {msg}");
             std::process::exit(2);
         }
@@ -98,7 +98,7 @@ fn run_scale(cli: &ninja_bench::Cli) {
             "recorded sweep {} ({} fit(s)) to {}",
             record.id,
             record.fits.len(),
-            store.sweeps_path().display()
+            store.path::<ninja_perfdb::SweepRecord>().display()
         );
     }
 
@@ -242,7 +242,7 @@ fn run_serve(cli: &ninja_bench::Cli) {
         let meta = ninja_perfdb::RecordMeta::detect(ninja_simd::isa::active().name());
         let record = ninja_perfdb::ServeRecord::from_serve_json(&json, &meta)
             .expect("serve report round-trips into the store schema");
-        if let Err(msg) = store.append_serve(&record) {
+        if let Err(msg) = store.append(&record) {
             eprintln!("reproduce: {msg}");
             std::process::exit(2);
         }
@@ -250,7 +250,7 @@ fn run_serve(cli: &ninja_bench::Cli) {
             "recorded serve {} ({} point(s)) to {}",
             record.id,
             record.points.len(),
-            store.serves_path().display()
+            store.path::<ninja_perfdb::ServeRecord>().display()
         );
     }
 
@@ -574,7 +574,7 @@ fn main() {
             eprintln!(
                 "recorded run {} to {}",
                 record.id,
-                store.runs_path().display()
+                store.path::<ninja_perfdb::RunRecord>().display()
             );
             match ninja_perfdb::write_history(
                 &store,

@@ -34,5 +34,10 @@ pub mod sweep;
 
 pub use harness::Harness;
 pub use measure::{measure, measure_with_samples, Measurement};
-pub use report::{KernelReport, SuiteReport, VariantOutcome, VariantResult, VecProfileRecord};
+/// Assembly-level vectorization evidence for one (kernel, rung) cell, as
+/// recorded by the `ninja-lint --asm` oracle (`ninja-bench` converts the
+/// lint crate's `VecProfile` into it). The run store's own record type,
+/// so the suite report and the store cannot drift apart.
+pub use ninja_perfdb::VecProfileRecord;
+pub use report::{KernelReport, SuiteReport, VariantOutcome, VariantResult};
 pub use sweep::{thread_grid, SweepCell, SweepConfig, SweepFit, SweepReport};

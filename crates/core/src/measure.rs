@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 /// The timing of one measured workload.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Measurement {
     /// Median wall-clock seconds across repetitions.
     pub median_s: f64,
@@ -18,9 +18,8 @@ pub struct Measurement {
     /// Number of timed repetitions.
     pub runs: u32,
     /// Raw per-repetition seconds in execution order — opt-in (see
-    /// [`measure_with_samples`]); empty when not collected. Kept out of
-    /// the JSON wire format when empty so reports and perfdb fixtures
-    /// written before this field existed parse unchanged.
+    /// [`measure_with_samples`]); empty when not collected.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub samples: Vec<f64>,
 }
 
@@ -63,44 +62,6 @@ impl Measurement {
         } else {
             (self.max_s - self.min_s) / self.median_s
         }
-    }
-}
-
-// Hand-written (not derived) so the wire format stays exactly what it was
-// before `samples` existed: the field is omitted when empty on write and
-// defaulted to empty when absent on read. The derive stand-in would
-// instead hard-error on pre-existing JSON without the field.
-impl serde::Serialize for Measurement {
-    fn to_value(&self) -> serde::Value {
-        let mut pairs = vec![
-            ("median_s".to_owned(), self.median_s.to_value()),
-            ("mean_s".to_owned(), self.mean_s.to_value()),
-            ("stddev_s".to_owned(), self.stddev_s.to_value()),
-            ("min_s".to_owned(), self.min_s.to_value()),
-            ("max_s".to_owned(), self.max_s.to_value()),
-            ("runs".to_owned(), self.runs.to_value()),
-        ];
-        if !self.samples.is_empty() {
-            pairs.push(("samples".to_owned(), self.samples.to_value()));
-        }
-        serde::Value::Object(pairs)
-    }
-}
-
-impl serde::Deserialize for Measurement {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(Self {
-            median_s: f64::from_value(v.field("median_s")?)?,
-            mean_s: f64::from_value(v.field("mean_s")?)?,
-            stddev_s: f64::from_value(v.field("stddev_s")?)?,
-            min_s: f64::from_value(v.field("min_s")?)?,
-            max_s: f64::from_value(v.field("max_s")?)?,
-            runs: u32::from_value(v.field("runs")?)?,
-            samples: match v.field("samples") {
-                Ok(val) => Vec::<f64>::from_value(val)?,
-                Err(_) => Vec::new(),
-            },
-        })
     }
 }
 

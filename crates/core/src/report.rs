@@ -3,6 +3,7 @@
 
 use crate::Measurement;
 use ninja_kernels::{ProblemSize, Variant};
+use ninja_perfdb::VecProfileRecord;
 use serde::{Deserialize, Serialize};
 
 /// How one (kernel, variant) measurement ended.
@@ -115,7 +116,7 @@ impl Deserialize for VariantOutcome {
 }
 
 /// One measured (kernel, variant) cell.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct VariantResult {
     /// Variant label (see [`Variant::name`]).
     pub variant: String,
@@ -136,28 +137,8 @@ pub struct VariantResult {
     /// Roofline placement of the measurement (achieved throughputs,
     /// percent-of-roofline, bound classification, pool utilization);
     /// `None` for failed cells.
+    #[serde(default)]
     pub attribution: Option<ninja_model::Attribution>,
-}
-
-// Deserialize is written by hand (Serialize stays derived) so reports
-// written before `attribution` existed still parse: the derive stand-in
-// errors on any missing field, and older JSON has no `attribution` key.
-impl Deserialize for VariantResult {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(Self {
-            variant: String::from_value(v.field("variant")?)?,
-            timing: Option::from_value(v.field("timing")?)?,
-            checksum: f64::from_value(v.field("checksum")?)?,
-            gflops: f64::from_value(v.field("gflops")?)?,
-            gbs: f64::from_value(v.field("gbs")?)?,
-            validated: bool::from_value(v.field("validated")?)?,
-            outcome: VariantOutcome::from_value(v.field("outcome")?)?,
-            attribution: match v.field("attribution") {
-                Ok(val) => Option::from_value(val)?,
-                Err(_) => None,
-            },
-        })
-    }
 }
 
 impl VariantResult {
@@ -243,38 +224,8 @@ impl KernelReport {
     }
 }
 
-/// Assembly-level vectorization evidence for one (kernel, rung) cell, as
-/// recorded by the `ninja-lint --asm` oracle. A plain-data mirror of the
-/// lint crate's `VecProfile` so `ninja-core` does not depend on the
-/// linter; `ninja-bench` converts between the two.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct VecProfileRecord {
-    /// Kernel module name (file stem under `crates/kernels/src`).
-    pub kernel: String,
-    /// Rung name (`naive`/`parallel`/`simd`/`algorithmic`/`ninja`).
-    pub rung: String,
-    /// Widest vector register observed (bits); 0 for scalar code.
-    pub width_bits: u32,
-    /// Whether fused multiply-add instructions appeared.
-    pub fma: bool,
-    /// Whether vector gather loads appeared.
-    pub gather: bool,
-    /// Whether vector scatter stores appeared.
-    pub scatter: bool,
-    /// Packed floating-point arithmetic instruction count.
-    pub vector_fp_ops: u32,
-    /// Scalar floating-point arithmetic instruction count.
-    pub scalar_fp_ops: u32,
-    /// Integer vector arithmetic/shuffle instruction count.
-    pub vector_int_ops: u32,
-    /// Listing symbols attributed to this rung's entry points.
-    pub matched_symbols: u32,
-    /// Summary tag: `no-evidence`, `scalar`, `vec64` … `vec512`.
-    pub classification: String,
-}
-
 /// A full suite run.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SuiteReport {
     /// Problem-size preset used.
     pub size: String,
@@ -287,35 +238,14 @@ pub struct SuiteReport {
     /// Resolved ISA dispatch backend the ninja rungs ran on (`scalar`,
     /// `sse2`, `avx2`, or `neon`); empty in reports written before the
     /// width-generic dispatcher existed.
+    #[serde(default)]
     pub isa: String,
     /// Per-kernel reports in suite order.
     pub kernels: Vec<KernelReport>,
     /// Vectorization evidence per (kernel, rung) from the asm oracle;
     /// empty when the run did not collect it.
+    #[serde(default)]
     pub vec_profiles: Vec<VecProfileRecord>,
-}
-
-// Deserialize is written by hand (Serialize stays derived) so reports
-// written before `vec_profiles` existed still parse — the same tolerance
-// pattern as `VariantResult::attribution` above.
-impl Deserialize for SuiteReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(Self {
-            size: String::from_value(v.field("size")?)?,
-            seed: u64::from_value(v.field("seed")?)?,
-            threads: usize::from_value(v.field("threads")?)?,
-            simd_backend: String::from_value(v.field("simd_backend")?)?,
-            isa: match v.field("isa") {
-                Ok(val) => String::from_value(val)?,
-                Err(_) => String::new(),
-            },
-            kernels: Vec::from_value(v.field("kernels")?)?,
-            vec_profiles: match v.field("vec_profiles") {
-                Ok(val) => Vec::from_value(val)?,
-                Err(_) => Vec::new(),
-            },
-        })
-    }
 }
 
 impl SuiteReport {

@@ -39,7 +39,7 @@ pub const UTILIZATION_FLOOR_PCT: f64 = 10.0;
 /// were not collected), plus — when hardware counters were available —
 /// the *measured* bound classification and whether it agrees with the
 /// modeled one.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Attribution {
     /// Useful arithmetic throughput achieved, GFLOP/s.
     pub achieved_gflops: f64,
@@ -61,19 +61,24 @@ pub struct Attribution {
     pub pool_steal_ratio: f64,
     /// Measured instructions-per-cycle over the timed reps (`None` when
     /// hardware counters were unavailable).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub measured_ipc: Option<f64>,
     /// Measured LLC miss rate over the timed reps, in `[0, 1]`.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub measured_llc_miss_rate: Option<f64>,
     /// DRAM bandwidth estimated from LLC miss traffic (misses × 64 B ÷
     /// enabled time), GB/s. A lower bound on true traffic.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub measured_dram_gbs: Option<f64>,
     /// Bound classification derived from *measured* counters (same
     /// vocabulary as [`Attribution::bound`]): which roof the hardware
     /// says the cell ran into.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub measured_bound: Option<String>,
     /// Whether the measured and modeled bound classifications agree —
     /// the cross-check that catches a mis-calibrated roofline. `None`
     /// until counters were attached.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub agreement: Option<bool>,
 }
 
@@ -247,75 +252,6 @@ impl Attribution {
             }
         }
         s
-    }
-}
-
-// Hand-written (rather than derived) serde: the measured-counter fields
-// are omitted entirely when absent so records written before — or on
-// hosts without — hardware counters stay byte-identical, and absent
-// fields read back as `None` (the derive stand-in would hard-error on a
-// missing field).
-impl serde::Serialize for Attribution {
-    fn to_value(&self) -> serde::Value {
-        let mut pairs = vec![
-            (
-                "achieved_gflops".to_owned(),
-                self.achieved_gflops.to_value(),
-            ),
-            ("achieved_gbs".to_owned(), self.achieved_gbs.to_value()),
-            ("roofline_pct".to_owned(), self.roofline_pct.to_value()),
-            ("bound".to_owned(), self.bound.to_value()),
-            ("pool_imbalance".to_owned(), self.pool_imbalance.to_value()),
-            ("pool_idle_pct".to_owned(), self.pool_idle_pct.to_value()),
-            (
-                "pool_steal_ratio".to_owned(),
-                self.pool_steal_ratio.to_value(),
-            ),
-        ];
-        if let Some(v) = self.measured_ipc {
-            pairs.push(("measured_ipc".to_owned(), v.to_value()));
-        }
-        if let Some(v) = self.measured_llc_miss_rate {
-            pairs.push(("measured_llc_miss_rate".to_owned(), v.to_value()));
-        }
-        if let Some(v) = self.measured_dram_gbs {
-            pairs.push(("measured_dram_gbs".to_owned(), v.to_value()));
-        }
-        if let Some(v) = &self.measured_bound {
-            pairs.push(("measured_bound".to_owned(), v.to_value()));
-        }
-        if let Some(v) = self.agreement {
-            pairs.push(("agreement".to_owned(), v.to_value()));
-        }
-        serde::Value::Object(pairs)
-    }
-}
-
-impl serde::Deserialize for Attribution {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        fn opt<T: serde::Deserialize>(
-            v: &serde::Value,
-            name: &str,
-        ) -> Result<Option<T>, serde::DeError> {
-            match v.field(name) {
-                Ok(val) => Ok(Some(T::from_value(val)?)),
-                Err(_) => Ok(None),
-            }
-        }
-        Ok(Self {
-            achieved_gflops: f64::from_value(v.field("achieved_gflops")?)?,
-            achieved_gbs: f64::from_value(v.field("achieved_gbs")?)?,
-            roofline_pct: f64::from_value(v.field("roofline_pct")?)?,
-            bound: String::from_value(v.field("bound")?)?,
-            pool_imbalance: f64::from_value(v.field("pool_imbalance")?)?,
-            pool_idle_pct: f64::from_value(v.field("pool_idle_pct")?)?,
-            pool_steal_ratio: f64::from_value(v.field("pool_steal_ratio")?)?,
-            measured_ipc: opt(v, "measured_ipc")?,
-            measured_llc_miss_rate: opt(v, "measured_llc_miss_rate")?,
-            measured_dram_gbs: opt(v, "measured_dram_gbs")?,
-            measured_bound: opt(v, "measured_bound")?,
-            agreement: opt(v, "agreement")?,
-        })
     }
 }
 

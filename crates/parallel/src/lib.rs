@@ -8,9 +8,8 @@
 //!   work-stealing runtime: each worker owns a lock-free Chase–Lev deque
 //!   (LIFO pop, randomized FIFO theft by idle peers), with a shared
 //!   injector demoted to overflow/external submission,
-//! * [`ThreadPoolBuilder`] — scheduling knobs: thread count, round-robin
-//!   core affinity, and a legacy shared-FIFO mode (`steal(false)`) kept
-//!   for A/B measurements against the old single-queue behavior,
+//! * [`ThreadPoolBuilder`] — scheduling knobs: thread count and
+//!   round-robin core affinity,
 //! * [`ThreadPool::parallel_for`] — OpenMP-style loop parallelism with
 //!   dynamic chunk scheduling,
 //! * [`ThreadPool::parallel_reduce`] — parallel map-reduce over an index

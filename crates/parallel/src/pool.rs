@@ -386,11 +386,7 @@ struct Shared {
     /// Overflow/external submission queue; the slow path.
     injector: Injector<JobRef>,
     /// Thief handles onto the workers' deques, indexed by `lane - 1`.
-    /// Empty when stealing is disabled (legacy shared-FIFO mode).
     stealers: Vec<Stealer<JobRef>>,
-    /// Whether jobs pushed by workers go to their own deques (and idle
-    /// workers raid each other). Off = the seed's injector-only behavior.
-    steal_enabled: bool,
     /// Number of workers currently inside `park` — the pusher side of the
     /// Dekker handshake reads this to decide whether to notify.
     sleepers: AtomicUsize,
@@ -402,8 +398,7 @@ struct Shared {
 
 impl Shared {
     /// Queues `job`: onto the calling worker's own deque when the caller
-    /// is one of this pool's workers (and stealing is on), else onto the
-    /// shared injector.
+    /// is one of this pool's workers, else onto the shared injector.
     fn push(&self, job: JobRef) {
         if let Err(job) = self.try_push_local(job) {
             self.injector.push(job);
@@ -422,9 +417,6 @@ impl Shared {
 
     /// Routes `job` to the calling worker's own deque, or hands it back.
     fn try_push_local(&self, job: JobRef) -> Result<(), JobRef> {
-        if !self.steal_enabled {
-            return Err(job);
-        }
         WORKER_CTX.with(|c| match c.get() {
             Some(ctx) if std::ptr::eq(ctx.shared, self) => {
                 // SAFETY: the deque pointer was registered by this very
@@ -441,9 +433,6 @@ impl Shared {
     /// Pops from the calling worker's own deque, if the caller is one of
     /// this pool's workers. Lets `help_one` drain self-spawned work.
     fn pop_local(&self) -> Option<JobRef> {
-        if !self.steal_enabled {
-            return None;
-        }
         WORKER_CTX.with(|c| match c.get() {
             Some(ctx) if std::ptr::eq(ctx.shared, self) => {
                 // SAFETY: as in `try_push_local` — owner thread, live frame.
@@ -692,16 +681,14 @@ fn pin_to_core(_core: usize) {}
 pub struct ThreadPoolBuilder {
     num_threads: Option<usize>,
     affinity: bool,
-    steal: bool,
 }
 
 impl ThreadPoolBuilder {
-    /// A builder with defaults: hardware-sized, no affinity, stealing on.
+    /// A builder with defaults: hardware-sized, no affinity.
     pub fn new() -> Self {
         Self {
             num_threads: None,
             affinity: false,
-            steal: true,
         }
     }
 
@@ -721,14 +708,6 @@ impl ThreadPoolBuilder {
         self
     }
 
-    /// Enable per-worker deques with work stealing. Off reproduces the
-    /// legacy shared-injector FIFO behavior (every queue operation funnels
-    /// through one mutex) — kept for A/B measurements. Default: on.
-    pub fn steal(mut self, on: bool) -> Self {
-        self.steal = on;
-        self
-    }
-
     /// Builds the pool, spawning `num_threads - 1` workers.
     ///
     /// # Panics
@@ -738,15 +717,9 @@ impl ThreadPoolBuilder {
         let num_threads = self.num_threads.unwrap_or_else(crate::hardware_threads);
         assert!(num_threads > 0, "a ThreadPool needs at least one thread");
         let deques: Vec<Worker<JobRef>> = (1..num_threads).map(|_| Worker::new()).collect();
-        let stealers = if self.steal {
-            deques.iter().map(Worker::stealer).collect()
-        } else {
-            Vec::new()
-        };
         let shared = Arc::new(Shared {
             injector: Injector::new(),
-            stealers,
-            steal_enabled: self.steal,
+            stealers: deques.iter().map(Worker::stealer).collect(),
             sleepers: AtomicUsize::new(0),
             sleep_lock: Mutex::new(()),
             sleep_cv: Condvar::new(),
@@ -1174,7 +1147,6 @@ impl std::fmt::Debug for ThreadPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadPool")
             .field("num_threads", &self.num_threads)
-            .field("steal", &self.shared.steal_enabled)
             .finish()
     }
 }
@@ -1579,43 +1551,10 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_and_flags() {
-        let pool = ThreadPoolBuilder::new().num_threads(2).build();
-        assert_eq!(pool.num_threads(), 2);
-        assert!(pool.shared.steal_enabled, "stealing defaults on");
-        assert_eq!(pool.shared.stealers.len(), 1);
-
-        let legacy = ThreadPoolBuilder::new().num_threads(3).steal(false).build();
-        assert!(!legacy.shared.steal_enabled);
-        assert!(
-            legacy.shared.stealers.is_empty(),
-            "legacy mode has no thief handles"
-        );
-        assert!(format!("{legacy:?}").contains("steal"));
-    }
-
-    #[test]
-    fn steal_disabled_pool_still_computes_correctly() {
-        // The A/B baseline (seed FIFO behavior) must stay fully correct:
-        // parallel_for, nested joins, and scopes all through the injector.
-        let pool = ThreadPoolBuilder::new().num_threads(4).steal(false).build();
-        let total = pool.parallel_reduce(
-            0..4096,
-            32,
-            0u64,
-            |r| r.map(|i| i as u64).sum(),
-            |a, b| a + b,
-        );
-        assert_eq!(total, (0..4096u64).sum());
-
-        fn fib(pool: &ThreadPool, n: u64) -> u64 {
-            if n < 2 {
-                return n;
-            }
-            let (a, b) = pool.join(|| fib(pool, n - 1), || fib(pool, n - 2));
-            a + b
-        }
-        assert_eq!(fib(&pool, 12), 144);
+    fn builder_gives_every_worker_a_stealable_deque() {
+        let pool = ThreadPoolBuilder::new().num_threads(3).build();
+        assert_eq!(pool.num_threads(), 3);
+        assert_eq!(pool.shared.stealers.len(), 2);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! throw it away; this crate keeps them. Runs append to a JSONL store
 //! (one schema-versioned
 //! [`RunRecord`] per line) carrying a machine fingerprint, git commit,
-//! timestamp, and every (kernel, variant) timing summary. On top of the
-//! store sit:
+//! timestamp, and every (kernel, variant) timing summary. Sweeps and
+//! serve runs are further [`Record`] kinds, each with its own log, behind
+//! the same append/load path. On top of the store sit:
 //!
 //! - a **statistical comparator** ([`compare_records`]) that decides
 //!   *regressed / improved / noise* per cell using min-of-k medians and a
@@ -49,15 +50,33 @@ pub use compare::{
 };
 pub use schema::{
     kernel_is_excluded, CellRecord, MachineFingerprint, RecordMeta, RunRecord, Sample,
-    SCHEMA_VERSION,
+    VecProfileRecord, SCHEMA_VERSION,
 };
 pub use serve::{ServePointRecord, ServeRecord};
-pub use store::{record_from_path, resolve_reference, Store, DEFAULT_DIR};
+pub use store::{record_from_path, resolve_reference, Record, Store, DEFAULT_DIR};
 pub use sweep::{SweepCellRecord, SweepFitRecord, SweepRecord};
 pub use trend::{History, KernelHistory, ServeTrendPoint, SweepTrendPoint, TrendPoint};
 
 /// Default file name of the exported trajectory artifact.
 pub const HISTORY_FILE: &str = "BENCH_history.json";
+
+/// Loads every parseable record of kind `R`, warning on stderr when
+/// malformed lines were skipped — what every reporting command wants
+/// from [`Store::load_lossy`].
+///
+/// # Errors
+///
+/// Returns a message on I/O failure only.
+pub fn load_and_warn<R: Record>(store: &Store) -> Result<Vec<R>, String> {
+    let (records, skipped) = store.load_lossy::<R>()?;
+    if skipped > 0 {
+        eprintln!(
+            "perfdb: warning: skipped {skipped} malformed line(s) in {}",
+            store.path::<R>().display()
+        );
+    }
+    Ok(records)
+}
 
 /// Writes the aggregated trajectory artifact for a store.
 ///
@@ -66,10 +85,7 @@ pub const HISTORY_FILE: &str = "BENCH_history.json";
 /// Returns a message when the store cannot be read or the artifact
 /// cannot be written.
 pub fn write_history(store: &Store, out_path: &std::path::Path) -> Result<History, String> {
-    let (records, skipped) = store.load_lossy()?;
-    if skipped > 0 {
-        eprintln!("perfdb: warning: skipped {skipped} malformed record line(s)");
-    }
+    let records = load_and_warn::<RunRecord>(store)?;
     let history = History::from_records(&records);
     std::fs::write(out_path, history.to_json())
         .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;

@@ -28,8 +28,8 @@
 #![warn(rust_2018_idioms)]
 
 use ninja_perfdb::{
-    compare_records, resolve_reference, CompareConfig, RecordMeta, RunRecord, ServeRecord, Store,
-    SweepRecord, DEFAULT_DIR, HISTORY_FILE,
+    compare_records, load_and_warn, resolve_reference, CompareConfig, Record, RecordMeta,
+    RunRecord, ServeRecord, Store, SweepRecord, DEFAULT_DIR, HISTORY_FILE,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -153,43 +153,28 @@ fn record_meta(args: &Args) -> RecordMeta {
     meta
 }
 
-/// `record --sweep PATH`: ingest a sweep report into the sweep log.
-fn cmd_record_sweep(args: &Args, path: &str) -> Result<(), String> {
+/// Ingests the report at `path` with `ingest` and appends the record to
+/// its kind's log — the one path behind `record`, `record --sweep` and
+/// `record --serve`. Returns the record and the log it landed in.
+fn record_report<R: Record>(
+    args: &Args,
+    path: &str,
+    ingest: fn(&str, &RecordMeta) -> Result<R, String>,
+) -> Result<(R, String), String> {
     let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let record = SweepRecord::from_sweep_json(&json, &record_meta(args))?;
-    args.store.append_sweep(&record)?;
-    if !record.excluded.is_empty() {
-        eprintln!(
-            "perfdb: excluded {} fault-injection kernel(s): {}",
-            record.excluded.len(),
-            record.excluded.join(", ")
-        );
-    }
-    println!(
-        "recorded sweep {} ({} cell(s), {} fit(s), commit {}) to {}",
-        record.id,
-        record.cells.len(),
-        record.fits.len(),
-        record.git_commit,
-        args.store.sweeps_path().display()
-    );
-    Ok(())
+    let record = ingest(&json, &record_meta(args))?;
+    args.store.append(&record)?;
+    Ok((record, args.store.path::<R>().display().to_string()))
 }
 
-/// `record --serve PATH`: ingest a serve report into the serve log.
-fn cmd_record_serve(args: &Args, path: &str) -> Result<(), String> {
-    let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let record = ServeRecord::from_serve_json(&json, &record_meta(args))?;
-    args.store.append_serve(&record)?;
-    println!(
-        "recorded serve {} (kernel {}, {} point(s), commit {}) to {}",
-        record.id,
-        record.kernel,
-        record.points.len(),
-        record.git_commit,
-        args.store.serves_path().display()
-    );
-    Ok(())
+fn warn_excluded(excluded: &[String]) {
+    if !excluded.is_empty() {
+        eprintln!(
+            "perfdb: excluded {} fault-injection kernel(s): {}",
+            excluded.len(),
+            excluded.join(", ")
+        );
+    }
 }
 
 fn cmd_record(args: &Args) -> Result<(), String> {
@@ -197,30 +182,34 @@ fn cmd_record(args: &Args) -> Result<(), String> {
         return Err("--sweep and --serve are mutually exclusive".into());
     }
     if let Some(path) = &args.sweep {
-        return cmd_record_sweep(args, path);
-    }
-    if let Some(path) = &args.serve {
-        return cmd_record_serve(args, path);
-    }
-    let json = std::fs::read_to_string(&args.from)
-        .map_err(|e| format!("cannot read {}: {e}", args.from))?;
-    let meta = record_meta(args);
-    let record = RunRecord::from_suite_json(&json, &meta)?;
-    args.store.append(&record)?;
-    if !record.excluded.is_empty() {
-        eprintln!(
-            "perfdb: excluded {} fault-injection kernel(s): {}",
-            record.excluded.len(),
-            record.excluded.join(", ")
+        let (record, log) = record_report(args, path, SweepRecord::from_sweep_json)?;
+        warn_excluded(&record.excluded);
+        println!(
+            "recorded sweep {} ({} cell(s), {} fit(s), commit {}) to {log}",
+            record.id,
+            record.cells.len(),
+            record.fits.len(),
+            record.git_commit,
+        );
+    } else if let Some(path) = &args.serve {
+        let (record, log) = record_report(args, path, ServeRecord::from_serve_json)?;
+        println!(
+            "recorded serve {} (kernel {}, {} point(s), commit {}) to {log}",
+            record.id,
+            record.kernel,
+            record.points.len(),
+            record.git_commit,
+        );
+    } else {
+        let (record, log) = record_report(args, &args.from, RunRecord::from_suite_json)?;
+        warn_excluded(&record.excluded);
+        println!(
+            "recorded {} ({} cell(s), commit {}) to {log}",
+            record.id,
+            record.cells.len(),
+            record.git_commit,
         );
     }
-    println!(
-        "recorded {} ({} cell(s), commit {}) to {}",
-        record.id,
-        record.cells.len(),
-        record.git_commit,
-        args.store.runs_path().display()
-    );
     Ok(())
 }
 
@@ -259,18 +248,9 @@ fn cmd_compare(args: &Args) -> Result<bool, String> {
 
 fn cmd_trend(args: &Args) -> Result<(), String> {
     let kernel = args.positional.first().ok_or("trend needs a KERNEL name")?;
-    let (records, skipped) = args.store.load_lossy()?;
-    if skipped > 0 {
-        eprintln!("perfdb: warning: skipped {skipped} malformed record line(s)");
-    }
-    let (sweeps, sweeps_skipped) = args.store.load_sweeps_lossy()?;
-    if sweeps_skipped > 0 {
-        eprintln!("perfdb: warning: skipped {sweeps_skipped} malformed sweep line(s)");
-    }
-    let (serves, serves_skipped) = args.store.load_serves_lossy()?;
-    if serves_skipped > 0 {
-        eprintln!("perfdb: warning: skipped {serves_skipped} malformed serve line(s)");
-    }
+    let records = load_and_warn::<RunRecord>(&args.store)?;
+    let sweeps = load_and_warn::<SweepRecord>(&args.store)?;
+    let serves = load_and_warn::<ServeRecord>(&args.store)?;
     let points = ninja_perfdb::trend::kernel_trend(&records, kernel);
     let sweep_points = ninja_perfdb::trend::sweep_trend(&sweeps, kernel);
     let serve_points = ninja_perfdb::trend::serve_trend(&serves, kernel);
@@ -342,7 +322,7 @@ fn cmd_gc(args: &Args) -> Result<(), String> {
     println!(
         "gc: removed {removed} record(s), kept at most {} in {}",
         args.keep,
-        args.store.runs_path().display()
+        args.store.path::<RunRecord>().display()
     );
     Ok(())
 }

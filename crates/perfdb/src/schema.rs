@@ -9,7 +9,8 @@
 //! excluded at ingestion time so fault-injection runs can never pollute
 //! the history.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use crate::store::Record;
+use serde::{Deserialize, Serialize};
 
 /// Version stamped into every record; bump on breaking schema changes.
 pub const SCHEMA_VERSION: u32 = 1;
@@ -94,7 +95,7 @@ impl Sample {
 ///
 /// `pool_imbalance`/`pool_idle_pct` are zero when the run had probe
 /// metrics off (no pool window was recorded).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CellAttribution {
     /// Achieved arithmetic throughput, GFLOP/s.
     pub achieved_gflops: f64,
@@ -111,50 +112,14 @@ pub struct CellAttribution {
     /// Stolen share of the pool jobs executed over the window (0.0 when
     /// not collected, or when the region scheduled purely through
     /// `parallel_for` chunk claiming).
+    #[serde(default, skip_serializing_if = "is_zero")]
     pub pool_steal_ratio: f64,
 }
 
-// Hand-written (not derived) so records written before `pool_steal_ratio`
-// existed — including the checked-in CLI fixtures — keep their exact
-// bytes: the field is omitted when zero on write and defaulted on read.
-impl Serialize for CellAttribution {
-    fn to_value(&self) -> Value {
-        let mut pairs = vec![
-            (
-                "achieved_gflops".to_owned(),
-                self.achieved_gflops.to_value(),
-            ),
-            ("achieved_gbs".to_owned(), self.achieved_gbs.to_value()),
-            ("roofline_pct".to_owned(), self.roofline_pct.to_value()),
-            ("bound".to_owned(), self.bound.to_value()),
-            ("pool_imbalance".to_owned(), self.pool_imbalance.to_value()),
-            ("pool_idle_pct".to_owned(), self.pool_idle_pct.to_value()),
-        ];
-        if self.pool_steal_ratio != 0.0 {
-            pairs.push((
-                "pool_steal_ratio".to_owned(),
-                self.pool_steal_ratio.to_value(),
-            ));
-        }
-        Value::Object(pairs)
-    }
-}
-
-impl Deserialize for CellAttribution {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            achieved_gflops: f64::from_value(v.field("achieved_gflops")?)?,
-            achieved_gbs: f64::from_value(v.field("achieved_gbs")?)?,
-            roofline_pct: f64::from_value(v.field("roofline_pct")?)?,
-            bound: String::from_value(v.field("bound")?)?,
-            pool_imbalance: f64::from_value(v.field("pool_imbalance")?)?,
-            pool_idle_pct: f64::from_value(v.field("pool_idle_pct")?)?,
-            pool_steal_ratio: match v.field("pool_steal_ratio") {
-                Ok(val) => f64::from_value(val)?,
-                Err(_) => 0.0,
-            },
-        })
-    }
+/// `skip_serializing_if` predicate: a ratio of exactly zero stays off the
+/// wire.
+fn is_zero(x: &f64) -> bool {
+    *x == 0.0
 }
 
 impl CellAttribution {
@@ -168,87 +133,27 @@ impl CellAttribution {
 /// measured subset of `ninja_model::Attribution`, recorded only for runs
 /// where `perf_event_open` was available. Every field is optional: a
 /// partially-admitted counter group reports what it saw.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CellCounters {
     /// Measured instructions per cycle over the timed reps.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub ipc: Option<f64>,
     /// Measured LLC miss rate in `[0, 1]`.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub llc_miss_rate: Option<f64>,
     /// DRAM traffic estimated from LLC miss traffic, GB/s.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub dram_gbs: Option<f64>,
     /// Bound classification the hardware measured (`compute` /
     /// `bandwidth` / `poorly-utilized`).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub measured_bound: Option<String>,
     /// Whether the measured bound agreed with the modeled one.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub agreement: Option<bool>,
 }
 
-// Hand-written (not derived): each field is omitted when `None` on write
-// and defaulted on read, so the struct itself follows the same tolerant
-// wire contract as the `counters` key that carries it.
-impl Serialize for CellCounters {
-    fn to_value(&self) -> Value {
-        let mut pairs = Vec::new();
-        if let Some(v) = self.ipc {
-            pairs.push(("ipc".to_owned(), v.to_value()));
-        }
-        if let Some(v) = self.llc_miss_rate {
-            pairs.push(("llc_miss_rate".to_owned(), v.to_value()));
-        }
-        if let Some(v) = self.dram_gbs {
-            pairs.push(("dram_gbs".to_owned(), v.to_value()));
-        }
-        if let Some(v) = &self.measured_bound {
-            pairs.push(("measured_bound".to_owned(), v.to_value()));
-        }
-        if let Some(v) = self.agreement {
-            pairs.push(("agreement".to_owned(), v.to_value()));
-        }
-        Value::Object(pairs)
-    }
-}
-
-impl Deserialize for CellCounters {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        fn opt<T: Deserialize>(v: &Value, name: &str) -> Result<Option<T>, DeError> {
-            match v.field(name) {
-                Ok(val) => Ok(Some(T::from_value(val)?)),
-                Err(_) => Ok(None),
-            }
-        }
-        Ok(Self {
-            ipc: opt(v, "ipc")?,
-            llc_miss_rate: opt(v, "llc_miss_rate")?,
-            dram_gbs: opt(v, "dram_gbs")?,
-            measured_bound: opt(v, "measured_bound")?,
-            agreement: opt(v, "agreement")?,
-        })
-    }
-}
-
 impl CellCounters {
-    /// Extracts the measured-counter subset from a serialized
-    /// `Attribution` value (the suite report inlines the measured fields
-    /// in the attribution object). `None` when the run carried no
-    /// counter data for the cell.
-    fn from_attribution_value(v: &Value) -> Option<Self> {
-        let f64_field = |name: &str| v.field(name).ok().and_then(|x| f64::from_value(x).ok());
-        let counters = Self {
-            ipc: f64_field("measured_ipc"),
-            llc_miss_rate: f64_field("measured_llc_miss_rate"),
-            dram_gbs: f64_field("measured_dram_gbs"),
-            measured_bound: v
-                .field("measured_bound")
-                .ok()
-                .and_then(|x| String::from_value(x).ok()),
-            agreement: v
-                .field("agreement")
-                .ok()
-                .and_then(|x| bool::from_value(x).ok()),
-        };
-        counters.any_present().then_some(counters)
-    }
-
     /// Whether any measured field is populated.
     pub fn any_present(&self) -> bool {
         self.ipc.is_some()
@@ -260,7 +165,7 @@ impl CellCounters {
 }
 
 /// One recorded (kernel, variant) cell.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CellRecord {
     /// Kernel name (as in the suite registry).
     pub kernel: String,
@@ -268,57 +173,17 @@ pub struct CellRecord {
     pub variant: String,
     /// Outcome tag (`ok|validation_failed|panicked|timed_out|non_finite`).
     pub outcome: String,
-    /// Timing summary; `None` when the variant failed before measuring.
+    /// Timing summary; `null` when the variant failed before measuring.
     pub sample: Option<Sample>,
     /// Roofline attribution; `None` for failed cells and for records
     /// written before the field existed.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub attribution: Option<CellAttribution>,
     /// Hardware-counter metrics; `None` for failed cells, for runs
     /// measured without (or denied) `perf_event_open`, and for records
     /// written before the field existed.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub counters: Option<CellCounters>,
-}
-
-// Hand-written (not derived) so records written before `attribution` or
-// `counters` existed — including the checked-in CLI fixtures — keep
-// their exact bytes: both fields are omitted when `None` on write and
-// defaulted on read. `sample` stays `null` for failed cells, as it
-// always was.
-impl Serialize for CellRecord {
-    fn to_value(&self) -> Value {
-        let mut pairs = vec![
-            ("kernel".to_owned(), self.kernel.to_value()),
-            ("variant".to_owned(), self.variant.to_value()),
-            ("outcome".to_owned(), self.outcome.to_value()),
-            ("sample".to_owned(), self.sample.to_value()),
-        ];
-        if let Some(a) = &self.attribution {
-            pairs.push(("attribution".to_owned(), a.to_value()));
-        }
-        if let Some(c) = &self.counters {
-            pairs.push(("counters".to_owned(), c.to_value()));
-        }
-        Value::Object(pairs)
-    }
-}
-
-impl Deserialize for CellRecord {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            kernel: String::from_value(v.field("kernel")?)?,
-            variant: String::from_value(v.field("variant")?)?,
-            outcome: String::from_value(v.field("outcome")?)?,
-            sample: Option::from_value(v.field("sample")?)?,
-            attribution: match v.field("attribution") {
-                Ok(val) => Option::from_value(val)?,
-                Err(_) => None,
-            },
-            counters: match v.field("counters") {
-                Ok(val) => Option::from_value(val)?,
-                Err(_) => None,
-            },
-        })
-    }
 }
 
 impl CellRecord {
@@ -328,12 +193,11 @@ impl CellRecord {
     }
 }
 
-/// Assembly-level vectorization evidence for one (kernel, rung) cell — a
-/// mirror of the suite report's `vec_profiles` entries (this crate stays
-/// a std + serde-stand-in leaf, so it names the fields rather than
-/// importing `ninja-core`). Recorded by `ninja-lint --asm` and carried
-/// through `reproduce --record` so `perfdb compare` can attribute a
-/// timing shift to a codegen change ("vector width changed 256 → 128").
+/// Assembly-level vectorization evidence for one (kernel, rung) cell — the
+/// entry type of the suite report's `vec_profiles` too (`ninja-core`
+/// re-exports it). Recorded by `ninja-lint --asm` and carried through
+/// `reproduce --record` so `perfdb compare` can attribute a timing shift
+/// to a codegen change ("vector width changed 256 → 128").
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct VecProfileRecord {
     /// Kernel module name.
@@ -485,7 +349,10 @@ pub fn detect_git_commit() -> String {
 }
 
 /// One suite run, as stored (one JSONL line per record).
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Declaration order is wire order: `isa` and `vec_profiles` were added
+/// after `cells` and are written after it.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RunRecord {
     /// Schema version ([`SCHEMA_VERSION`] at write time).
     pub schema_version: u32,
@@ -503,74 +370,32 @@ pub struct RunRecord {
     pub seed: u64,
     /// Pool threads used by parallel variants.
     pub threads: usize,
-    /// Resolved ISA dispatch backend the ninja rungs ran on (`scalar`,
-    /// `sse2`, `avx2`, `neon`); empty for records written before the
-    /// width-generic dispatcher existed.
-    pub isa: String,
     /// Kernels present in the suite report but excluded from the record
     /// (currently: the `chaos-*` fault-injection family).
     pub excluded: Vec<String>,
     /// Recorded cells, suite order.
     pub cells: Vec<CellRecord>,
+    /// Resolved ISA dispatch backend the ninja rungs ran on (`scalar`,
+    /// `sse2`, `avx2`, `neon`); empty for records written before the
+    /// width-generic dispatcher existed.
+    #[serde(default, skip_serializing_if = "String::is_empty")]
+    pub isa: String,
     /// Vectorization evidence per (kernel, rung); empty for runs recorded
     /// without the asm oracle (and for every record written before the
     /// field existed).
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub vec_profiles: Vec<VecProfileRecord>,
 }
 
-// Hand-written (not derived) so records written before `vec_profiles`
-// existed — including the checked-in CLI fixtures — keep their exact
-// bytes: the field is omitted when empty on write and defaulted on read.
-// Same pattern as `CellRecord::attribution` above.
-impl Serialize for RunRecord {
-    fn to_value(&self) -> Value {
-        let mut pairs = vec![
-            ("schema_version".to_owned(), self.schema_version.to_value()),
-            ("id".to_owned(), self.id.to_value()),
-            (
-                "timestamp_unix_s".to_owned(),
-                self.timestamp_unix_s.to_value(),
-            ),
-            ("git_commit".to_owned(), self.git_commit.to_value()),
-            ("machine".to_owned(), self.machine.to_value()),
-            ("size".to_owned(), self.size.to_value()),
-            ("seed".to_owned(), self.seed.to_value()),
-            ("threads".to_owned(), self.threads.to_value()),
-            ("excluded".to_owned(), self.excluded.to_value()),
-            ("cells".to_owned(), self.cells.to_value()),
-        ];
-        if !self.isa.is_empty() {
-            pairs.push(("isa".to_owned(), self.isa.to_value()));
-        }
-        if !self.vec_profiles.is_empty() {
-            pairs.push(("vec_profiles".to_owned(), self.vec_profiles.to_value()));
-        }
-        Value::Object(pairs)
-    }
-}
+impl Record for RunRecord {
+    const FILE: &'static str = "runs.jsonl";
 
-impl Deserialize for RunRecord {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            schema_version: u32::from_value(v.field("schema_version")?)?,
-            id: String::from_value(v.field("id")?)?,
-            timestamp_unix_s: u64::from_value(v.field("timestamp_unix_s")?)?,
-            git_commit: String::from_value(v.field("git_commit")?)?,
-            machine: MachineFingerprint::from_value(v.field("machine")?)?,
-            size: String::from_value(v.field("size")?)?,
-            seed: u64::from_value(v.field("seed")?)?,
-            threads: usize::from_value(v.field("threads")?)?,
-            isa: match v.field("isa") {
-                Ok(val) => String::from_value(val)?,
-                Err(_) => String::new(),
-            },
-            excluded: Vec::from_value(v.field("excluded")?)?,
-            cells: Vec::from_value(v.field("cells")?)?,
-            vec_profiles: match v.field("vec_profiles") {
-                Ok(val) => Vec::from_value(val)?,
-                Err(_) => Vec::new(),
-            },
-        })
+    fn id(&self) -> &str {
+        &self.id
+    }
+
+    fn schema_version(&self) -> u32 {
+        self.schema_version
     }
 }
 
@@ -587,35 +412,61 @@ struct OutcomeWire {
     kind: String,
 }
 
+/// The suite report's attribution object: the modeled placement plus the
+/// measured-counter fields `ninja_model::Attribution` inlines next to it.
+#[derive(Deserialize)]
+struct AttributionWire {
+    achieved_gflops: f64,
+    achieved_gbs: f64,
+    roofline_pct: f64,
+    bound: String,
+    pool_imbalance: f64,
+    pool_idle_pct: f64,
+    #[serde(default)]
+    pool_steal_ratio: f64,
+    #[serde(default)]
+    measured_ipc: Option<f64>,
+    #[serde(default)]
+    measured_llc_miss_rate: Option<f64>,
+    #[serde(default)]
+    measured_dram_gbs: Option<f64>,
+    #[serde(default)]
+    measured_bound: Option<String>,
+    #[serde(default)]
+    agreement: Option<bool>,
+}
+
+impl AttributionWire {
+    /// Splits the object into the record's modeled attribution and its
+    /// measured counters (`None` when the run carried no counter data).
+    fn split(self) -> (CellAttribution, Option<CellCounters>) {
+        let counters = CellCounters {
+            ipc: self.measured_ipc,
+            llc_miss_rate: self.measured_llc_miss_rate,
+            dram_gbs: self.measured_dram_gbs,
+            measured_bound: self.measured_bound,
+            agreement: self.agreement,
+        };
+        let attribution = CellAttribution {
+            achieved_gflops: self.achieved_gflops,
+            achieved_gbs: self.achieved_gbs,
+            roofline_pct: self.roofline_pct,
+            bound: self.bound,
+            pool_imbalance: self.pool_imbalance,
+            pool_idle_pct: self.pool_idle_pct,
+            pool_steal_ratio: self.pool_steal_ratio,
+        };
+        (attribution, counters.any_present().then_some(counters))
+    }
+}
+
+#[derive(Deserialize)]
 struct VariantWire {
     variant: String,
     timing: Option<Sample>,
     outcome: OutcomeWire,
-    attribution: Option<CellAttribution>,
-    /// The measured-counter subset, split out of the same attribution
-    /// object (the suite report inlines `measured_*` fields there).
-    counters: Option<CellCounters>,
-}
-
-// Hand-written so suite reports written before `attribution` existed
-// still ingest (the derive stand-in errors on any missing field).
-impl Deserialize for VariantWire {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let (attribution, counters) = match v.field("attribution") {
-            Ok(val) => (
-                Option::from_value(val)?,
-                CellCounters::from_attribution_value(val),
-            ),
-            Err(_) => (None, None),
-        };
-        Ok(Self {
-            variant: String::from_value(v.field("variant")?)?,
-            timing: Option::from_value(v.field("timing")?)?,
-            outcome: OutcomeWire::from_value(v.field("outcome")?)?,
-            attribution,
-            counters,
-        })
-    }
+    #[serde(default)]
+    attribution: Option<AttributionWire>,
 }
 
 #[derive(Deserialize)]
@@ -624,36 +475,17 @@ struct KernelWire {
     variants: Vec<VariantWire>,
 }
 
+#[derive(Deserialize)]
 struct SuiteWire {
     size: String,
     seed: u64,
     threads: usize,
     simd_backend: String,
+    #[serde(default)]
     isa: String,
     kernels: Vec<KernelWire>,
+    #[serde(default)]
     vec_profiles: Vec<VecProfileRecord>,
-}
-
-// Hand-written so suite reports written before `vec_profiles` or `isa`
-// existed still ingest.
-impl Deserialize for SuiteWire {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            size: String::from_value(v.field("size")?)?,
-            seed: u64::from_value(v.field("seed")?)?,
-            threads: usize::from_value(v.field("threads")?)?,
-            simd_backend: String::from_value(v.field("simd_backend")?)?,
-            isa: match v.field("isa") {
-                Ok(val) => String::from_value(val)?,
-                Err(_) => String::new(),
-            },
-            kernels: Vec::from_value(v.field("kernels")?)?,
-            vec_profiles: match v.field("vec_profiles") {
-                Ok(val) => Vec::from_value(val)?,
-                Err(_) => Vec::new(),
-            },
-        })
-    }
 }
 
 impl RunRecord {
@@ -672,20 +504,27 @@ impl RunRecord {
             serde_json::from_str(json).map_err(|e| format!("not a suite report: {e}"))?;
         let mut excluded = Vec::new();
         let mut cells = Vec::new();
-        for k in &suite.kernels {
+        for k in suite.kernels {
             if kernel_is_excluded(&k.kernel) {
-                excluded.push(k.kernel.clone());
+                excluded.push(k.kernel);
                 continue;
             }
-            for v in &k.variants {
+            for v in k.variants {
                 let ok = v.outcome.kind == "ok";
+                let (attribution, counters) = match v.attribution {
+                    Some(a) if ok => {
+                        let (attribution, counters) = a.split();
+                        (Some(attribution), counters)
+                    }
+                    _ => (None, None),
+                };
                 cells.push(CellRecord {
                     kernel: k.kernel.clone(),
-                    variant: v.variant.clone(),
-                    outcome: v.outcome.kind.clone(),
+                    variant: v.variant,
+                    outcome: v.outcome.kind,
                     sample: if ok { v.timing } else { None },
-                    attribution: if ok { v.attribution.clone() } else { None },
-                    counters: if ok { v.counters.clone() } else { None },
+                    attribution,
+                    counters,
                 });
             }
         }
@@ -778,27 +617,6 @@ impl RunRecord {
     /// Measured residual of one kernel: `time(algorithmic) / time(ninja)`.
     pub fn measured_residual(&self, kernel: &str) -> Option<f64> {
         Some(self.median_s(kernel, "algorithmic")? / self.median_s(kernel, "ninja")?)
-    }
-
-    /// Serializes the record as one compact JSON line.
-    pub fn to_jsonl_line(&self) -> String {
-        serde_json::to_string(self).expect("run records are serializable")
-    }
-
-    /// Parses one JSONL line, checking the schema version.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for malformed JSON or a foreign schema version.
-    pub fn from_jsonl_line(line: &str) -> Result<Self, String> {
-        let rec: RunRecord = serde_json::from_str(line).map_err(|e| e.to_string())?;
-        if rec.schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "record {} has schema v{}, this build reads v{}",
-                rec.id, rec.schema_version, SCHEMA_VERSION
-            ));
-        }
-        Ok(rec)
     }
 }
 
@@ -968,93 +786,6 @@ mod tests {
     }
 
     #[test]
-    fn attribution_is_omitted_when_absent_and_tolerated_on_read() {
-        let bare = CellRecord {
-            kernel: "k".into(),
-            variant: "naive".into(),
-            outcome: "ok".into(),
-            sample: Some(sample(1.0, 0.05)),
-            attribution: None,
-            counters: None,
-        };
-        let json = serde_json::to_string(&bare).unwrap();
-        assert!(
-            !json.contains("attribution"),
-            "absent attribution must stay off the wire: {json}"
-        );
-        // A pre-`attribution` cell (exactly what old stores contain).
-        let legacy = r#"{"kernel":"k","variant":"naive","outcome":"ok","sample":null}"#;
-        let cell: CellRecord = serde_json::from_str(legacy).unwrap();
-        assert!(cell.attribution.is_none());
-        // And a populated one round-trips.
-        let attributed = CellRecord {
-            attribution: Some(CellAttribution {
-                achieved_gflops: 3.5,
-                achieved_gbs: 12.0,
-                roofline_pct: 40.0,
-                bound: "bandwidth".into(),
-                pool_imbalance: 1.3,
-                pool_idle_pct: 22.0,
-                pool_steal_ratio: 0.25,
-            }),
-            ..bare
-        };
-        let back: CellRecord =
-            serde_json::from_str(&serde_json::to_string(&attributed).unwrap()).unwrap();
-        assert_eq!(attributed, back);
-    }
-
-    #[test]
-    fn counters_are_omitted_when_absent_and_roundtrip_when_present() {
-        let bare = CellRecord {
-            kernel: "k".into(),
-            variant: "ninja".into(),
-            outcome: "ok".into(),
-            sample: Some(sample(1.0, 0.05)),
-            attribution: None,
-            counters: None,
-        };
-        let json = serde_json::to_string(&bare).unwrap();
-        assert!(
-            !json.contains("counters"),
-            "absent counters must stay off the wire: {json}"
-        );
-        // A pre-`counters` cell (exactly what old stores contain) parses
-        // with the field defaulted.
-        let legacy = r#"{"kernel":"k","variant":"ninja","outcome":"ok","sample":null}"#;
-        let cell: CellRecord = serde_json::from_str(legacy).unwrap();
-        assert!(cell.counters.is_none());
-        // A populated cell round-trips, including partial counter groups.
-        let counted = CellRecord {
-            counters: Some(CellCounters {
-                ipc: Some(1.42),
-                llc_miss_rate: Some(0.12),
-                dram_gbs: Some(21.5),
-                measured_bound: Some("bandwidth".into()),
-                agreement: Some(true),
-            }),
-            ..bare.clone()
-        };
-        let line = serde_json::to_string(&counted).unwrap();
-        let back: CellRecord = serde_json::from_str(&line).unwrap();
-        assert_eq!(counted, back);
-        let partial = CellRecord {
-            counters: Some(CellCounters {
-                ipc: Some(0.8),
-                llc_miss_rate: None,
-                dram_gbs: None,
-                measured_bound: None,
-                agreement: None,
-            }),
-            ..bare
-        };
-        let line = serde_json::to_string(&partial).unwrap();
-        assert!(!line.contains("llc_miss_rate"), "{line}");
-        let back: CellRecord = serde_json::from_str(&line).unwrap();
-        assert_eq!(partial, back);
-    }
-
-    #[test]
     fn suite_ingestion_splits_measured_fields_into_cell_counters() {
         // A suite report whose attribution carries the measured-counter
         // fields: the record keeps the modeled attribution and splits the
@@ -1079,33 +810,11 @@ mod tests {
         assert!(rec.cell("nbody", "ninja").unwrap().counters.is_none());
         let back = RunRecord::from_jsonl_line(&rec.to_jsonl_line()).unwrap();
         assert_eq!(rec, back);
-    }
-
-    #[test]
-    fn steal_ratio_is_omitted_when_zero_and_defaulted_on_read() {
-        let mut attr = CellAttribution {
-            achieved_gflops: 3.5,
-            achieved_gbs: 12.0,
-            roofline_pct: 40.0,
-            bound: "bandwidth".into(),
-            pool_imbalance: 1.3,
-            pool_idle_pct: 22.0,
-            pool_steal_ratio: 0.0,
-        };
-        let json = serde_json::to_string(&attr).unwrap();
-        assert!(
-            !json.contains("pool_steal_ratio"),
-            "zero steal ratio must stay off the wire: {json}"
-        );
-        // A pre-`pool_steal_ratio` record (exactly what old stores contain)
-        // reads back with the field defaulted.
-        let back: CellAttribution = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, attr);
-        // And a nonzero ratio round-trips.
-        attr.pool_steal_ratio = 0.4;
-        let back: CellAttribution =
-            serde_json::from_str(&serde_json::to_string(&attr).unwrap()).unwrap();
-        assert_eq!(back, attr);
+        // A measured field of the wrong type fails ingestion instead of
+        // silently dropping the counter.
+        let malformed = json.replace(r#""measured_ipc": 1.7"#, r#""measured_ipc": "fast""#);
+        let err = RunRecord::from_suite_json(&malformed, &meta).unwrap_err();
+        assert!(err.contains("not a suite report"), "{err}");
     }
 
     pub(crate) fn profile(kernel: &str, rung: &str, width: u32, fma: bool) -> VecProfileRecord {
@@ -1127,59 +836,80 @@ mod tests {
         }
     }
 
+    /// `attribution`, `counters` (and each counter), `pool_steal_ratio`,
+    /// `isa` and `vec_profiles` were all added after the first release and
+    /// follow the one tolerance contract (DESIGN.md, "Run store").
     #[test]
-    fn vec_profiles_are_omitted_when_empty_and_tolerated_on_read() {
+    fn later_added_fields_are_omitted_when_empty_and_tolerated_when_absent() {
+        // A suite report from before any of them existed.
         let meta = RecordMeta::synthetic("r4", "scalar");
         let bare = RunRecord::from_suite_json(&suite_json(), &meta).unwrap();
+        assert!(bare.isa.is_empty() && bare.vec_profiles.is_empty());
         let line = bare.to_jsonl_line();
-        assert!(
-            !line.contains("vec_profiles"),
-            "empty profiles must stay off the wire: {line}"
-        );
-        // A pre-`vec_profiles` record (exactly what old stores contain)
-        // parses with the field defaulted.
-        let back = RunRecord::from_jsonl_line(&line).unwrap();
-        assert!(back.vec_profiles.is_empty());
-        assert_eq!(bare, back);
-        // A populated record round-trips and the lookup helper finds it.
-        let mut with = bare.clone();
-        with.vec_profiles.push(profile("nbody", "ninja", 256, true));
-        let back = RunRecord::from_jsonl_line(&with.to_jsonl_line()).unwrap();
-        assert_eq!(with, back);
-        let p = back.vec_profile("nbody", "ninja").expect("profile found");
-        assert_eq!(p.width_bits, 256);
-        assert!(back.vec_profile("nbody", "naive").is_none());
-    }
+        for key in ["\"isa\"", "vec_profiles", "counters", "pool_steal_ratio"] {
+            assert!(
+                !line.contains(key),
+                "empty {key} stays off the wire: {line}"
+            );
+        }
+        let failed = serde_json::to_string(bare.cell("nbody", "ninja").unwrap()).unwrap();
+        assert!(!failed.contains("attribution"), "{failed}");
+        // That line is exactly what old stores contain, and reads back with
+        // every absent field defaulted.
+        assert_eq!(RunRecord::from_jsonl_line(&line).unwrap(), bare);
+        let legacy_cell = r#"{"kernel":"k","variant":"naive","outcome":"ok","sample":null}"#;
+        let cell: CellRecord = serde_json::from_str(legacy_cell).unwrap();
+        assert!(cell.attribution.is_none() && cell.counters.is_none());
 
-    #[test]
-    fn isa_is_omitted_when_empty_and_tolerated_on_read() {
-        // A suite report written before the width-generic dispatcher has
-        // no `isa` key: ingestion defaults it, and the empty value stays
-        // off the JSONL wire (exactly what old stores contain).
-        let meta = RecordMeta::synthetic("r7", "scalar");
-        let bare = RunRecord::from_suite_json(&suite_json(), &meta).unwrap();
-        assert!(bare.isa.is_empty());
-        let line = bare.to_jsonl_line();
-        assert!(
-            !line.contains("\"isa\""),
-            "empty isa must stay off the wire: {line}"
-        );
-        let back = RunRecord::from_jsonl_line(&line).unwrap();
-        assert_eq!(bare, back);
-        // A suite report that names its backend propagates it, and the
-        // populated record round-trips.
-        let json = suite_json().replacen(
-            r#""simd_backend": "sse-intrinsics","#,
-            r#""simd_backend": "sse-intrinsics", "isa": "avx2","#,
-            1,
-        );
-        let rec = RunRecord::from_suite_json(&json, &meta).unwrap();
-        assert_eq!(rec.isa, "avx2");
-        let line = rec.to_jsonl_line();
-        assert!(line.contains("\"isa\"") && line.contains("avx2"), "{line}");
-        let back = RunRecord::from_jsonl_line(&line).unwrap();
-        assert_eq!(rec, back);
-        assert_eq!(back.isa, "avx2");
+        // Populated, every one of them round-trips.
+        let mut full = bare.clone();
+        full.isa = "avx2".into();
+        full.vec_profiles.push(profile("nbody", "ninja", 256, true));
+        full.cells[0].attribution.as_mut().unwrap().pool_steal_ratio = 0.4;
+        full.cells[0].counters = Some(CellCounters {
+            ipc: Some(1.42),
+            llc_miss_rate: Some(0.12),
+            dram_gbs: Some(21.5),
+            measured_bound: Some("bandwidth".into()),
+            agreement: Some(true),
+        });
+        let back = RunRecord::from_jsonl_line(&full.to_jsonl_line()).unwrap();
+        assert_eq!(back, full);
+        assert_eq!(back.vec_profile("nbody", "ninja").unwrap().width_bits, 256);
+        assert!(back.vec_profile("nbody", "naive").is_none());
+        // A partially-admitted counter group writes only what it saw.
+        let mut partial = full.cells[0].clone();
+        partial.counters = Some(CellCounters {
+            ipc: Some(0.8),
+            llc_miss_rate: None,
+            dram_gbs: None,
+            measured_bound: None,
+            agreement: None,
+        });
+        let json = serde_json::to_string(&partial).unwrap();
+        assert!(!json.contains("llc_miss_rate"), "{json}");
+        assert_eq!(serde_json::from_str::<CellRecord>(&json).unwrap(), partial);
+
+        // Absent is tolerated; present but malformed is not. (`CellCounters`
+        // has only optional fields, so a non-object once read as all-`None`.)
+        for bad in [
+            r#""attribution":7"#,
+            r#""counters":"garbage""#,
+            r#""counters":7"#,
+            r#""counters":{"ipc":"fast"}"#,
+        ] {
+            let malformed = legacy_cell.replace("}", &format!(",{bad}}}"));
+            let got = serde_json::from_str::<CellRecord>(&malformed);
+            assert!(got.is_err(), "{malformed} -> {got:?}");
+        }
+        for malformed in [
+            line.replace("]}", r#"],"vec_profiles":"x"}"#),
+            line.replace("]}", r#"],"isa":7}"#),
+            r#""not an object""#.to_owned(),
+        ] {
+            let got = RunRecord::from_jsonl_line(&malformed);
+            assert!(got.is_err(), "{malformed} -> {got:?}");
+        }
     }
 
     #[test]
@@ -1198,6 +928,7 @@ mod tests {
             1,
         );
         let b = RunRecord::from_suite_json(&forced, &meta).unwrap();
+        assert_eq!((a.isa.as_str(), b.isa.as_str()), ("", "sse2"));
         assert_ne!(a.id, b.id, "different isa, different id");
     }
 

@@ -16,6 +16,7 @@
 use crate::schema::{
     fnv1a64, fnv1a64_continue, kernel_is_excluded, MachineFingerprint, RecordMeta, SCHEMA_VERSION,
 };
+use crate::store::Record;
 use serde::{Deserialize, Serialize};
 
 /// One stored SLO point: a fixed offered load and the delivered
@@ -79,28 +80,13 @@ pub struct ServeRecord {
 // ---- serve_report.json wire mirror -------------------------------------
 
 #[derive(Deserialize)]
-struct ServePointWire {
-    offered_rps: f64,
-    sent: u64,
-    ok: u64,
-    rejected: u64,
-    expired: u64,
-    incorrect: u64,
-    degraded: u64,
-    p50_us: Option<f64>,
-    p99_us: Option<f64>,
-    trips: u64,
-    recoveries: u64,
-}
-
-#[derive(Deserialize)]
 struct ServeWire {
     kernel: String,
     threads: usize,
     chaos_seed: Option<u64>,
     chaos_rate: Option<f64>,
     deadline_us: u64,
-    points: Vec<ServePointWire>,
+    points: Vec<ServePointRecord>,
 }
 
 impl ServeRecord {
@@ -123,24 +109,11 @@ impl ServeRecord {
                 serve.kernel
             ));
         }
-        let finite = |v: Option<f64>| v.filter(|x| x.is_finite());
-        let points = serve
-            .points
-            .into_iter()
-            .map(|p| ServePointRecord {
-                offered_rps: p.offered_rps,
-                sent: p.sent,
-                ok: p.ok,
-                rejected: p.rejected,
-                expired: p.expired,
-                incorrect: p.incorrect,
-                degraded: p.degraded,
-                p50_us: finite(p.p50_us),
-                p99_us: finite(p.p99_us),
-                trips: p.trips,
-                recoveries: p.recoveries,
-            })
-            .collect();
+        let mut points = serve.points;
+        for p in &mut points {
+            p.p50_us = p.p50_us.filter(|x| x.is_finite());
+            p.p99_us = p.p99_us.filter(|x| x.is_finite());
+        }
         let mut record = ServeRecord {
             schema_version: SCHEMA_VERSION,
             id: String::new(),
@@ -186,26 +159,17 @@ impl ServeRecord {
     pub fn total_shed_or_expired(&self) -> u64 {
         self.points.iter().map(|p| p.rejected + p.expired).sum()
     }
+}
 
-    /// Serializes the record as one compact JSON line.
-    pub fn to_jsonl_line(&self) -> String {
-        serde_json::to_string(self).expect("serve records are serializable")
+impl Record for ServeRecord {
+    const FILE: &'static str = "serves.jsonl";
+
+    fn id(&self) -> &str {
+        &self.id
     }
 
-    /// Parses one JSONL line, checking the schema version.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for malformed JSON or a foreign schema version.
-    pub fn from_jsonl_line(line: &str) -> Result<Self, String> {
-        let rec: ServeRecord = serde_json::from_str(line).map_err(|e| e.to_string())?;
-        if rec.schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "serve record {} has schema v{}, this build reads v{}",
-                rec.id, rec.schema_version, SCHEMA_VERSION
-            ));
-        }
-        Ok(rec)
+    fn schema_version(&self) -> u32 {
+        self.schema_version
     }
 }
 

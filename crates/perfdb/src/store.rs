@@ -1,4 +1,6 @@
-//! The append-only JSONL store: `<dir>/runs.jsonl`, one record per line.
+//! The append-only JSONL store: one log per [`Record`] kind
+//! (`<dir>/runs.jsonl`, `sweeps.jsonl`, `serves.jsonl`), one record per
+//! line, all through one append/load path.
 //!
 //! Append-only is deliberate: a perf history is an audit trail, and the
 //! cheapest way to never corrupt history is to never rewrite it (the one
@@ -8,26 +10,76 @@
 //! counting it.
 
 use crate::compare::min_of_k_baseline;
-use crate::schema::{RecordMeta, RunRecord};
-use crate::serve::ServeRecord;
-use crate::sweep::SweepRecord;
+use crate::schema::{RecordMeta, RunRecord, SCHEMA_VERSION};
+use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Default store directory, relative to the invocation directory.
 pub const DEFAULT_DIR: &str = "perfdb";
 
-/// File name of the run log inside the store directory.
-pub const RUNS_FILE: &str = "runs.jsonl";
+/// A schema-versioned record kind with its own JSONL log in the store
+/// directory: suite runs, scaling sweeps and serving runs are different
+/// shapes (single points, grids, SLO curves), so each kind keeps its own
+/// file and the run comparator only ever sees runs — but they all append,
+/// load and version-check through the one path below.
+pub trait Record: Serialize + Deserialize {
+    /// File name of this kind's log inside the store directory.
+    const FILE: &'static str;
 
-/// File name of the scaling-sweep log inside the store directory.
-pub const SWEEPS_FILE: &str = "sweeps.jsonl";
+    /// The record's unique id.
+    fn id(&self) -> &str;
 
-/// File name of the serving-layer SLO log inside the store directory.
-pub const SERVES_FILE: &str = "serves.jsonl";
+    /// The schema version the record was written with.
+    fn schema_version(&self) -> u32;
 
-/// `(line number, parse error)` for one unparseable store line.
+    /// Serializes the record as one compact JSON line.
+    fn to_jsonl_line(&self) -> String {
+        serde_json::to_string(self).expect("records are serializable")
+    }
+
+    /// Parses one JSONL line, checking the schema version.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for malformed JSON or a foreign schema version.
+    fn from_jsonl_line(line: &str) -> Result<Self, String> {
+        let rec: Self = serde_json::from_str(line).map_err(|e| e.to_string())?;
+        if rec.schema_version() != SCHEMA_VERSION {
+            return Err(format!(
+                "record {} has schema v{}, this build reads v{}",
+                rec.id(),
+                rec.schema_version(),
+                SCHEMA_VERSION
+            ));
+        }
+        Ok(rec)
+    }
+}
+
+/// `(line number, parse error)` for one unparseable log line.
 type MalformedLine = (usize, String);
+
+/// Parses a JSONL log, oldest record first: every line that is not blank
+/// is either a record or a [`MalformedLine`] (bad UTF-8, bad JSON, wrong
+/// shape, foreign schema version). Total over arbitrary bytes.
+fn parse_log<R: Record>(bytes: &[u8]) -> (Vec<R>, Vec<MalformedLine>) {
+    let mut records = Vec::new();
+    let mut bad = Vec::new();
+    for (i, line) in bytes.split(|&b| b == b'\n').enumerate() {
+        if line.iter().all(u8::is_ascii_whitespace) {
+            continue;
+        }
+        let parsed = std::str::from_utf8(line)
+            .map_err(|e| e.to_string())
+            .and_then(R::from_jsonl_line);
+        match parsed {
+            Ok(r) => records.push(r),
+            Err(e) => bad.push((i + 1, e)),
+        }
+    }
+    (records, bad)
+}
 
 /// Handle to one store directory.
 #[derive(Clone, Debug)]
@@ -46,20 +98,21 @@ impl Store {
         &self.dir
     }
 
-    /// Path of the JSONL run log.
-    pub fn runs_path(&self) -> PathBuf {
-        self.dir.join(RUNS_FILE)
+    /// Path of the JSONL log holding records of kind `R`.
+    pub fn path<R: Record>(&self) -> PathBuf {
+        self.dir.join(R::FILE)
     }
 
-    /// Appends one record (creating the directory and log on first use).
+    /// Appends one record to its kind's log (creating the directory and
+    /// log on first use).
     ///
     /// # Errors
     ///
     /// Returns a message on I/O failure.
-    pub fn append(&self, record: &RunRecord) -> Result<(), String> {
+    pub fn append<R: Record>(&self, record: &R) -> Result<(), String> {
         std::fs::create_dir_all(&self.dir)
             .map_err(|e| format!("cannot create {}: {e}", self.dir.display()))?;
-        let path = self.runs_path();
+        let path = self.path::<R>();
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -69,169 +122,52 @@ impl Store {
             .map_err(|e| format!("cannot append to {}: {e}", path.display()))
     }
 
-    /// Loads every record, oldest first. A missing log is an empty store.
+    /// Loads every run record, oldest first. A missing log is an empty
+    /// store.
     ///
     /// # Errors
     ///
     /// Returns a message naming the first malformed line (use
     /// [`load_lossy`](Store::load_lossy) to skip instead).
     pub fn load(&self) -> Result<Vec<RunRecord>, String> {
-        let (records, bad) = self.load_inner()?;
+        let (records, bad) = self.read_log()?;
         if let Some((line_no, err)) = bad.first() {
             return Err(format!(
                 "{}:{line_no}: malformed record: {err}",
-                self.runs_path().display()
+                self.path::<RunRecord>().display()
             ));
         }
         Ok(records)
     }
 
-    /// Loads every parseable record, returning the number of malformed
-    /// lines skipped (0 for a healthy store).
+    /// Loads every parseable record of kind `R`, oldest first, returning
+    /// the number of malformed lines skipped (0 for a healthy store; a
+    /// missing log is an empty store).
     ///
     /// # Errors
     ///
     /// Returns a message on I/O failure only.
-    pub fn load_lossy(&self) -> Result<(Vec<RunRecord>, usize), String> {
-        let (records, bad) = self.load_inner()?;
+    pub fn load_lossy<R: Record>(&self) -> Result<(Vec<R>, usize), String> {
+        let (records, bad) = self.read_log()?;
         Ok((records, bad.len()))
     }
 
-    fn load_inner(&self) -> Result<(Vec<RunRecord>, Vec<MalformedLine>), String> {
-        let path = self.runs_path();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
-        };
-        let mut records = Vec::new();
-        let mut bad = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match RunRecord::from_jsonl_line(line) {
-                Ok(r) => records.push(r),
-                Err(e) => bad.push((i + 1, e)),
-            }
+    fn read_log<R: Record>(&self) -> Result<(Vec<R>, Vec<MalformedLine>), String> {
+        let path = self.path::<R>();
+        match std::fs::read(&path) {
+            Ok(bytes) => Ok(parse_log(&bytes)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok((Vec::new(), Vec::new())),
+            Err(e) => Err(format!("cannot read {}: {e}", path.display())),
         }
-        Ok((records, bad))
     }
 
-    /// The most recent record, if any.
+    /// The most recent run record, if any.
     ///
     /// # Errors
     ///
     /// Propagates [`load`](Store::load) errors.
     pub fn latest(&self) -> Result<Option<RunRecord>, String> {
         Ok(self.load()?.pop())
-    }
-
-    /// Path of the JSONL sweep log.
-    pub fn sweeps_path(&self) -> PathBuf {
-        self.dir.join(SWEEPS_FILE)
-    }
-
-    /// Appends one sweep record (creating the directory and log on
-    /// first use). Sweeps live in their own log — they are grids, not
-    /// single-point runs, so the run comparator never sees them.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on I/O failure.
-    pub fn append_sweep(&self, record: &SweepRecord) -> Result<(), String> {
-        std::fs::create_dir_all(&self.dir)
-            .map_err(|e| format!("cannot create {}: {e}", self.dir.display()))?;
-        let path = self.sweeps_path();
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-        writeln!(file, "{}", record.to_jsonl_line())
-            .map_err(|e| format!("cannot append to {}: {e}", path.display()))
-    }
-
-    /// Loads every parseable sweep record, oldest first, returning the
-    /// number of malformed lines skipped (0 for a healthy store; a
-    /// missing log is an empty store).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on I/O failure only.
-    pub fn load_sweeps_lossy(&self) -> Result<(Vec<SweepRecord>, usize), String> {
-        let path = self.sweeps_path();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
-        };
-        let mut records = Vec::new();
-        let mut skipped = 0;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match SweepRecord::from_jsonl_line(line) {
-                Ok(r) => records.push(r),
-                Err(_) => skipped += 1,
-            }
-        }
-        Ok((records, skipped))
-    }
-
-    /// Path of the JSONL serve log.
-    pub fn serves_path(&self) -> PathBuf {
-        self.dir.join(SERVES_FILE)
-    }
-
-    /// Appends one serve record (creating the directory and log on
-    /// first use). Serve runs live in their own log — they are SLO
-    /// curves, not single-point runs, so the run comparator never sees
-    /// them.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on I/O failure.
-    pub fn append_serve(&self, record: &ServeRecord) -> Result<(), String> {
-        std::fs::create_dir_all(&self.dir)
-            .map_err(|e| format!("cannot create {}: {e}", self.dir.display()))?;
-        let path = self.serves_path();
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-        writeln!(file, "{}", record.to_jsonl_line())
-            .map_err(|e| format!("cannot append to {}: {e}", path.display()))
-    }
-
-    /// Loads every parseable serve record, oldest first, returning the
-    /// number of malformed lines skipped (0 for a healthy store; a
-    /// missing log is an empty store).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on I/O failure only.
-    pub fn load_serves_lossy(&self) -> Result<(Vec<ServeRecord>, usize), String> {
-        let path = self.serves_path();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
-        };
-        let mut records = Vec::new();
-        let mut skipped = 0;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match ServeRecord::from_jsonl_line(line) {
-                Ok(r) => records.push(r),
-                Err(_) => skipped += 1,
-            }
-        }
-        Ok((records, skipped))
     }
 
     /// Resolves a baseline reference against the store:
@@ -311,8 +247,8 @@ impl Store {
             text.push_str(&r.to_jsonl_line());
             text.push('\n');
         }
-        let path = self.runs_path();
-        let tmp = self.dir.join(format!("{RUNS_FILE}.tmp"));
+        let path = self.path::<RunRecord>();
+        let tmp = self.dir.join(format!("{}.tmp", RunRecord::FILE));
         std::fs::write(&tmp, text).map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
         std::fs::rename(&tmp, &path)
             .map_err(|e| format!("cannot replace {}: {e}", path.display()))?;
@@ -360,39 +296,34 @@ pub fn resolve_reference(
 ///
 /// Returns a message when the file reads or parses in neither format.
 pub fn record_from_path(path: &Path) -> Result<RunRecord, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     // Store format first: every non-empty line a record.
-    let mut last = None;
-    let mut jsonl_err = None;
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        match RunRecord::from_jsonl_line(line) {
-            Ok(r) => last = Some(r),
-            Err(e) => {
-                jsonl_err = Some(e);
-                last = None;
-                break;
-            }
+    let (mut records, bad) = parse_log::<RunRecord>(&bytes);
+    if bad.is_empty() {
+        if let Some(r) = records.pop() {
+            return Ok(r);
         }
-    }
-    if let Some(r) = last {
-        return Ok(r);
     }
     // Fall back to a raw suite report.
     let meta = RecordMeta::synthetic(&format!("file:{}", path.display()), "unknown");
-    RunRecord::from_suite_json(&text, &meta).map_err(|suite_err| {
-        format!(
-            "{} is neither a perfdb JSONL store ({}) nor a suite report ({suite_err})",
-            path.display(),
-            jsonl_err.unwrap_or_else(|| "empty file".to_owned()),
-        )
-    })
+    std::str::from_utf8(&bytes)
+        .map_err(|e| e.to_string())
+        .and_then(|text| RunRecord::from_suite_json(text, &meta))
+        .map_err(|suite_err| {
+            format!(
+                "{} is neither a perfdb JSONL store ({}) nor a suite report ({suite_err})",
+                path.display(),
+                bad.first().map_or("empty file", |(_, e)| e),
+            )
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{CellRecord, MachineFingerprint, Sample, SCHEMA_VERSION};
+    use crate::schema::{CellRecord, MachineFingerprint, Sample};
+    use crate::serve::ServeRecord;
+    use crate::sweep::SweepRecord;
 
     fn record(id: &str, ts: u64, median: f64) -> RunRecord {
         RunRecord {
@@ -465,16 +396,47 @@ mod tests {
     fn lossy_load_skips_corrupt_lines_strict_load_names_them() {
         let s = temp_store("corrupt");
         s.append(&record("run-a", 0, 1.0)).unwrap();
+        let good = record("run-b", 1, 1.0).to_jsonl_line();
+        let cell_end = "\"runs\":3}}";
+        assert!(good.contains(cell_end) && good.ends_with("]}"), "{good}");
+        let cell_with = |field: &str| good.replace(cell_end, &format!("\"runs\":3}},{field}}}"));
+        let bad_lines = [
+            // Tolerant means absent, not malformed: a present optional
+            // field of the wrong type is a bad line, not a default.
+            cell_with("\"counters\":\"garbage\"").into_bytes(),
+            cell_with("\"attribution\":7").into_bytes(),
+            good.replace("]}", "],\"vec_profiles\":\"x\"}").into_bytes(),
+            // Valid JSON, but not an object where a record is expected.
+            b"\"run-b\"".to_vec(),
+            b"[1,2]".to_vec(),
+            // Nested past any stack: a parse error, not a process abort.
+            vec![b'['; 200_000],
+            // Not even UTF-8.
+            b"\xff\xfe{}".to_vec(),
+        ];
+        let mut bytes = std::fs::read(s.path::<RunRecord>()).unwrap();
+        for line in &bad_lines {
+            bytes.extend_from_slice(line);
+            bytes.extend_from_slice(b"\r\n");
+        }
+        bytes.extend_from_slice(b" \t\n\n");
+        bytes.extend_from_slice((good + "\n").as_bytes());
         // Simulate a crashed writer: truncated trailing line.
-        let mut text = std::fs::read_to_string(s.runs_path()).unwrap();
-        text.push_str("{\"schema_version\":1,\"id\":\"run-tr");
-        std::fs::write(s.runs_path(), text).unwrap();
+        bytes.extend_from_slice(b"{\"schema_version\":1,\"id\":\"run-tr");
+        std::fs::write(s.path::<RunRecord>(), bytes).unwrap();
 
-        let (records, skipped) = s.load_lossy().unwrap();
-        assert_eq!(records.len(), 1);
-        assert_eq!(skipped, 1);
+        let (records, skipped) = s.load_lossy::<RunRecord>().unwrap();
+        assert_eq!(
+            records.iter().map(|r| r.id.as_str()).collect::<Vec<_>>(),
+            ["run-a", "run-b"],
+            "the loader keeps going after every kind of bad line"
+        );
+        assert_eq!(skipped, bad_lines.len() + 1);
         let err = s.load().unwrap_err();
-        assert!(err.contains(":2:"), "{err}");
+        assert!(
+            err.contains(":2:") && err.contains("expected object"),
+            "{err}"
+        );
         let _ = std::fs::remove_dir_all(s.dir());
     }
 
@@ -510,12 +472,31 @@ mod tests {
         let _ = std::fs::remove_dir_all(s.dir());
     }
 
+    /// Appends two records to their kind's log and checks they load back
+    /// in order, and that a truncated trailing line is skipped, not fatal.
+    fn append_two_and_truncate<R: Record + PartialEq + std::fmt::Debug>(
+        s: &Store,
+        first: R,
+        second: R,
+    ) {
+        s.append(&first).unwrap();
+        s.append(&second).unwrap();
+        let (loaded, skipped) = s.load_lossy::<R>().unwrap();
+        assert_eq!(skipped, 0);
+        assert_eq!(loaded, [first, second]);
+        let mut text = std::fs::read_to_string(s.path::<R>()).unwrap();
+        text.push_str("{\"schema_version\":1,\"id\":\"tr");
+        std::fs::write(s.path::<R>(), text).unwrap();
+        let (loaded, skipped) = s.load_lossy::<R>().unwrap();
+        assert_eq!((loaded.len(), skipped), (2, 1));
+    }
+
     #[test]
-    fn sweep_log_appends_and_loads_independently() {
-        let s = temp_store("sweeps");
-        let sweep = SweepRecord {
+    fn each_record_kind_appends_and_loads_from_its_own_log() {
+        let s = temp_store("kinds");
+        let sweep = |id: &str| SweepRecord {
             schema_version: SCHEMA_VERSION,
-            id: "sweep-0".into(),
+            id: id.into(),
             timestamp_unix_s: 0,
             git_commit: "unknown".into(),
             machine: MachineFingerprint::synthetic("scalar"),
@@ -528,37 +509,9 @@ mod tests {
             cells: Vec::new(),
             fits: Vec::new(),
         };
-        s.append_sweep(&sweep).unwrap();
-        let mut second = sweep.clone();
-        second.id = "sweep-1".into();
-        s.append_sweep(&second).unwrap();
-
-        let (sweeps, skipped) = s.load_sweeps_lossy().unwrap();
-        assert_eq!(skipped, 0);
-        assert_eq!(
-            sweeps.iter().map(|r| r.id.as_str()).collect::<Vec<_>>(),
-            ["sweep-0", "sweep-1"]
-        );
-        // Sweeps do not leak into the run log (and vice versa).
-        assert_eq!(s.load().unwrap(), Vec::new());
-        s.append(&record("run-0", 0, 1.0)).unwrap();
-        assert_eq!(s.load_sweeps_lossy().unwrap().0.len(), 2);
-
-        // A truncated trailing sweep line is skipped, not fatal.
-        let mut text = std::fs::read_to_string(s.sweeps_path()).unwrap();
-        text.push_str("{\"schema_version\":1,\"id\":\"sweep-tr");
-        std::fs::write(s.sweeps_path(), text).unwrap();
-        let (sweeps, skipped) = s.load_sweeps_lossy().unwrap();
-        assert_eq!((sweeps.len(), skipped), (2, 1));
-        let _ = std::fs::remove_dir_all(s.dir());
-    }
-
-    #[test]
-    fn serve_log_appends_and_loads_independently() {
-        let s = temp_store("serves");
-        let serve = ServeRecord {
+        let serve = |id: &str| ServeRecord {
             schema_version: SCHEMA_VERSION,
-            id: "serve-0".into(),
+            id: id.into(),
             timestamp_unix_s: 0,
             git_commit: "unknown".into(),
             machine: MachineFingerprint::synthetic("scalar"),
@@ -569,27 +522,23 @@ mod tests {
             deadline_us: 50_000,
             points: Vec::new(),
         };
-        s.append_serve(&serve).unwrap();
-        let mut second = serve.clone();
-        second.id = "serve-1".into();
-        s.append_serve(&second).unwrap();
-
-        let (serves, skipped) = s.load_serves_lossy().unwrap();
-        assert_eq!(skipped, 0);
-        assert_eq!(
-            serves.iter().map(|r| r.id.as_str()).collect::<Vec<_>>(),
-            ["serve-0", "serve-1"]
-        );
-        // Serve runs leak into neither the run log nor the sweep log.
+        append_two_and_truncate(&s, sweep("sweep-0"), sweep("sweep-1"));
+        // Sweeps leak into neither the run log nor the serve log.
         assert_eq!(s.load().unwrap(), Vec::new());
-        assert_eq!(s.load_sweeps_lossy().unwrap().0.len(), 0);
-
-        // A truncated trailing serve line is skipped, not fatal.
-        let mut text = std::fs::read_to_string(s.serves_path()).unwrap();
-        text.push_str("{\"schema_version\":1,\"id\":\"serve-tr");
-        std::fs::write(s.serves_path(), text).unwrap();
-        let (serves, skipped) = s.load_serves_lossy().unwrap();
-        assert_eq!((serves.len(), skipped), (2, 1));
+        assert_eq!(s.load_lossy::<ServeRecord>().unwrap().0, Vec::new());
+        append_two_and_truncate(&s, serve("serve-0"), serve("serve-1"));
+        assert_eq!(s.load().unwrap(), Vec::new());
+        append_two_and_truncate(&s, record("run-0", 0, 1.0), record("run-1", 1, 1.0));
+        // ...and the other two logs are untouched by later appends.
+        for (path, file) in [
+            (s.path::<RunRecord>(), "runs.jsonl"),
+            (s.path::<SweepRecord>(), "sweeps.jsonl"),
+            (s.path::<ServeRecord>(), "serves.jsonl"),
+        ] {
+            assert_eq!(path, s.dir().join(file));
+        }
+        assert_eq!(s.load_lossy::<SweepRecord>().unwrap().0.len(), 2);
+        assert_eq!(s.load_lossy::<ServeRecord>().unwrap().0.len(), 2);
         let _ = std::fs::remove_dir_all(s.dir());
     }
 
@@ -598,7 +547,7 @@ mod tests {
         let s = temp_store("paths");
         s.append(&record("run-x", 0, 1.0)).unwrap();
         s.append(&record("run-y", 1, 2.0)).unwrap();
-        let r = record_from_path(&s.runs_path()).unwrap();
+        let r = record_from_path(&s.path::<RunRecord>()).unwrap();
         assert_eq!(r.id, "run-y", "most recent record of a JSONL file wins");
 
         let suite = s.dir().join("suite.json");

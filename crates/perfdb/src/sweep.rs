@@ -16,6 +16,7 @@ use crate::schema::{
     fnv1a64, fnv1a64_continue, kernel_is_excluded, MachineFingerprint, RecordMeta, Sample,
     SCHEMA_VERSION,
 };
+use crate::store::Record;
 use serde::{Deserialize, Serialize};
 
 /// One grid point of a stored sweep: a kernel×variant cell at one
@@ -233,26 +234,17 @@ impl SweepRecord {
         }
         names
     }
+}
 
-    /// Serializes the record as one compact JSON line.
-    pub fn to_jsonl_line(&self) -> String {
-        serde_json::to_string(self).expect("sweep records are serializable")
+impl Record for SweepRecord {
+    const FILE: &'static str = "sweeps.jsonl";
+
+    fn id(&self) -> &str {
+        &self.id
     }
 
-    /// Parses one JSONL line, checking the schema version.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for malformed JSON or a foreign schema version.
-    pub fn from_jsonl_line(line: &str) -> Result<Self, String> {
-        let rec: SweepRecord = serde_json::from_str(line).map_err(|e| e.to_string())?;
-        if rec.schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "sweep record {} has schema v{}, this build reads v{}",
-                rec.id, rec.schema_version, SCHEMA_VERSION
-            ));
-        }
-        Ok(rec)
+    fn schema_version(&self) -> u32 {
+        self.schema_version
     }
 }
 

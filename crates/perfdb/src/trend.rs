@@ -14,7 +14,7 @@ use crate::sweep::SweepRecord;
 use serde::{Deserialize, Serialize};
 
 /// One run's contribution to a kernel's trajectory.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TrendPoint {
     /// Record id the point comes from.
     pub run_id: String,
@@ -32,37 +32,15 @@ pub struct TrendPoint {
     /// `None` when the run carried no asm profile for this kernel. Lets a
     /// trajectory show *when* a rung's vectorization changed, not just
     /// when its timing did.
+    #[serde(default)]
     pub ninja_vec_width_bits: Option<u32>,
     /// Measured instructions-per-cycle of the ninja rung, from the run's
     /// hardware counters; `None` when the run carried none (counters off,
     /// PMU unavailable, or a pre-counter record). IPC drift localizes a
     /// regression the timing column can only date: a slower run at flat
     /// IPC grew work, a slower run at fallen IPC grew stalls.
+    #[serde(default)]
     pub ninja_ipc: Option<f64>,
-}
-
-// Deserialize is written by hand (Serialize stays derived) so history
-// artifacts written before `ninja_vec_width_bits` / `ninja_ipc` existed
-// still parse.
-impl serde::Deserialize for TrendPoint {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(Self {
-            run_id: String::from_value(v.field("run_id")?)?,
-            timestamp_unix_s: u64::from_value(v.field("timestamp_unix_s")?)?,
-            git_commit: String::from_value(v.field("git_commit")?)?,
-            ninja_median_s: Option::from_value(v.field("ninja_median_s")?)?,
-            gap: Option::from_value(v.field("gap")?)?,
-            residual: Option::from_value(v.field("residual")?)?,
-            ninja_vec_width_bits: match v.field("ninja_vec_width_bits") {
-                Ok(val) => Option::from_value(val)?,
-                Err(_) => None,
-            },
-            ninja_ipc: match v.field("ninja_ipc") {
-                Ok(val) => Option::from_value(val)?,
-                Err(_) => None,
-            },
-        })
-    }
 }
 
 /// One kernel's trajectory, oldest run first.

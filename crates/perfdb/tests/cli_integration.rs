@@ -10,7 +10,7 @@
 //! REGEN_FIXTURES=1 cargo test -p ninja-perfdb --test cli_integration
 //! ```
 
-use ninja_perfdb::{CellRecord, MachineFingerprint, RunRecord, Sample, SCHEMA_VERSION};
+use ninja_perfdb::{CellRecord, MachineFingerprint, Record, RunRecord, Sample, SCHEMA_VERSION};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 

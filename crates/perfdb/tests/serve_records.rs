@@ -9,7 +9,9 @@
 //! REGEN_FIXTURES=1 cargo test -p ninja-perfdb --test serve_records
 //! ```
 
-use ninja_perfdb::{MachineFingerprint, ServePointRecord, ServeRecord, Store, SCHEMA_VERSION};
+use ninja_perfdb::{
+    MachineFingerprint, Record, ServePointRecord, ServeRecord, Store, SCHEMA_VERSION,
+};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -98,7 +100,7 @@ fn serve_fixture_is_in_sync_with_generator() {
 #[test]
 fn store_loads_the_fixture_serves() {
     let store = Store::open(fixture_dir());
-    let (serves, skipped) = store.load_serves_lossy().unwrap();
+    let (serves, skipped) = store.load_lossy::<ServeRecord>().unwrap();
     assert_eq!(skipped, 0);
     assert_eq!(serves.len(), 2);
     let p0 = serves[0].point(8_000.0).unwrap();

@@ -10,7 +10,8 @@
 //! ```
 
 use ninja_perfdb::{
-    MachineFingerprint, Sample, Store, SweepCellRecord, SweepFitRecord, SweepRecord, SCHEMA_VERSION,
+    MachineFingerprint, Record, Sample, Store, SweepCellRecord, SweepFitRecord, SweepRecord,
+    SCHEMA_VERSION,
 };
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -133,7 +134,7 @@ fn sweep_fixture_is_in_sync_with_generator() {
 #[test]
 fn store_loads_the_fixture_sweeps() {
     let store = Store::open(fixture_dir());
-    let (sweeps, skipped) = store.load_sweeps_lossy().unwrap();
+    let (sweeps, skipped) = store.load_lossy::<SweepRecord>().unwrap();
     assert_eq!(skipped, 0);
     assert_eq!(sweeps.len(), 2);
     let f0 = sweeps[0].fit("nbody", "parallel", "test").unwrap();
