@@ -1,50 +1,81 @@
-//! Regenerates every table and figure of the evaluation in one run and
-//! writes the measured suite report to `suite_report.json` / `.csv`.
+//! `reproduce`: the paper's evaluation in one binary.
 //!
-//! Failed variants (panic, hang, NaN checksum, validation mismatch) never
-//! abort the run: the partial report is still written and rendered, and
-//! the process exits with status 1 so CI notices.
+//! ```text
+//! reproduce [model|scale|serve] [flags]
+//! ```
 //!
-//! With `--record` the run is also appended to the persistent perf store
-//! (default `perfdb/`) and the aggregated `BENCH_history.json` trajectory
-//! is regenerated; with `--baseline REF` the fresh measurements are
-//! compared against a stored baseline and a confirmed regression makes
-//! the exit status 1. A baseline of `latest` resolves *before* the new
-//! run is appended, so `--record --baseline latest` compares against the
-//! previous run, not itself.
+//! The optional first word picks the mode; each mode accepts only the
+//! flags it reads (anything else exits 2, naming the mode):
 //!
-//! With `--scale` the binary runs a thread/size scaling sweep instead of
-//! the single-point suite: every kernel×variant is measured across the
-//! thread grid (`--threads-max`) and size list (`--sizes`), speedup
-//! curves and per-rung efficiency tables are rendered, Amdahl/USL fits
-//! are printed per curve, and the grid is written to `sweep_report.json`
-//! / `sweep_report.csv`. `--record` appends the sweep to the perf store's
-//! sweep log so `perfdb trend` can show serial-fraction drift.
+//! * **no mode word — the suite.** Measures every kernel at every rung,
+//!   prints every table and figure (the model ones plus the measured F4
+//!   and suite detail, whose `vs naive` column is the measured half of
+//!   F2), and writes `suite_report.json` / `.csv`. Failed variants (panic,
+//!   hang, NaN checksum, validation mismatch) never abort the run: the
+//!   partial report is still written and rendered, and the exit status is
+//!   1. Flags:
 //!
-//! With `--serve` the binary drives the `ninja-serve` batched serving
-//! layer open-loop at each `--serve-rates` offered rate, optionally
-//! under the seeded chaos schedule (`--chaos-seed`/`--chaos-rate`),
-//! renders the SLO curve (p50/p99, shed/expired/degraded counts), and
-//! writes `serve_report.json`. `--record` appends the curve to the perf
-//! store's serve log. An `Ok` response that fails client-side
-//! re-verification or a ticket that outlives its resolution contract
-//! makes the exit status 1.
+//!   ```text
+//!   --size test|quick|paper   problem-size preset (default: quick)
+//!   --threads N               measurement pool threads (default: hardware)
+//!   --affinity                round-robin-pin pool workers to cores (best
+//!                             effort)
+//!   --reps N                  timed repetitions per variant (default: 3)
+//!   --timeout SECONDS         per-variant wall-clock budget; 0 disables
+//!                             (default: 120)
+//!   --fail-fast               stop at the first failed variant
+//!   --kernels a,b,c           measure only these registry kernels
+//!   --chaos panic|hang|nan|wrong
+//!                             append one fault-injection kernel
+//!   --chaos-seed N            install the deterministic fault schedule
+//!   --chaos-rate F            (shared bit-for-bit with ninja-serve) and
+//!                             append the scheduled chaos kernel; either
+//!                             flag opts in (defaults: seed 2012, rate 0.1)
+//!   --asm                     run the ninja-asm vectorization oracle as a
+//!                             preflight and embed the per-rung profiles
+//!   --record                  append the run to the perf store and
+//!                             regenerate BENCH_history.json
+//!   --baseline REF            compare against a stored run (`latest`,
+//!                             `latest~N`, an id, or a file path); exit 1 on
+//!                             a confirmed regression
+//!   --store DIR               perf-store directory (default: perfdb)
+//!   --trace PATH              write the run's spans as Chrome trace_event
+//!                             JSON (Perfetto / about:tracing)
+//!   --probe-metrics           pool utilization and raw samples per cell,
+//!                             attribution against the calibrated host, and
+//!                             the C1 measured-vs-model gap table
+//!   --counters                hardware counters (perf_event_open) around
+//!                             every rep and pool job; degrades to a printed
+//!                             reason without a PMU
+//!   ```
 //!
-//! With `--counters` the run opens hardware performance counters
-//! (`perf_event_open`) around every measured repetition and pool job and
-//! prints a greppable per-cell table — measured IPC, LLC miss rate, and
-//! estimated DRAM GB/s next to the modeled roofline bound, with an
-//! explicit agree/disagree verdict — plus per-worker local-vs-steal
-//! counter windows. Where the PMU is unavailable (paranoid level, VM,
-//! missing PMU) the run prints the reason and measures normally.
-//!
-//! `--chaos-seed`/`--chaos-rate` also extend plain `--chaos` runs: they
-//! install the deterministic probabilistic fault schedule (shared
-//! bit-for-bit with `ninja-serve`) and append the scheduled chaos
-//! kernel to the suite.
+//!   A baseline of `latest` resolves *before* the new run is appended, so
+//!   `--record --baseline latest` compares against the previous run.
+//! * **`model`** — the eight artifacts that need no measurement (T1, T2,
+//!   F1, F2, F3, F5, F6, F7). Takes no flags.
+//! * **`scale`** — a size × thread sweep instead of the single-point
+//!   suite: speedup curves and per-rung efficiency tables, Amdahl/USL fits
+//!   per curve, `sweep_report.json` / `.csv`. Flags: `--size`,
+//!   `--sizes a,b,c` (default: the `--size` preset), `--threads-max N`
+//!   (default: hardware threads), `--reps`, `--timeout`, `--kernels`, and
+//!   `--record`/`--store` (the perf store's sweep log).
+//! * **`serve`** — drives the `ninja-serve` batched engine open-loop at
+//!   each offered rate and renders the SLO curve (p50/p99,
+//!   shed/expired/degraded), `serve_report.json`. An `Ok` response that
+//!   fails client-side re-verification, or a ticket that outlives its
+//!   resolution contract, exits 1. Flags: `--kernels K` (one of
+//!   blackscholes, treesearch, libor; default blackscholes), `--size`,
+//!   `--threads`, `--affinity`, `--serve-rates a,b,c` (req/s, default
+//!   500,2000,8000), `--serve-duration-ms N` (per rate, default 1000),
+//!   `--chaos-seed`/`--chaos-rate` (faults at the serving layer), and
+//!   `--record`/`--store` (the serve log).
 
-/// The `--scale` path: sweep, render, export, optionally record.
-fn run_scale(cli: &ninja_bench::Cli) {
+mod cli;
+
+use cli::{Cli, Mode};
+
+/// The `scale` mode: sweep, render, export, optionally record.
+fn run_scale(cli: &Cli) {
     let config = cli.sweep_config();
     eprintln!(
         "running scaling sweep: sizes={} threads={:?} reps={} timeout={}{}",
@@ -111,7 +142,7 @@ fn run_scale(cli: &ninja_bench::Cli) {
 /// the exportable report. Generic so each kernel's request generator
 /// keeps its natural types.
 fn serve_curve<K, F>(
-    cli: &ninja_bench::Cli,
+    cli: &Cli,
     engine: &ninja_serve::Engine<K>,
     mut make_req: F,
 ) -> ninja_serve::ServeReport
@@ -139,9 +170,9 @@ where
     }
 }
 
-/// The `--serve` path: drive the serving layer open-loop at each offered
+/// The `serve` mode: drive the serving layer open-loop at each offered
 /// rate, render the SLO curve, export it, optionally record.
-fn run_serve(cli: &ninja_bench::Cli) {
+fn run_serve(cli: &Cli) {
     use ninja_serve::{BlackScholesServe, Engine, LiborServe, ServeConfig, TreeSearchServe};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -259,8 +290,58 @@ fn run_serve(cli: &ninja_bench::Cli) {
     }
 }
 
+/// Runs the ninja-asm vectorization oracle as a measurement preflight.
+///
+/// Compiles `crates/kernels` to assembly (toolchain-default target-cpu),
+/// classifies every rung's emitted instructions, and returns the per-rung
+/// profiles in the suite-report record form.
+///
+/// # Errors
+///
+/// Returns the rendered findings when a Simd/Ninja rung has no vector
+/// evidence (NL008) or a `Relaxed` ordering lacks justification (NL010),
+/// or the underlying compiler/I/O message when `cargo rustc` fails.
+fn asm_preflight() -> Result<Vec<ninja_core::VecProfileRecord>, String> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("bench crate lives two levels below the workspace root");
+    let audit = ninja_lint::asm_audit(root, &ninja_lint::AsmOptions::default())
+        .map_err(|e| e.to_string())?;
+    if !audit.report.clean {
+        return Err(audit.report.render_text());
+    }
+    // The oracle names kernels by source-file stem (`black_scholes`);
+    // measured cells use the registry name (`blackscholes`). Map the stem
+    // onto the registry name so `perfdb compare`/`trend` lookups line up.
+    let registry: Vec<&'static str> = ninja_kernels::registry()
+        .into_iter()
+        .map(|spec| spec.name)
+        .collect();
+    Ok(audit
+        .profiles
+        .into_iter()
+        .map(|p| ninja_core::VecProfileRecord {
+            kernel: registry
+                .iter()
+                .find(|name| p.kernel.replace('_', "") == **name)
+                .map_or(p.kernel, |name| (*name).to_owned()),
+            rung: p.rung,
+            width_bits: p.width_bits,
+            vector_fp_ops: p.vector_fp_ops,
+            scalar_fp_ops: p.scalar_fp_ops,
+            vector_int_ops: p.vector_int_ops,
+            matched_symbols: p.matched_symbols,
+            fma: p.fma,
+            gather: p.gather,
+            scatter: p.scatter,
+            classification: p.classification,
+        })
+        .collect())
+}
+
 fn main() {
-    let cli = ninja_bench::cli_from_env();
+    let cli = cli::from_env();
     // Resolve the ISA dispatch backend up front: `active()` falls back
     // silently on an invalid `NINJA_ISA`, which is right for libraries
     // but wrong for a measurement binary — a forced-backend CI run that
@@ -278,14 +359,17 @@ fn main() {
         isa.name(),
         isa.width_bits()
     );
-    if cli.serve {
-        run_serve(&cli);
-        return;
+    match cli.mode {
+        Mode::Suite => run_suite(&cli),
+        Mode::Model => print!("{}", ninja_core::experiments::model_report()),
+        Mode::Scale => run_scale(&cli),
+        Mode::Serve => run_serve(&cli),
     }
-    if cli.scale {
-        run_scale(&cli);
-        return;
-    }
+}
+
+/// The suite: measure, render every artifact, export, optionally
+/// calibrate, trace, count, record and gate.
+fn run_suite(cli: &Cli) {
     if cli.trace.is_some() {
         ninja_probe::set_tracing(true);
     }
@@ -304,19 +388,9 @@ fn main() {
             ),
         }
     }
-    if cli.lint {
-        match ninja_bench::lint_preflight() {
-            Ok(files) => eprintln!("lint preflight: clean ({files} file(s) scanned)"),
-            Err(findings) => {
-                eprintln!("lint preflight failed; refusing to measure a mislabeled suite:");
-                eprintln!("{findings}");
-                std::process::exit(1);
-            }
-        }
-    }
     let mut vec_profiles = Vec::new();
     if cli.asm {
-        match ninja_bench::asm_preflight() {
+        match asm_preflight() {
             Ok(profiles) => {
                 eprintln!(
                     "asm preflight: clean ({} rung profile(s) classified)",
@@ -352,6 +426,13 @@ fn main() {
         }
     );
 
+    // One calibration (~1 s of microbenchmarks) per run, paid only when
+    // attribution or a recorded fingerprint needs it, so the `%roof` of
+    // every cell and the `calibrated_*` fingerprint of the record come
+    // from the same measurement.
+    let calibration = (cli.probe_metrics || cli.record).then(ninja_model::measure_host);
+    let machine = calibration.map(|cal| ninja_model::calibrate::machine_from(cal, cli.threads));
+
     let mut harness = ninja_core::Harness::new()
         .size(cli.size)
         .threads(cli.threads)
@@ -362,10 +443,8 @@ fn main() {
         Some(budget) => harness.timeout(budget),
         None => harness.no_timeout(),
     };
-    if cli.probe_metrics {
-        // ~1 s of microbenchmarks, opted into: absolute percent-of-roofline
-        // numbers are only worth quoting against a calibrated machine.
-        harness = harness.attribution_machine(ninja_model::calibrate::calibrated_host(cli.threads));
+    if let (true, Some(machine)) = (cli.probe_metrics, &machine) {
+        harness = harness.attribution_machine(machine.clone());
     }
     let mut specs = cli.suite_specs();
     if let Some(mode) = cli.chaos {
@@ -425,6 +504,22 @@ fn main() {
             pm.steal_ratio(),
             sum(|w| w.parked_ns) / 1_000_000,
         );
+        if let (Some(cal), Some(machine)) = (calibration, &machine) {
+            println!(
+                "\nhost calibration: scalar {:.2} GFLOP/s, {} SIMD {:.2} GFLOP/s \
+                 (effective width {:.2}), stream {:.2} GB/s",
+                cal.scalar_gflops,
+                ninja_simd::isa::active().name(),
+                cal.simd_gflops,
+                cal.effective_lanes(),
+                cal.bandwidth_gbs
+            );
+            println!("calibrated machine: {machine}\n");
+            print!(
+                "{}",
+                ninja_core::experiments::calibration_gap(&suite, machine)
+            );
+        }
     }
 
     if cli.counters {
@@ -537,10 +632,7 @@ fn main() {
     if cli.record || cli.baseline.is_some() {
         let store = ninja_perfdb::Store::open(&cli.store);
         let mut meta = ninja_perfdb::RecordMeta::detect(&suite.simd_backend);
-        if cli.record {
-            // Calibration costs ~1 s; only pay for it when the fingerprint
-            // actually lands in the store.
-            let machine = ninja_model::calibrate::calibrated_host(cli.threads);
+        if let (true, Some(machine)) = (cli.record, &machine) {
             meta.machine.calibrated_freq_ghz = Some(machine.freq_ghz);
             meta.machine.calibrated_simd_f32_lanes = Some(machine.simd_f32_lanes);
             meta.machine.calibrated_core_bandwidth_gbs = Some(machine.core_bandwidth_gbs);
@@ -594,11 +686,11 @@ fn main() {
         }
 
         if let Some(baseline) = baseline {
-            let mut cfg = ninja_perfdb::CompareConfig::gate();
-            if let Some(floor) = cli.noise_floor {
-                cfg.noise_floor = floor;
-            }
-            let report = ninja_perfdb::compare_records(&baseline, &record, &cfg);
+            let report = ninja_perfdb::compare_records(
+                &baseline,
+                &record,
+                &ninja_perfdb::CompareConfig::gate(),
+            );
             print!("{}", report.render_text());
             if report.has_regressions() {
                 eprintln!(

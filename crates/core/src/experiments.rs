@@ -1,8 +1,8 @@
 //! One entry point per table/figure of the paper.
 //!
 //! Each function returns the rendered artifact as a `String`; the
-//! `ninja-bench` crate wraps them in `table*`/`fig*` binaries, and
-//! EXPERIMENTS.md records their output next to the paper's numbers.
+//! `reproduce` binary (`ninja-bench`) prints them, and EXPERIMENTS.md
+//! records their output next to the paper's numbers.
 //!
 //! Figure/table numbering follows the reconstructed index in DESIGN.md:
 //!
@@ -12,13 +12,14 @@
 //! * F4/F5 residual gap after low-effort changes (measured / MIC-projected)
 //! * F6 programming effort
 //! * F7 hardware gather support
+//! * C1 measured gap vs the calibrated host model
 
 use crate::render::{log_bar, table};
 use crate::report::SuiteReport;
-use ninja_kernels::{registry, KernelSpec, ProblemSize, Variant};
+use ninja_kernels::{registry, KernelSpec, Variant};
 use ninja_model::{
     gap_breakdown, gather_ablation, geomean, hardware_evolution, machines, predicted_gap,
-    predicted_residual, Machine,
+    predicted_residual, time_per_elem, Machine,
 };
 
 /// T1: the benchmark-suite table (name, role, boundedness, key change).
@@ -313,93 +314,36 @@ pub fn fig7_hardware_gather() -> String {
     out
 }
 
-/// A3 (ours): working-set scaling — throughput (million elements/s) of the
-/// naive and ninja tiers across problem-size presets, exposing where each
-/// kernel falls off a cache level.
-pub fn size_scaling(threads: usize, reps: u32) -> String {
-    size_scaling_over(&[ProblemSize::Test, ProblemSize::Quick], threads, reps)
-}
-
-/// [`size_scaling`] over an explicit list of presets (exposed for tests and
-/// custom sweeps).
-pub fn size_scaling_over(sizes: &[ProblemSize], threads: usize, reps: u32) -> String {
-    let specs = registry();
-    let mut per_kernel: Vec<Vec<String>> = specs.iter().map(|s| vec![s.name.to_owned()]).collect();
-    for &size in sizes {
-        let harness = crate::Harness::new()
-            .size(size)
-            .threads(threads)
-            .repetitions(reps);
-        let suite = harness.run_suite();
-        for (row, spec) in per_kernel.iter_mut().zip(specs.iter()) {
-            let k = suite.kernel(spec.name).expect("kernel ran");
-            let mut cells = Vec::new();
-            for vname in ["naive", "ninja"] {
-                let median = k
-                    .variants
-                    .iter()
-                    .find(|v| v.variant == vname)
-                    .and_then(|v| v.median_s());
-                cells.push(match median {
-                    Some(s) => {
-                        let instance = (spec.make)(size, 42);
-                        let elems = instance.work().elems as f64;
-                        format!("{:.2}", elems / s / 1e6)
-                    }
-                    None => "-".into(),
-                });
-            }
-            row.extend(cells);
-        }
+/// The eight artifacts that need no measurement — T1, T2, F1, F2, F3, F5,
+/// F6 and F7 — each under its `== … ==` header. `reproduce model` prints
+/// exactly this, and [`full_report_with`] opens with it.
+pub fn model_report() -> String {
+    let mut out = String::new();
+    for (header, body) in [
+        ("T1: benchmark suite", table1_suite()),
+        ("T2: platforms", table2_platforms()),
+        ("F1", fig1_gap_growth()),
+        ("F2 (Westmere)", fig_breakdown(&machines::westmere())),
+        ("F3 (MIC)", fig_breakdown(&machines::mic())),
+        ("F5", fig5_mic_residual()),
+        ("F6", fig6_effort()),
+        ("F7", fig7_hardware_gather()),
+    ] {
+        out.push_str(&format!("== {header} ==\n\n{body}\n"));
     }
-    let mut headers: Vec<String> = vec!["kernel".into()];
-    for size in sizes {
-        headers.push(format!("naive@{size}"));
-        headers.push(format!("ninja@{size}"));
-    }
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut out =
-        String::from("A3: throughput scaling across working-set sizes (million elems/s)\n\n");
-    out.push_str(&table(&header_refs, &per_kernel));
     out
 }
 
-/// Runs the measured half of the evaluation at the given size and renders
-/// everything (convenience for the `reproduce` binary).
-pub fn full_report(size: ProblemSize, threads: usize, reps: u32) -> (SuiteReport, String) {
-    let harness = crate::Harness::new()
-        .size(size)
-        .threads(threads)
-        .repetitions(reps);
-    full_report_with(&harness, &registry())
-}
-
-/// [`full_report`] over a pre-configured harness (timeout, fail-fast, …)
-/// and a chosen list of specs — a subset of the registry, or the registry
-/// plus injected chaos kernels. A failed variant never aborts the run;
-/// the rendered output ends with a failure summary when anything went
-/// wrong.
+/// Runs `specs` on a pre-configured harness (timeout, fail-fast, …) —
+/// a subset of the registry, or the registry plus injected chaos kernels
+/// — and renders every artifact: [`model_report`], then the measured F4
+/// and the suite detail. A failed variant never aborts the run; the
+/// rendered output ends with a failure summary when anything went wrong.
 pub fn full_report_with(harness: &crate::Harness, specs: &[KernelSpec]) -> (SuiteReport, String) {
     let suite = harness.run_specs(specs);
-    let mut out = String::new();
-    out.push_str("== T1: benchmark suite ==\n\n");
-    out.push_str(&table1_suite());
-    out.push_str("\n== T2: platforms ==\n\n");
-    out.push_str(&table2_platforms());
-    out.push_str("\n== F1 ==\n\n");
-    out.push_str(&fig1_gap_growth());
-    out.push_str("\n== F2 (Westmere) ==\n\n");
-    out.push_str(&fig_breakdown(&machines::westmere()));
-    out.push_str("\n== F3 (MIC) ==\n\n");
-    out.push_str(&fig_breakdown(&machines::mic()));
-    out.push_str("\n== F4 ==\n\n");
+    let mut out = model_report();
+    out.push_str("== F4 ==\n\n");
     out.push_str(&fig4_residual(&suite));
-    out.push_str("\n== F5 ==\n\n");
-    out.push_str(&fig5_mic_residual());
-    out.push_str("\n== F6 ==\n\n");
-    out.push_str(&fig6_effort());
-    out.push_str("\n== F7 ==\n\n");
-    out.push_str(&fig7_hardware_gather());
     out.push_str("\n== measured suite detail ==\n\n");
     out.push_str(&crate::render::suite_table(&suite));
     if suite.has_failures() {
@@ -409,35 +353,44 @@ pub fn full_report_with(harness: &crate::Harness, specs: &[KernelSpec]) -> (Suit
     (suite, out)
 }
 
-/// Measured single-host counterpart of the gap breakdown: speedup of each
-/// tier over naive, per kernel (the thread axis is flat on a 1-core host).
-pub fn measured_ladder(suite: &SuiteReport) -> String {
-    let mut rows = Vec::new();
-    for k in &suite.kernels {
-        let mut row = vec![k.kernel.clone()];
-        for v in [
-            Variant::Parallel,
-            Variant::Simd,
-            Variant::Algorithmic,
-            Variant::Ninja,
-        ] {
-            row.push(match k.speedup_over_naive(v) {
-                Some(s) => format!("{s:.2}X"),
-                None => "-".into(),
-            });
-        }
-        rows.push(row);
-    }
-    table(
+/// C1: the measured Ninja gap of each registry kernel next to the gap the
+/// roofline predicts for `machine` (normally this host, calibrated). A
+/// kernel without a measured naive and ninja rung — a failed cell, or one
+/// left out of the run — shows `-` for the measured gap and the ratio.
+pub fn calibration_gap(suite: &SuiteReport, machine: &Machine) -> String {
+    let rows: Vec<Vec<String>> = registry()
+        .iter()
+        .map(|spec| {
+            let predicted = predicted_gap(&spec.character, machine);
+            let measured = suite.kernel(spec.name).and_then(|k| k.measured_gap());
+            vec![
+                spec.name.to_owned(),
+                measured.map_or("-".into(), |g| format!("{g:.2}X")),
+                format!("{predicted:.2}X"),
+                measured.map_or("-".into(), |g| format!("{:.1}", g / predicted)),
+                format!(
+                    "{:.2e}",
+                    time_per_elem(&spec.character, Variant::Ninja, machine)
+                ),
+            ]
+        })
+        .collect();
+    let mut out = format!(
+        "C1: measured gap vs the calibrated model (size {}, {} thread(s))\n\n",
+        suite.size, suite.threads
+    );
+    out.push_str(&table(
         &[
             "kernel",
-            "+threads",
-            "+compiler SIMD",
-            "low-effort",
-            "ninja",
+            "measured gap",
+            "model gap (calibrated)",
+            "ratio",
+            "model ninja s/elem",
         ],
         &rows,
-    )
+    ));
+    out.push_str("(a ratio near 1 means the calibrated roofline explains this host's gap)\n");
+    out
 }
 
 #[cfg(test)]
@@ -479,25 +432,35 @@ mod tests {
     }
 
     #[test]
-    fn size_scaling_renders_one_column_pair_per_size() {
-        let t = size_scaling_over(&[ProblemSize::Test], 1, 1);
-        assert!(t.contains("naive@test") && t.contains("ninja@test"));
-        assert!(!t.contains("quick"));
-        for s in registry() {
-            assert!(t.contains(s.name));
-        }
-    }
-
-    #[test]
     fn measured_figures_from_tiny_run() {
         let harness = crate::Harness::new()
-            .size(ProblemSize::Test)
+            .size(ninja_kernels::ProblemSize::Test)
             .threads(1)
             .repetitions(1);
-        let suite = harness.run_kernels(&["nbody", "conv1d"]);
+        let mut suite = harness.run_kernels(&["nbody", "conv1d"]);
         let f4 = fig4_residual(&suite);
         assert!(f4.contains("nbody") && f4.contains("GEOMEAN"));
-        let ladder = measured_ladder(&suite);
-        assert!(ladder.contains("conv1d"));
+
+        // A failed ninja cell leaves conv1d without a gap; lbm never ran.
+        let conv1d = suite.kernels.iter_mut().find(|k| k.kernel == "conv1d");
+        conv1d.expect("conv1d ran").variants[4] = crate::VariantResult::failed(
+            Variant::Ninja,
+            true,
+            crate::VariantOutcome::Panicked {
+                message: "injected".into(),
+            },
+        );
+        let c1 = calibration_gap(&suite, &machines::westmere());
+        assert!(c1.contains("size test, 1 thread(s)"), "{c1}");
+        let row = |name: &str| -> Vec<String> {
+            let line = c1.lines().find(|l| l.starts_with(name)).expect(name);
+            line.split_whitespace().map(str::to_owned).collect()
+        };
+        assert!(row("nbody")[1].ends_with('X'), "{c1}");
+        for name in ["conv1d", "lbm"] {
+            let cells = row(name);
+            assert_eq!((cells[1].as_str(), cells[3].as_str()), ("-", "-"), "{c1}");
+            assert!(cells[2].ends_with('X'), "the model column stays: {c1}");
+        }
     }
 }

@@ -238,8 +238,9 @@ impl Harness {
     /// Sets the machine description used as the roofline denominator when
     /// attributing measured cells (achieved GFLOP/s, percent-of-roofline,
     /// bound classification). Defaults to an uncalibrated
-    /// [`nominal_host`] sized to the thread count; pass
-    /// [`ninja_model::calibrated_host`] output for absolute numbers worth
+    /// [`nominal_host`] sized to the thread count; pass a machine built by
+    /// `ninja_model::calibrate::machine_from` from a
+    /// [`ninja_model::measure_host`] calibration for absolute numbers worth
     /// quoting.
     pub fn attribution_machine(mut self, machine: Machine) -> Self {
         self.attribution_machine = Some(machine);

@@ -19,8 +19,8 @@
 //! println!("average measured gap: {:.1}X", suite.average_gap());
 //! ```
 //!
-//! The per-figure entry points live in [`experiments`]; the `ninja-bench`
-//! crate wraps each one in a `fig*`/`table*` binary.
+//! The per-figure entry points live in [`experiments`]; the `reproduce`
+//! binary (`ninja-bench`) prints them.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -119,20 +119,14 @@ pub fn measure_host() -> HostCalibration {
     }
 }
 
-/// Builds a [`Machine`] description of this host, assuming `threads`
-/// participating cores each as capable as the measured one.
+/// Builds a [`Machine`] description of this host from its calibration,
+/// assuming `threads` participating cores each as capable as the measured
+/// one.
 ///
 /// The frequency field is derived from the measured scalar rate (the model
 /// only ever uses their product), the SIMD width from the measured
 /// vector/scalar ratio, and machine bandwidth from the single-core number
 /// with the mild per-core scaling typical of client parts.
-pub fn calibrated_host(threads: usize) -> Machine {
-    let cal = measure_host();
-    machine_from(cal, threads)
-}
-
-/// Deterministic construction of a [`Machine`] from existing calibration
-/// numbers (split out for testing).
 pub fn machine_from(cal: HostCalibration, threads: usize) -> Machine {
     let lanes = cal.effective_lanes().round().clamp(1.0, 16.0) as u32;
     Machine {
@@ -182,7 +176,7 @@ mod tests {
     fn calibrated_machine_works_with_the_model() {
         // Run the real (brief) microbenchmarks once and feed the result
         // through the prediction path end to end.
-        let m = calibrated_host(2);
+        let m = machine_from(measure_host(), 2);
         assert!(m.peak_gflops() > 0.1, "{m:?}");
         assert!(m.core_bandwidth_gbs > 0.05, "{m:?}");
         for spec in registry().iter().take(2) {

@@ -39,7 +39,7 @@ pub mod scaling;
 pub use attribution::{
     Attribution, BOUND_BANDWIDTH, BOUND_COMPUTE, BOUND_POORLY_UTILIZED, UTILIZATION_FLOOR_PCT,
 };
-pub use calibrate::{calibrated_host, measure_host, HostCalibration};
+pub use calibrate::{measure_host, HostCalibration};
 pub use machines::{nominal_host, Machine};
 pub use roofline::{
     gap_breakdown, gather_ablation, hardware_evolution, predicted_gap, predicted_residual,

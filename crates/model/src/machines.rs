@@ -125,7 +125,7 @@ pub fn mic() -> Machine {
 /// A rough, uncalibrated description of the current host for use as an
 /// attribution denominator when nobody paid for calibration.
 ///
-/// [`crate::calibrate::calibrated_host`] measures the host (~1 s of
+/// [`crate::calibrate::measure_host`] measures the host (~1 s of
 /// microbenchmarks), which is too expensive to run on every harness
 /// construction. This placeholder assumes a ~3 GHz core with the suite's
 /// 4-wide `f32` SIMD, FMA-class issue, and ~12 GB/s of per-core

@@ -1,7 +1,7 @@
 //! Edge-of-the-envelope scheduling tests for `ThreadPool::parallel_for`
 //! and `parallel_reduce`: degenerate grains, ranges smaller than one
 //! chunk, more threads than chunks, and single-thread pools. These are
-//! the corners the scaling sweep (`reproduce --scale`) actually hits
+//! the corners the scaling sweep (`reproduce scale`) actually hits
 //! when it shrinks sizes and widens the thread grid.
 
 use ninja_parallel::ThreadPool;

@@ -13,9 +13,9 @@
 //! `BASELINE` and `--candidate` accept `latest`, `latest~N`, a record id
 //! (or unambiguous prefix), or a filesystem path (a store JSONL or a raw
 //! `suite_report.json`). `record --sweep PATH` ingests a
-//! `sweep_report.json` (written by `reproduce --scale`) into the sweep
+//! `sweep_report.json` (written by `reproduce scale`) into the sweep
 //! log instead of the run log, and `record --serve PATH` ingests a
-//! `serve_report.json` (written by `reproduce --serve`) into the serve
+//! `serve_report.json` (written by `reproduce serve`) into the serve
 //! log; `trend` then appends the kernel's serial-fraction drift across
 //! recorded sweeps and its serving-SLO drift across recorded serve runs
 //! (its `--json` output is a `{"runs": [...], "sweeps": [...],
@@ -44,9 +44,9 @@ const USAGE: &str = concat!(
     "  history [--store DIR] [--out PATH]\n",
     "  gc      [--store DIR] [--keep N]\n",
     "refs: latest | latest~N | record id (prefix ok) | file path\n",
-    "record --sweep ingests a sweep_report.json (from `reproduce --scale`)\n",
+    "record --sweep ingests a sweep_report.json (from `reproduce scale`)\n",
     "into the sweep log; record --serve ingests a serve_report.json (from\n",
-    "`reproduce --serve`) into the serve log; trend then shows\n",
+    "`reproduce serve`) into the serve log; trend then shows\n",
     "serial-fraction and serving-SLO drift"
 );
 

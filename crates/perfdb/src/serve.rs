@@ -2,7 +2,7 @@
 //! persistent wire.
 //!
 //! A [`ServeRecord`] is the stored form of one serving-layer load run
-//! (the `serve_report.json` that `reproduce --serve` writes): one SLO
+//! (the `serve_report.json` that `reproduce serve` writes): one SLO
 //! point per offered rate — delivered p50/p99 latency plus the
 //! shed/expired/degraded outcome counts — under an optional seeded
 //! chaos schedule. Records append to `serves.jsonl` next to
@@ -91,7 +91,7 @@ struct ServeWire {
 
 impl ServeRecord {
     /// Builds a record from a serialized `ServeReport` (the
-    /// `serve_report.json` that `reproduce --serve` writes).
+    /// `serve_report.json` that `reproduce serve` writes).
     ///
     /// Non-finite percentile values are stored as `None` (an SLO point
     /// where nothing resolved `Ok` has no percentile).

@@ -1,7 +1,7 @@
 //! Sweep records: scaling-sweep results on the persistent wire.
 //!
 //! A [`SweepRecord`] is the stored form of one `ninja-scale` run (the
-//! `sweep_report.json` the `reproduce --scale` binary writes): the grid
+//! `sweep_report.json` that `reproduce scale` writes): the grid
 //! of kernel×variant×size×threads cells plus the fitted scaling models
 //! per curve. Records append to `sweeps.jsonl` next to `runs.jsonl`, so
 //! `perfdb trend` can show how each rung's **serial fraction** drifts
@@ -132,7 +132,7 @@ struct SweepWire {
 
 impl SweepRecord {
     /// Builds a record from a serialized `SweepReport` (the
-    /// `sweep_report.json` that `reproduce --scale` writes).
+    /// `sweep_report.json` that `reproduce scale` writes).
     ///
     /// `chaos-*` kernels are dropped from cells and fits and listed in
     /// [`excluded`](SweepRecord::excluded); failed cells of real

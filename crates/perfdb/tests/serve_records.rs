@@ -141,7 +141,7 @@ fn record_serve_round_trips_through_the_binary() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    // A minimal serve_report.json as `reproduce --serve` writes it.
+    // A minimal serve_report.json as `reproduce serve` writes it.
     let report = r#"{
       "kernel": "libor", "threads": 2,
       "chaos_seed": null, "chaos_rate": null, "deadline_us": 50000,

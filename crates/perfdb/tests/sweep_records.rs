@@ -174,7 +174,7 @@ fn record_sweep_round_trips_through_the_binary() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    // A minimal sweep_report.json as `reproduce --scale` writes it.
+    // A minimal sweep_report.json as `reproduce scale` writes it.
     let report = r#"{
       "seed": 7, "reps": 1, "simd_backend": "scalar",
       "sizes": ["test"], "threads": [1, 2], "knee_threshold": 0.5,

@@ -47,7 +47,6 @@ fn rendered_artifacts_mention_every_kernel() {
     let suite = tiny_suite();
     for artifact in [
         experiments::fig4_residual(&suite),
-        experiments::measured_ladder(&suite),
         render::suite_table(&suite),
     ] {
         for spec in registry() {
@@ -73,6 +72,21 @@ fn model_only_figures_render() {
             "artifact too short:\n{artifact}"
         );
     }
+    // What `reproduce model` prints: the eight sections, and no measured one.
+    let report = experiments::model_report();
+    for header in [
+        "== T1: benchmark suite ==",
+        "== T2: platforms ==",
+        "== F1 ==",
+        "== F2 (Westmere) ==",
+        "== F3 (MIC) ==",
+        "== F5 ==",
+        "== F6 ==",
+        "== F7 ==",
+    ] {
+        assert!(report.contains(header), "{header} missing:\n{report}");
+    }
+    assert!(!report.contains("== F4"), "{report}");
 }
 
 #[test]
