@@ -298,9 +298,10 @@ fn run_serve(cli: &Cli) {
 ///
 /// # Errors
 ///
-/// Returns the rendered findings when a Simd/Ninja rung has no vector
-/// evidence (NL008) or a `Relaxed` ordering lacks justification (NL010),
-/// or the underlying compiler/I/O message when `cargo rustc` fails.
+/// Returns the rendered findings when a rung compiles below its
+/// `expect(...)` profile (NL008) or an intrinsic is called out of line
+/// inside the AVX2 trampoline's reach (NL012), or the underlying
+/// compiler/I/O message when `cargo rustc` fails.
 fn asm_preflight() -> Result<Vec<ninja_core::VecProfileRecord>, String> {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()

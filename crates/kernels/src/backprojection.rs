@@ -192,6 +192,7 @@ impl BackProjection {
     /// Ninja tier: one vector of pixels per step with explicit
     /// interpolation gathers, row-parallel.
     // ninja-lint: variant(ninja)
+    // ninja-lint: expect(vec256)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
         self.run_ninja_on(isa::active(), pool)
     }

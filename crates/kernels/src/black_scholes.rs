@@ -212,6 +212,7 @@ impl BlackScholes {
     /// Compiler-vectorizable tier: serial SoA `f32` staged loops with
     /// inlined branch-free polynomial math (no opaque calls).
     // ninja-lint: variant(simd)
+    // ninja-lint: expect(vec256, sconv=0)
     pub fn run_simd(&self) -> Vec<f32> {
         let n = self.len();
         let mut out = vec![0.0f32; 2 * n];
@@ -232,6 +233,7 @@ impl BlackScholes {
     /// Low-effort endpoint: SoA `f32` staged polynomial loops plus
     /// `parallel_for`.
     // ninja-lint: variant(algorithmic)
+    // ninja-lint: expect(vec256, sconv=0)
     pub fn run_algorithmic(&self, pool: &ThreadPool) -> Vec<f32> {
         let n = self.len();
         let mut out = vec![0.0f32; 2 * n];
@@ -248,6 +250,7 @@ impl BlackScholes {
     /// Ninja tier: explicit width-generic SIMD pricing with vector
     /// `exp`/`ln`/CDF, parallel over option blocks.
     // ninja-lint: variant(ninja)
+    // ninja-lint: expect(vec256, fma)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
         self.run_ninja_on(isa::active(), pool)
     }

@@ -150,6 +150,7 @@ impl Conv1d {
 
     /// Compiler-vectorizable tier: serial SoA, tap-outer streaming loops.
     // ninja-lint: variant(simd)
+    // ninja-lint: expect(vec256)
     pub fn run_simd(&self) -> Vec<f32> {
         let m = self.out_len();
         let mut re = vec![0.0f32; m];
@@ -163,6 +164,7 @@ impl Conv1d {
 
     /// Low-effort endpoint: SoA streaming loops plus `parallel_for`.
     // ninja-lint: variant(algorithmic)
+    // ninja-lint: expect(vec256)
     pub fn run_algorithmic(&self, pool: &ThreadPool) -> Vec<f32> {
         let m = self.out_len();
         let mut re = vec![0.0f32; m];
@@ -182,6 +184,7 @@ impl Conv1d {
     /// tap-outer streaming form (unit-stride loads, two read-modify-write
     /// streams), parallel over output blocks.
     // ninja-lint: variant(ninja)
+    // ninja-lint: expect(vec256, fma)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
         self.run_ninja_on(isa::active(), pool)
     }

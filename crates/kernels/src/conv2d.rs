@@ -188,6 +188,7 @@ impl Conv2d {
     /// Ninja tier: explicit width-generic SIMD across `x` with all 25
     /// taps register-blocked, row-parallel.
     // ninja-lint: variant(ninja)
+    // ninja-lint: expect(vec256, fma)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
         self.run_ninja_on(isa::active(), pool)
     }

@@ -369,6 +369,7 @@ impl Lbm {
     /// threads. The backend is dispatched inside each row band's task
     /// (`#[target_feature]` trampolines do not cross thread boundaries).
     // ninja-lint: variant(ninja)
+    // ninja-lint: expect(vec256, fma)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
         self.run_ninja_on(isa::active(), pool)
     }

@@ -197,6 +197,7 @@ impl Libor {
     /// Panics if the path count is not a multiple of the group width (all
     /// size presets are).
     // ninja-lint: variant(simd)
+    // ninja-lint: expect(vec256, sconv=0)
     pub fn run_simd(&self) -> Vec<f32> {
         assert_eq!(
             self.paths % GROUP,
@@ -217,6 +218,7 @@ impl Libor {
 
     /// Low-effort endpoint: path-SoA groups in parallel.
     // ninja-lint: variant(algorithmic)
+    // ninja-lint: expect(vec256, sconv=0)
     pub fn run_algorithmic(&self, pool: &ThreadPool) -> Vec<f32> {
         let mut out = vec![0.0f32; self.paths];
         par_chunks_mut(pool, &mut out, GROUP, |g, chunk| {
@@ -237,6 +239,7 @@ impl Libor {
     /// Panics if the path count is not a multiple of the widest lane
     /// count (all presets are).
     // ninja-lint: variant(ninja)
+    // ninja-lint: expect(vec256, fma)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
         self.run_ninja_on(isa::active(), pool)
     }

@@ -119,6 +119,7 @@ impl MergeSort {
     /// Ninja tier: the parallel structure plus the bitonic SIMD merge
     /// network in every merge.
     // ninja-lint: variant(ninja)
+    // ninja-lint: expect(vec256)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
         self.run_ninja_on(isa::active(), pool)
     }

@@ -211,6 +211,7 @@ impl NBody {
     /// Compiler-vectorizable tier: serial, SoA layout, blocked independent
     /// accumulators — the form an auto-vectorizer handles.
     // ninja-lint: variant(simd)
+    // ninja-lint: expect(vec256)
     pub fn run_simd(&self) -> Vec<f32> {
         let n = self.len();
         let mut out = vec![0.0f32; 3 * n];
@@ -228,6 +229,7 @@ impl NBody {
 
     /// Low-effort endpoint: the SoA vectorizable loop plus `parallel_for`.
     // ninja-lint: variant(algorithmic)
+    // ninja-lint: expect(vec256)
     pub fn run_algorithmic(&self, pool: &ThreadPool) -> Vec<f32> {
         let n = self.len();
         let mut out = vec![0.0f32; 3 * n];
@@ -248,6 +250,7 @@ impl NBody {
     /// Ninja tier: explicit width-generic SIMD over `j` with the refined
     /// `rsqrt`, parallel over `i`.
     // ninja-lint: variant(ninja)
+    // ninja-lint: expect(vec256, fma)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
         self.run_ninja_on(isa::active(), pool)
     }

@@ -282,6 +282,7 @@ impl TreeSearch {
     /// Ninja tier: SIMD-blocked search — one vector group of queries per
     /// descent step with gathered key loads — plus query parallelism.
     // ninja-lint: variant(ninja)
+    // ninja-lint: expect(vec256)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<u32> {
         self.run_ninja_on(isa::active(), pool)
     }

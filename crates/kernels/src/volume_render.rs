@@ -255,6 +255,7 @@ impl VolumeRender {
     /// Ninja tier: vector-width ray packets with masked compositing and
     /// gathered trilinear sampling, row-parallel.
     // ninja-lint: variant(ninja)
+    // ninja-lint: expect(vec256)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
         self.run_ninja_on(isa::active(), pool)
     }

@@ -394,9 +394,11 @@ fn classify_aarch64(mnemonic: &str, operands: &str, c: &mut InsnCounts) {
 /// Handles the legacy `_ZN<len><seg>...17h<hash>E` scheme fully (with
 /// `$LT$`/`$u7b$`-style escapes and `..` → `::`); for anything else it
 /// falls back to extracting the length-prefixed identifier runs, which
-/// is enough for rung matching under the v0 mangling too. A symbol with
-/// no recognizable segments demangles to itself.
+/// is enough for rung matching under the v0 mangling too (whose `_`
+/// separator before an identifier starting with `_` or a digit is
+/// skipped). A symbol with no recognizable segments demangles to itself.
 pub fn demangle(symbol: &str) -> Vec<String> {
+    let v0 = symbol.starts_with("_R");
     let body = symbol.strip_prefix("_ZN").unwrap_or(symbol);
     let bytes = body.as_bytes();
     let mut segs: Vec<String> = Vec::new();
@@ -408,6 +410,9 @@ pub fn demangle(symbol: &str) -> Vec<String> {
                 i += 1;
             }
             let n: usize = body[start..i].parse().unwrap_or(0);
+            if v0 && bytes.get(i) == Some(&b'_') {
+                i += 1;
+            }
             if n > 0 && i + n <= bytes.len() {
                 let first = bytes[i];
                 if first == b'_' || first == b'$' || first.is_ascii_alphabetic() {
@@ -510,6 +515,11 @@ mod tests {
         );
         assert!(generic[0].contains("demo::Demo"), "{generic:?}");
         assert_eq!(generic[1], "run_naive");
+        // v0 (how `core` is mangled): the `_` before `_mm256..` is a separator.
+        assert_eq!(
+            demangle("_RNvNtNtNtCs1234_4core9core_arch3x863fma15__mm256_fmadd_ps"),
+            ["core", "core_arch", "x86", "fma", "_mm256_fmadd_ps"]
+        );
     }
 
     #[test]

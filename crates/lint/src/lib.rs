@@ -12,20 +12,21 @@
 //!   `// ninja-lint:` markers, must not reference constructs their rung
 //!   forbids (thread runtime in naive/simd; explicit SIMD or `unsafe` in
 //!   naive/parallel).
-//! * **Ninja evidence** (NL003): a ninja tier must actually use explicit
-//!   vector types.
 //! * **Effort honesty** (NL004): declared `effort_loc` must be within a
 //!   loose tolerance of the measured source-line diff against naive.
 //! * **`unsafe` audit** (NL005): every unsafe site across the workspace
 //!   crates needs an adjacent `// SAFETY:` justification.
 //! * **Coverage & hygiene** (NL006/NL007): every rung must be annotated,
 //!   and marker typos fail loudly.
-//! * **Assembly evidence** (NL008/NL009/NL011, `--asm` mode): the
+//! * **Assembly evidence** (NL008/NL009/NL011/NL012, `--asm` mode): the
 //!   [`asm`] and [`vecprofile`] modules parse `rustc --emit asm` output,
-//!   attribute symbols back to rungs, and check that simd/ninja rungs
-//!   actually compiled to vector code (and report when the compiler
-//!   bridged the gap on a naive rung by itself, or vectorized a compiler
-//!   rung's arithmetic while still comparing or converting lane by lane).
+//!   attribute symbols back to rungs, and hold each rung to the profile
+//!   its `expect(vecN[, fma][, sconv=0])` marker declares (an unmarked
+//!   simd/ninja rung must at least emit vector code). They flag an
+//!   intrinsic called out of line inside the AVX2 trampoline's reach, and
+//!   report when the compiler bridged the gap on a naive rung by itself,
+//!   or vectorized a compiler rung's arithmetic while still comparing or
+//!   converting lane by lane.
 //! * **Ordering audit** (NL010): every `Ordering::Relaxed` site and
 //!   `static mut` declaration needs an adjacent `// ORDERING:`
 //!   justification, the concurrency sibling of NL005.
@@ -54,6 +55,7 @@ pub use rules::{Finding, RuleId, Severity, ALL_RULES};
 pub use source::SourceFile;
 pub use vecprofile::{
     asm_audit, check_asm, profile_rungs, render_profiles, AsmAudit, AsmOptions, VecProfile,
+    AVX2_TRAMPOLINE,
 };
 
 use std::path::{Path, PathBuf};

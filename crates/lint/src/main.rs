@@ -16,7 +16,9 @@
 //! `crates/kernels` with `--emit asm` (optionally at a specific
 //! `-C target-cpu` level), attributes the emitted symbols back to rungs,
 //! prints one grep-friendly `vecprofile kernel/rung: ...` line per cell,
-//! and runs the NL008/NL009/NL011 evidence rules. `--asm-file` audits
+//! and runs the NL008/NL009/NL011/NL012 evidence rules: each rung is
+//! held to its `expect(...)` marker, and no intrinsic may be called out
+//! of line inside the AVX2 trampoline's reach. `--asm-file` audits
 //! pre-emitted `.s` listings instead of driving cargo.
 
 #![deny(missing_docs)]

@@ -10,14 +10,19 @@
 //! //                                        accounting only (purity rules
 //! //                                        use the *least* upper bound of
 //! //                                        its rungs)
-//! // ninja-lint: allow(NL003, "reason")     waive one rule on the next fn
+//! // ninja-lint: expect(vec256, fma)        the entry compiles to >= 256-bit
+//! //                                        vector code with FMA (`sconv=0`
+//! //                                        also bans scalarized lanes);
+//! //                                        NL008 checks it in `--asm` mode
+//! // ninja-lint: allow(NL008, "reason")     waive one rule on the next fn
 //! // ninja-lint: skip-file("reason")        exempt a file from the ladder
 //! //                                        rules (the SAFETY audit still
 //! //                                        applies)
 //! ```
 //!
-//! `variant(...)`/`effort(...)`/`allow(...)` attach to the next `fn`
-//! item; `skip-file` applies to the whole file.
+//! `variant(...)`/`effort(...)`/`expect(...)`/`allow(...)` attach to the
+//! next `fn` item, and `expect(...)` only to a `variant(...)` entry;
+//! `skip-file` applies to the whole file.
 
 use crate::lexer::Comment;
 use std::fmt;
@@ -90,10 +95,26 @@ pub enum Marker {
     Variant(Vec<Rung>),
     /// `effort(rungs...)`: the next fn counts toward these rungs' effort.
     Effort(Vec<Rung>),
+    /// `expect(vecN[, fma][, sconv=0])`: the next fn's rungs must compile
+    /// to at least this profile.
+    Expect(Expect),
     /// `allow(RULE, "reason")`: waive one rule on the next fn.
     Allow(String, String),
     /// `skip-file("reason")`: exempt the file from ladder rules.
     SkipFile(String),
+}
+
+/// A rung's declared vectorization profile, checked by NL008 against
+/// the `--asm` evidence.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Expect {
+    /// Minimum width of the vector arithmetic, in bits (`vecN`).
+    pub min_bits: u32,
+    /// Fused multiply-add must be emitted (`fma`).
+    pub fma: bool,
+    /// No scalar compare or float/integer conversion may be emitted
+    /// (`sconv=0`).
+    pub no_scalar_conv: bool,
 }
 
 /// A marker plus its source line.
@@ -154,6 +175,7 @@ fn parse_directive(s: &str) -> Result<Marker, String> {
     match head {
         "variant" => Ok(Marker::Variant(parse_rungs(args)?)),
         "effort" => Ok(Marker::Effort(parse_rungs(args)?)),
+        "expect" => Ok(Marker::Expect(parse_expect(args)?)),
         "allow" => {
             let (rule, reason) = args
                 .split_once(',')
@@ -176,7 +198,7 @@ fn parse_directive(s: &str) -> Result<Marker, String> {
             Ok(Marker::SkipFile(reason))
         }
         other => Err(format!(
-            "unknown directive `{other}` (expected variant/effort/allow/skip-file)"
+            "unknown directive `{other}` (expected variant/effort/expect/allow/skip-file)"
         )),
     }
 }
@@ -213,6 +235,30 @@ fn parse_rungs(args: &str) -> Result<Vec<Rung>, String> {
     } else {
         Ok(rungs)
     }
+}
+
+/// Parses `vecN[, fma][, sconv=0]`: one width, each clause at most once.
+fn parse_expect(args: &str) -> Result<Expect, String> {
+    let mut e = Expect::default();
+    for part in args.split(',').map(str::trim) {
+        let repeated = match (part, part.strip_prefix("vec").and_then(|n| n.parse().ok())) {
+            ("fma", _) => std::mem::replace(&mut e.fma, true),
+            ("sconv=0", _) => std::mem::replace(&mut e.no_scalar_conv, true),
+            (_, Some(n @ (64 | 128 | 256 | 512))) => std::mem::replace(&mut e.min_bits, n) != 0,
+            _ => {
+                return Err(format!(
+                    "`{part}` is not an expectation (vecN, fma, sconv=0)"
+                ))
+            }
+        };
+        if repeated {
+            return Err(format!("expect repeats a clause at `{part}`"));
+        }
+    }
+    if e.min_bits == 0 {
+        return Err("expect needs a width (vec64/vec128/vec256/vec512)".into());
+    }
+    Ok(e)
 }
 
 /// Strips matching double quotes.
@@ -253,13 +299,13 @@ mod tests {
     #[test]
     fn parses_allow_and_skip_file() {
         let (m, e) = parse_markers(&[
-            comment(1, " ninja-lint: allow(NL003, \"scalar ninja by design\")"),
+            comment(1, " ninja-lint: allow(NL008, \"scalar by design\")"),
             comment(2, " ninja-lint: skip-file(\"fault-injection kernel\")"),
         ]);
         assert!(e.is_empty(), "{e:?}");
         assert_eq!(
             m[0].marker,
-            Marker::Allow("NL003".into(), "scalar ninja by design".into())
+            Marker::Allow("NL008".into(), "scalar by design".into())
         );
         assert_eq!(
             m[1].marker,

@@ -205,10 +205,10 @@ mod tests {
         let r = LintReport::new(
             "/repo".into(),
             2,
-            vec![finding(RuleId::NinjaWithoutSimd, "k.rs", 1)],
+            vec![finding(RuleId::OutlinedIntrinsic, "k.rs", 1)],
         );
         let text = r.render_text();
-        assert!(text.contains("k.rs:1: [NL003 ninja-without-simd] msg"));
+        assert!(text.contains("k.rs:1: [NL012 outlined-intrinsic] msg"));
         assert!(text.contains("1 finding(s)"));
         let clean = LintReport::new("/repo".into(), 2, Vec::new());
         assert!(clean.render_text().contains("clean"));

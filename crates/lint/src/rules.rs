@@ -9,7 +9,6 @@
 //! |-------|-----------------------------|--------------|
 //! | NL001 | threads-in-serial-rung      | kernel files |
 //! | NL002 | simd-in-scalar-rung         | kernel files |
-//! | NL003 | ninja-without-simd          | kernel files |
 //! | NL004 | effort-loc-drift            | kernel files |
 //! | NL005 | missing-safety-comment      | every file   |
 //! | NL006 | incomplete-variant-coverage | kernel files |
@@ -18,10 +17,14 @@
 //! | NL009 | scalar-rung-autovectorized  | `--asm` mode |
 //! | NL010 | unjustified-relaxed-ordering| every file   |
 //! | NL011 | scalar-conv-in-vector-rung  | `--asm` mode |
+//! | NL012 | outlined-intrinsic          | `--asm` mode |
 //!
-//! NL008/NL009/NL011 live in [`crate::vecprofile`] because they judge compiler
-//! output, not source tokens; they share this module's `RuleId` space so
-//! `allow(...)` markers and `--deny-warnings` treat them uniformly.
+//! NL003 (`ninja-without-simd`, a token check) is retired: NL008 judges
+//! each rung against its `expect(...)` marker in the compiled code.
+//! NL008/NL009/NL011/NL012 live in [`crate::vecprofile`] because they
+//! judge compiler output, not source tokens; they share this module's
+//! `RuleId` space so `allow(...)` markers and `--deny-warnings` treat
+//! them uniformly.
 
 use crate::markers::Rung;
 use crate::source::SourceFile;
@@ -62,25 +65,6 @@ pub const EXPLICIT_SIMD_IDENTS: [&str; 13] = [
     "Neon",
 ];
 
-/// Identifiers that count as *evidence of* explicit SIMD for the
-/// Ninja-tier requirement (a strict subset of [`EXPLICIT_SIMD_IDENTS`]:
-/// owning an [`AlignedVec`] is not by itself vector code): the `Isa`
-/// trait surface a rung is written against — `fn run<I: Isa>(..)`
-/// dispatched at runtime — and the backends that instantiate it.
-pub const SIMD_EVIDENCE_IDENTS: [&str; 11] = [
-    "Isa",
-    "IsaOp",
-    "dispatch",
-    "dispatch_on",
-    "SimdF32",
-    "SimdF64",
-    "SimdI32",
-    "SimdMask",
-    "Sse2",
-    "Avx2",
-    "Neon",
-];
-
 /// Declared-vs-measured effort tolerance: a declared `effort_loc` of `d`
 /// and a measured diff of `m` lines agree when each is at most
 /// `SLOPE * other + OFFSET`. The bound is deliberately loose — `effort_loc`
@@ -103,7 +87,6 @@ const ORDERING_WINDOW: usize = 10;
 pub const ALL_RULES: [RuleId; 11] = [
     RuleId::ThreadsInSerialRung,
     RuleId::SimdInScalarRung,
-    RuleId::NinjaWithoutSimd,
     RuleId::EffortLocDrift,
     RuleId::MissingSafetyComment,
     RuleId::IncompleteVariantCoverage,
@@ -112,6 +95,7 @@ pub const ALL_RULES: [RuleId; 11] = [
     RuleId::ScalarRungAutovectorized,
     RuleId::UnjustifiedRelaxedOrdering,
     RuleId::ScalarConversionsInVectorRung,
+    RuleId::OutlinedIntrinsic,
 ];
 
 /// Severity of a finding. `Warning` findings gate `--deny-warnings` and
@@ -144,8 +128,6 @@ pub enum RuleId {
     /// NL002: a Naive/Parallel-rung body references explicit SIMD or
     /// `unsafe`.
     SimdInScalarRung,
-    /// NL003: a kernel's Ninja tier never touches the explicit-SIMD surface.
-    NinjaWithoutSimd,
     /// NL004: declared `effort_loc` disagrees with the measured diff size.
     EffortLocDrift,
     /// NL005: an `unsafe` site without an adjacent `// SAFETY:` comment.
@@ -154,7 +136,8 @@ pub enum RuleId {
     IncompleteVariantCoverage,
     /// NL007: a `ninja-lint` marker that does not parse or attach.
     MalformedMarker,
-    /// NL008: a Simd/Ninja rung whose compiled code emits no vector
+    /// NL008: a rung whose compiled code is below its `expect(...)`
+    /// profile, or an unmarked Simd/Ninja rung that emits no vector
     /// arithmetic (asm evidence; see [`crate::vecprofile`]).
     NinjaRungNotVectorized,
     /// NL009 (info): a Naive rung the compiler auto-vectorized.
@@ -165,6 +148,9 @@ pub enum RuleId {
     /// NL011 (info): a Simd/Algorithmic rung with vector evidence that
     /// also emits scalar FP compares or float/integer conversions.
     ScalarConversionsInVectorRung,
+    /// NL012: a function reachable from the AVX2 `#[target_feature]`
+    /// trampoline that calls a `core_arch` intrinsic out of line.
+    OutlinedIntrinsic,
 }
 
 impl RuleId {
@@ -173,7 +159,6 @@ impl RuleId {
         match self {
             RuleId::ThreadsInSerialRung => "NL001",
             RuleId::SimdInScalarRung => "NL002",
-            RuleId::NinjaWithoutSimd => "NL003",
             RuleId::EffortLocDrift => "NL004",
             RuleId::MissingSafetyComment => "NL005",
             RuleId::IncompleteVariantCoverage => "NL006",
@@ -182,6 +167,7 @@ impl RuleId {
             RuleId::ScalarRungAutovectorized => "NL009",
             RuleId::UnjustifiedRelaxedOrdering => "NL010",
             RuleId::ScalarConversionsInVectorRung => "NL011",
+            RuleId::OutlinedIntrinsic => "NL012",
         }
     }
 
@@ -200,7 +186,6 @@ impl RuleId {
         match self {
             RuleId::ThreadsInSerialRung => "threads-in-serial-rung",
             RuleId::SimdInScalarRung => "simd-in-scalar-rung",
-            RuleId::NinjaWithoutSimd => "ninja-without-simd",
             RuleId::EffortLocDrift => "effort-loc-drift",
             RuleId::MissingSafetyComment => "missing-safety-comment",
             RuleId::IncompleteVariantCoverage => "incomplete-variant-coverage",
@@ -209,6 +194,7 @@ impl RuleId {
             RuleId::ScalarRungAutovectorized => "scalar-rung-autovectorized",
             RuleId::UnjustifiedRelaxedOrdering => "unjustified-relaxed-ordering",
             RuleId::ScalarConversionsInVectorRung => "scalar-conv-in-vector-rung",
+            RuleId::OutlinedIntrinsic => "outlined-intrinsic",
         }
     }
 
@@ -223,10 +209,6 @@ impl RuleId {
                 "naive/parallel variant bodies must not reference explicit SIMD \
                  (ninja_simd, AlignedVec, the width-generic Isa dispatch \
                  surface), or use `unsafe`"
-            }
-            RuleId::NinjaWithoutSimd => {
-                "a kernel's ninja tier must reference the width-generic Isa \
-                 surface, or carry an allow() with a reason"
             }
             RuleId::EffortLocDrift => {
                 "declared effort_loc must be within tolerance of the measured \
@@ -245,9 +227,9 @@ impl RuleId {
                  not silently disable enforcement"
             }
             RuleId::NinjaRungNotVectorized => {
-                "a simd/ninja rung's compiled code must emit vector arithmetic \
-                 (FP or integer); checked against --emit asm evidence in --asm \
-                 mode"
+                "a rung's compiled code must meet its expect(vecN[, fma][, sconv=0]) \
+                 marker, and an unmarked simd/ninja rung must emit vector \
+                 arithmetic; checked against --emit asm evidence in --asm mode"
             }
             RuleId::ScalarRungAutovectorized => {
                 "info: the compiler auto-vectorized a naive rung — the paper's \
@@ -261,6 +243,11 @@ impl RuleId {
                 "info: a vectorized simd/algorithmic rung still emits scalar FP \
                  compares or float/integer conversions (ucomiss, cvttss2si, ...) \
                  — lanes the compiler took apart; reported in --asm mode"
+            }
+            RuleId::OutlinedIntrinsic => {
+                "a function reachable from the AVX2 #[target_feature] trampoline \
+                 must not call a core_arch intrinsic: it was compiled outside the \
+                 feature frame (a missing #[inline(always)]); --asm mode"
             }
         }
     }
@@ -292,7 +279,6 @@ pub fn check_file(file: &SourceFile) -> Vec<Finding> {
     check_ordering(file, &mut findings);
     if file.is_kernel_file() && file.segmented.skip_file.is_none() {
         check_purity(file, &mut findings);
-        check_ninja_simd(file, &mut findings);
         check_effort(file, &mut findings);
         check_coverage(file, &mut findings);
     }
@@ -359,41 +345,6 @@ fn check_purity(file: &SourceFile, findings: &mut Vec<Finding>) {
                 });
             }
         }
-    }
-}
-
-/// NL003: the Ninja tier must show explicit SIMD somewhere in its
-/// attributed spans (entry or effort).
-fn check_ninja_simd(file: &SourceFile, findings: &mut Vec<Finding>) {
-    let ninja_spans: Vec<&FnSpan> = file
-        .segmented
-        .spans
-        .iter()
-        .filter(|s| s.rungs().any(|r| r == Rung::Ninja))
-        .collect();
-    if ninja_spans.is_empty() {
-        return; // NL006 reports the missing rung.
-    }
-    if let Some(reason) = ninja_spans.iter().find_map(|s| s.allowed("NL003")) {
-        let _ = reason; // explicit waiver with a recorded reason
-        return;
-    }
-    let has_simd = ninja_spans
-        .iter()
-        .any(|s| s.first_reference(&SIMD_EVIDENCE_IDENTS).is_some());
-    if !has_simd {
-        let entry = ninja_spans[0];
-        findings.push(Finding {
-            rule: RuleId::NinjaWithoutSimd,
-            file: file.rel_path.clone(),
-            line: entry.sig_line,
-            message: format!(
-                "no span attributed to the ninja rung (starting at fn `{}`) \
-                 references the explicit-SIMD surface ({})",
-                entry.name,
-                SIMD_EVIDENCE_IDENTS.join("/")
-            ),
-        });
     }
 }
 
@@ -680,8 +631,8 @@ mod tests {
         assert_eq!(
             ids,
             [
-                "NL001", "NL002", "NL003", "NL004", "NL005", "NL006", "NL007", "NL008", "NL009",
-                "NL010", "NL011"
+                "NL001", "NL002", "NL004", "NL005", "NL006", "NL007", "NL008", "NL009", "NL010",
+                "NL011", "NL012"
             ]
         );
         for r in ALL_RULES {
@@ -736,16 +687,6 @@ mod tests {
             "// ninja-lint: variant(parallel)\nfn run_parallel(&self, pool: &ThreadPool) {\n    par_chunks_mut(pool, &mut self.out, 64, |_, chunk| {\n        dispatch(DotRange { out: chunk });\n    });\n}\n",
         );
         assert!(rules_of(&findings).contains(&"NL002"), "{findings:#?}");
-    }
-
-    #[test]
-    fn isa_generic_body_satisfies_nl003() {
-        // A ninja tier written once against `Isa` is hand-SIMD evidence,
-        // not an NL003 violation.
-        let findings = analyze(
-            "// ninja-lint: variant(ninja)\nfn run_ninja(&self) {\n    dispatch(DotRange { out: &mut self.out });\n}\n// ninja-lint: effort(ninja)\nfn dot_range<I: Isa>(xs: &[f32], out: &mut [f32]) {\n    let lanes = <I::F32 as SimdF32>::LANES;\n    let v = I::F32::load(&xs[..lanes]);\n    v.store(out);\n}\n",
-        );
-        assert!(!rules_of(&findings).contains(&"NL003"), "{findings:#?}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! taxonomy is what a dispatch entry point can reach textually.
 
 use crate::lexer::{Lexed, TokKind, Token};
-use crate::markers::{Marker, MarkerError, PlacedMarker, Rung};
+use crate::markers::{Expect, Marker, MarkerError, PlacedMarker, Rung};
 
 /// How far above a `fn` a marker may sit (doc comments and attributes
 /// between marker and item are fine; unattached markers are an error).
@@ -30,6 +30,8 @@ pub struct FnSpan {
     pub entry_rungs: Vec<Rung>,
     /// Rungs this span counts toward for effort only (`effort(...)`).
     pub effort_rungs: Vec<Rung>,
+    /// Declared vectorization profile of the entry rungs (`expect(...)`).
+    pub expect: Option<Expect>,
     /// Rules waived on this span, with reasons.
     pub allows: Vec<(String, String)>,
 }
@@ -139,6 +141,17 @@ pub fn segment(lexed: &Lexed, markers: &[PlacedMarker]) -> Segmented {
                                 });
                             }
                         }
+                        Marker::Expect(expect) => {
+                            if span.expect.replace(*expect).is_some() {
+                                out.orphans.push(MarkerError {
+                                    line: pm.line,
+                                    message: format!(
+                                        "fn `{}` already has an expect(...) marker",
+                                        span.name
+                                    ),
+                                });
+                            }
+                        }
                         Marker::Allow(rule, reason) => {
                             span.allows.push((rule.clone(), reason.clone()));
                         }
@@ -152,6 +165,19 @@ pub fn segment(lexed: &Lexed, markers: &[PlacedMarker]) -> Segmented {
                     }),
                 }
             }
+        }
+    }
+    // Checked once every marker is attached: `expect(...)` may sit on
+    // either side of its `variant(...)`.
+    for span in &out.spans {
+        if span.expect.is_some() && span.entry_rungs.is_empty() {
+            out.orphans.push(MarkerError {
+                line: span.sig_line,
+                message: format!(
+                    "expect(...) on fn `{}`, which has no variant(...)",
+                    span.name
+                ),
+            });
         }
     }
     out
@@ -214,6 +240,7 @@ fn read_fn(toks: &[Token], at: usize) -> (Option<FnSpan>, usize) {
             body_idents,
             entry_rungs: Vec::new(),
             effort_rungs: Vec::new(),
+            expect: None,
             allows: Vec::new(),
         }),
         i,

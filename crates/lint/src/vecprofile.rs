@@ -1,6 +1,8 @@
 //! Maps assembly evidence (see [`crate::asm`]) back to kernel rungs and
 //! turns it into per-rung vectorization profiles plus the
-//! NL008/NL009/NL011 findings.
+//! NL008/NL009/NL011/NL012 findings. NL008 holds each rung to the
+//! profile its `expect(...)` marker declares, so the judge of "is this
+//! rung really vectorized" sits next to the rung.
 //!
 //! Attribution works symbol-first: a listing function is a *root* for a
 //! rung when its demangled path names both the kernel module (the source
@@ -17,8 +19,9 @@
 //!
 //! The one false-negative mode worth knowing: a function inlined away
 //! completely leaves no symbol, so a rung may legitimately report
-//! `matched_symbols == 0`. NL008 therefore *skips* such rungs instead of
-//! guessing (DESIGN.md "Vectorization evidence" discusses this).
+//! `matched_symbols == 0`. NL008 therefore *skips* such rungs unless an
+//! `expect(...)` marker promises evidence (DESIGN.md "Vectorization
+//! evidence" discusses this).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -26,11 +29,16 @@ use std::process::Command;
 
 use serde::Serialize;
 
-use crate::asm::{AsmListing, InsnCounts};
-use crate::markers::Rung;
+use crate::asm::{Arch, AsmFunction, AsmListing, InsnCounts};
+use crate::markers::{Expect, Rung};
 use crate::rules::{Finding, RuleId};
 use crate::source::SourceFile;
 use crate::LintError;
+
+/// The `#[target_feature]` function through which
+/// `ninja_simd::isa::dispatch` enters the AVX2 arm; NL012 walks from
+/// every instantiation of it.
+pub const AVX2_TRAMPOLINE: &str = "run_avx2";
 
 /// Minimum packed-FP count before NL009 reports a naive rung as
 /// auto-vectorized; the odd stray packed move-adjacent op in prologue
@@ -103,8 +111,9 @@ impl VecProfile {
     }
 }
 
-/// The result of an `--asm` audit: the lint report (NL008/NL009/NL011
-/// findings) plus every per-rung profile that produced evidence.
+/// The result of an `--asm` audit: the lint report
+/// (NL008/NL009/NL011/NL012 findings) plus every per-rung profile that
+/// produced evidence.
 #[derive(Clone, Debug)]
 pub struct AsmAudit {
     /// Findings wrapped in the standard report (drives `--deny-warnings`
@@ -112,6 +121,11 @@ pub struct AsmAudit {
     pub report: crate::LintReport,
     /// Per-(kernel, rung) vectorization profiles, sorted.
     pub profiles: Vec<VecProfile>,
+    /// Instantiations of [`AVX2_TRAMPOLINE`] NL012 walked from. Zero in
+    /// a default-level listing means the walk checked nothing (an
+    /// `x86-64-v3` listing inlines the trampoline away, so zero is
+    /// expected there).
+    pub trampolines: usize,
 }
 
 /// Options for [`asm_audit`].
@@ -152,19 +166,47 @@ fn rung_fn_names(file: &SourceFile) -> BTreeMap<Rung, Vec<&str>> {
     map
 }
 
+/// Every listing function by mangled symbol.
+fn index_symbols(listings: &[AsmListing]) -> HashMap<&str, &AsmFunction> {
+    listings
+        .iter()
+        .flat_map(|l| &l.functions)
+        .map(|f| (f.symbol.as_str(), f))
+        .collect()
+}
+
+/// Breadth-first walk over the symbols the `roots` reference: every
+/// reachable listing function once, roots first.
+fn reachable<'a>(
+    index: &HashMap<&'a str, &'a AsmFunction>,
+    roots: impl IntoIterator<Item = &'a str>,
+) -> Vec<&'a AsmFunction> {
+    let mut visited: BTreeSet<&str> = BTreeSet::new();
+    let mut queue: VecDeque<&AsmFunction> = roots
+        .into_iter()
+        .filter(|s| visited.insert(s))
+        .filter_map(|s| index.get(s).copied())
+        .collect();
+    let mut out = Vec::new();
+    while let Some(f) = queue.pop_front() {
+        out.push(f);
+        for callee in &f.callees {
+            if let Some(&g) = index.get(callee.as_str()) {
+                if visited.insert(g.symbol.as_str()) {
+                    queue.push_back(g);
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Computes the vectorization profile of every marked rung in `files`
 /// against the functions of `listings`. Files without markers and rungs
 /// with no surviving symbols still produce a profile (classification
 /// `no-evidence`) so the report shows what could not be proven.
 pub fn profile_rungs(files: &[SourceFile], listings: &[AsmListing]) -> Vec<VecProfile> {
-    // Index every listing function by mangled symbol for the BFS.
-    let mut by_symbol: HashMap<&str, (usize, usize)> = HashMap::new();
-    for (li, listing) in listings.iter().enumerate() {
-        for (fi, f) in listing.functions.iter().enumerate() {
-            by_symbol.insert(f.symbol.as_str(), (li, fi));
-        }
-    }
-
+    let index = index_symbols(listings);
     let mut profiles = Vec::new();
     for file in files {
         if !file.is_kernel_file() || file.segmented.skip_file.is_some() {
@@ -172,50 +214,69 @@ pub fn profile_rungs(files: &[SourceFile], listings: &[AsmListing]) -> Vec<VecPr
         }
         let module = kernel_name(&file.rel_path);
         for (rung, fn_names) in rung_fn_names(file) {
+            let roots: BTreeSet<&str> = index
+                .values()
+                .filter(|f| {
+                    path_names_module(&f.path, &module)
+                        && f.path.iter().any(|seg| fn_names.iter().any(|n| seg == n))
+                })
+                .map(|f| f.symbol.as_str())
+                .collect();
             let mut counts = InsnCounts::default();
-            let mut matched = 0u32;
-            let mut visited: BTreeSet<&str> = BTreeSet::new();
-            let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
-            for listing in listings {
-                for f in &listing.functions {
-                    let is_root = path_names_module(&f.path, &module)
-                        && f.path.iter().any(|seg| fn_names.iter().any(|n| seg == n));
-                    if is_root && visited.insert(f.symbol.as_str()) {
-                        matched += 1;
-                        queue.push_back(by_symbol[f.symbol.as_str()]);
-                    }
-                }
-            }
-            while let Some((li, fi)) = queue.pop_front() {
-                let f = &listings[li].functions[fi];
+            for f in reachable(&index, roots.iter().copied()) {
                 counts.merge(&f.counts);
-                for callee in &f.callees {
-                    if let Some(&loc) = by_symbol.get(callee.as_str()) {
-                        if visited.insert(listings[loc.0].functions[loc.1].symbol.as_str()) {
-                            queue.push_back(loc);
-                        }
-                    }
-                }
             }
-            profiles.push(VecProfile::from_counts(&module, rung, counts, matched));
+            profiles.push(VecProfile::from_counts(
+                &module,
+                rung,
+                counts,
+                roots.len() as u32,
+            ));
         }
     }
     profiles.sort_by(|a, b| (&a.kernel, &a.rung).cmp(&(&b.kernel, &b.rung)));
     profiles
 }
 
-/// Runs the asm-evidence rules over `files` + `listings`: NL008
-/// (simd/ninja rung with zero vector arithmetic), NL009 (naive rung the
-/// compiler auto-vectorized; info severity) and NL011 (compiler rung
-/// that is vectorized but still compares or converts lane by lane; info
-/// severity). Returns the profiles alongside the findings so callers
-/// render both.
+/// The profile an unmarked simd/ninja rung is held to: any vector
+/// arithmetic at all.
+const IMPLICIT_FLOOR: Expect = Expect {
+    min_bits: 64,
+    fma: false,
+    no_scalar_conv: false,
+};
+
+/// The clauses of `e` the rung's compiled code misses.
+fn unmet_clauses(e: Expect, p: &VecProfile) -> Vec<String> {
+    if p.matched_symbols == 0 {
+        return vec!["no listing symbol matched the rung".into()];
+    }
+    [
+        (p.width_bits < e.min_bits)
+            .then(|| format!("{} is narrower than vec{}", p.classification, e.min_bits)),
+        (e.fma && !p.fma).then(|| "no fma".into()),
+        (e.no_scalar_conv && p.scalar_conv_ops > 0).then(|| format!("sconv={}", p.scalar_conv_ops)),
+    ]
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// Runs the asm-evidence rules over `files` + `listings`: NL008 (a rung
+/// below its `expect(...)` profile, or an unmarked simd/ninja rung with
+/// zero vector arithmetic), NL009 (naive rung the compiler
+/// auto-vectorized; info severity), NL011 (compiler rung that is
+/// vectorized but still compares or converts lane by lane; info
+/// severity) and NL012 (an intrinsic called out of line inside the AVX2
+/// trampoline's reach). Returns the profiles alongside the findings so
+/// callers render both.
 pub fn check_asm(files: &[SourceFile], listings: &[AsmListing]) -> (Vec<VecProfile>, Vec<Finding>) {
     let profiles = profile_rungs(files, listings);
     let by_cell: HashMap<(&str, &str), &VecProfile> = profiles
         .iter()
         .map(|p| ((p.kernel.as_str(), p.rung.as_str()), p))
         .collect();
+    let x86 = listings.iter().any(|l| l.arch == Arch::X86_64);
 
     let mut findings = Vec::new();
     for file in files {
@@ -224,92 +285,151 @@ pub fn check_asm(files: &[SourceFile], listings: &[AsmListing]) -> (Vec<VecProfi
         }
         let module = kernel_name(&file.rel_path);
         for span in &file.segmented.spans {
-            for rung in &span.entry_rungs {
-                let Some(profile) = by_cell.get(&(module.as_str(), rung.name())) else {
+            let mut emit = |rule: RuleId, message: String| {
+                if span.allowed(rule.id()).is_none() {
+                    findings.push(Finding {
+                        rule,
+                        file: file.rel_path.clone(),
+                        line: span.sig_line,
+                        message,
+                    });
+                }
+            };
+            for &rung in &span.entry_rungs {
+                let Some(p) = by_cell.get(&(module.as_str(), rung.name())) else {
                     continue;
                 };
                 if matches!(rung, Rung::Simd | Rung::Algorithmic)
-                    && (profile.vector_fp_ops > 0 || profile.vector_int_ops > 0)
-                    && profile.scalar_conv_ops > 0
-                    && span.allowed("NL011").is_none()
+                    && (p.vector_fp_ops > 0 || p.vector_int_ops > 0)
+                    && p.scalar_conv_ops > 0
                 {
-                    findings.push(Finding {
-                        rule: RuleId::ScalarConversionsInVectorRung,
-                        file: file.rel_path.clone(),
-                        line: span.sig_line,
-                        message: format!(
-                            "{} rung of `{}` is vectorized ({}) but also emits {} scalar \
-                             compare/conversion op(s) — a clamp, floor or `as i32` the \
-                             compiler scalarized lane by lane",
-                            rung.name(),
-                            module,
-                            profile.classification,
-                            profile.scalar_conv_ops
+                    emit(
+                        RuleId::ScalarConversionsInVectorRung,
+                        format!(
+                            "{rung} rung of `{module}` is vectorized ({}) but also emits {} \
+                             scalar compare/conversion op(s) — a clamp, floor or `as i32` \
+                             the compiler scalarized lane by lane",
+                            p.classification, p.scalar_conv_ops
                         ),
-                    });
+                    );
                 }
-                match rung {
-                    Rung::Simd | Rung::Ninja => {
-                        // A rung whose symbols were all inlined away is a
-                        // documented false-negative mode, not a finding.
-                        if profile.matched_symbols == 0
-                            || profile.vector_fp_ops > 0
-                            || profile.vector_int_ops > 0
-                        {
-                            continue;
-                        }
-                        if span.allowed("NL008").is_some() {
-                            continue;
-                        }
-                        // A ninja rung already waived for having no SIMD
-                        // in source (NL003) cannot be expected to emit it.
-                        if *rung == Rung::Ninja && span.allowed("NL003").is_some() {
-                            continue;
-                        }
-                        findings.push(Finding {
-                            rule: RuleId::NinjaRungNotVectorized,
-                            file: file.rel_path.clone(),
-                            line: span.sig_line,
-                            message: format!(
-                                "{} rung of `{}` emits no vector arithmetic: {} scalar FP op(s) \
-                                 across {} matched symbol(s) — the compiled code does not back \
-                                 the rung's claim",
-                                rung.name(),
-                                module,
-                                profile.scalar_fp_ops,
-                                profile.matched_symbols
-                            ),
-                        });
-                    }
-                    Rung::Naive => {
-                        if profile.matched_symbols == 0
-                            || profile.vector_fp_ops < NL009_MIN_VECTOR_FP_OPS
-                            || span.allowed("NL009").is_some()
-                        {
-                            continue;
-                        }
-                        findings.push(Finding {
-                            rule: RuleId::ScalarRungAutovectorized,
-                            file: file.rel_path.clone(),
-                            line: span.sig_line,
-                            message: format!(
-                                "naive rung of `{}` was auto-vectorized by the compiler \
-                                 ({} packed FP op(s), width {}-bit{}) — the paper's thesis, \
-                                 caught in the act",
-                                module,
-                                profile.vector_fp_ops,
-                                profile.width_bits,
-                                if profile.fma { ", fma" } else { "" }
-                            ),
-                        });
-                    }
-                    Rung::Parallel | Rung::Algorithmic => {}
+                // The markers state x86-64 facts (NEON tops out at 128
+                // bits); on another listing a marked rung gets the floor.
+                let expect = span.expect.map(|e| if x86 { e } else { IMPLICIT_FLOOR });
+                // An unmarked rung whose symbols were all inlined away is
+                // the documented false-negative mode, not a finding.
+                let implicit = (matches!(rung, Rung::Simd | Rung::Ninja) && p.matched_symbols > 0)
+                    .then_some(IMPLICIT_FLOOR);
+                let unmet = expect
+                    .or(implicit)
+                    .map_or_else(Vec::new, |e| unmet_clauses(e, p));
+                if !unmet.is_empty() {
+                    let declared = match span.expect {
+                        Some(_) => "its expect(...) marker",
+                        None => "the implicit any-vector floor",
+                    };
+                    emit(
+                        RuleId::NinjaRungNotVectorized,
+                        format!(
+                            "{rung} rung of `{module}` compiles below {declared}: {} — the \
+                             compiled code does not back the rung's claim",
+                            unmet.join(", ")
+                        ),
+                    );
+                }
+                if rung == Rung::Naive
+                    && p.matched_symbols > 0
+                    && p.vector_fp_ops >= NL009_MIN_VECTOR_FP_OPS
+                {
+                    emit(
+                        RuleId::ScalarRungAutovectorized,
+                        format!(
+                            "naive rung of `{module}` was auto-vectorized by the compiler \
+                             ({} packed FP op(s), width {}-bit{}) — the paper's thesis, \
+                             caught in the act",
+                            p.vector_fp_ops,
+                            p.width_bits,
+                            if p.fma { ", fma" } else { "" }
+                        ),
+                    );
                 }
             }
         }
     }
+    findings.extend(outlined_intrinsics(files, listings));
     findings.sort_by_key(|f| (f.file.clone(), f.line, f.rule.id()));
     (profiles, findings)
+}
+
+fn is_trampoline(f: &AsmFunction) -> bool {
+    f.path.iter().any(|seg| seg == AVX2_TRAMPOLINE)
+}
+
+/// NL012: a function reachable from a `run_avx2` trampoline that still
+/// calls a `core_arch` intrinsic was compiled outside the AVX2 feature
+/// frame (an `IsaOp::run` or helper without `#[inline(always)]`), where
+/// every wide intrinsic is a call. Calls outside any trampoline (a
+/// `Debug` impl, say) are not findings. The finding lands on the kernel
+/// file the symbol names, or on the listing line when none does; one
+/// per source location, however many instantiations share it.
+fn outlined_intrinsics(files: &[SourceFile], listings: &[AsmListing]) -> Vec<Finding> {
+    let index = index_symbols(listings);
+    let trampolines = index
+        .values()
+        .filter(|f| is_trampoline(f))
+        .map(|f| f.symbol.as_str());
+    let mut findings = Vec::new();
+    for f in reachable(&index, trampolines) {
+        // An intrinsic's own body is not a finding.
+        let intrinsic = f.callees.iter().find(|c| c.contains("core_arch"));
+        let Some(intrinsic) = intrinsic.filter(|_| !f.symbol.contains("core_arch")) else {
+            continue;
+        };
+        let name = f.path.join("::");
+        let (file, line) = match files
+            .iter()
+            .find(|src| path_names_module(&f.path, &kernel_name(&src.rel_path)))
+        {
+            Some(src) => (src.rel_path.clone(), symbol_line(src, &f.path)),
+            None => (name.clone(), f.line),
+        };
+        findings.push(Finding {
+            rule: RuleId::OutlinedIntrinsic,
+            file,
+            line,
+            message: format!(
+                "`{name}` is reachable from the AVX2 trampoline but calls `{}` out of \
+                 line: it was compiled outside the feature frame, so every intrinsic \
+                 is a call — mark it #[inline(always)]",
+                crate::asm::demangle(intrinsic).pop().unwrap_or_default()
+            ),
+        });
+    }
+    findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    findings.dedup_by(|a, b| (&a.file, a.line) == (&b.file, b.line));
+    findings
+}
+
+/// Best-effort source line of a demangled symbol: the first marked or
+/// unmarked `fn` named by a path segment, after the `impl` header of
+/// the `<module::Type as Trait>` segment when there is one.
+fn symbol_line(file: &SourceFile, path: &[String]) -> u32 {
+    let ty = path.iter().find_map(|seg| {
+        seg.strip_prefix('<')?
+            .split(" as ")
+            .next()?
+            .rsplit("::")
+            .next()
+    });
+    let is_impl = |ty, l: &String| l.trim_start().starts_with("impl") && l.contains(ty);
+    let impl_line = ty
+        .and_then(|ty| file.lines.iter().position(|l| is_impl(ty, l)))
+        .map_or(0, |i| i as u32 + 1);
+    file.segmented
+        .spans
+        .iter()
+        .find(|s| s.sig_line > impl_line && path.contains(&s.name))
+        .map_or(impl_line.max(1), |s| s.sig_line)
 }
 
 /// Renders profiles as stable, grep-friendly lines (one per cell):
@@ -379,7 +499,16 @@ pub fn asm_audit(root: &Path, opts: &AsmOptions) -> Result<AsmAudit, LintError> 
 
     let (profiles, findings) = check_asm(&files, &listings);
     let report = crate::LintReport::new(root.to_string_lossy().into_owned(), files.len(), findings);
-    Ok(AsmAudit { report, profiles })
+    let trampolines = listings
+        .iter()
+        .flat_map(|l| &l.functions)
+        .filter(|f| is_trampoline(f))
+        .count();
+    Ok(AsmAudit {
+        report,
+        profiles,
+        trampolines,
+    })
 }
 
 /// Compiles `crates/kernels` to assembly at the requested

@@ -2,11 +2,13 @@
 //!
 //! The classifier runs against checked-in listings (x86-64 AVX2, x86-64
 //! SSE-only, AArch64 NEON, fully scalar) so its counting rules are pinned
-//! without invoking a compiler; NL008/NL009/NL011 are then exercised
-//! through `check_asm` against paired source fixtures, each firing
-//! exactly once.
+//! without invoking a compiler; NL008/NL009/NL011/NL012 and the
+//! `expect(...)` profiles are then exercised through `check_asm` against
+//! paired source fixtures, each firing exactly once.
 
-use ninja_lint::{check_asm, parse_listing, Arch, AsmListing, RuleId, Severity, SourceFile};
+use ninja_lint::{
+    check_asm, parse_listing, Arch, AsmListing, RuleId, Severity, SourceFile, AVX2_TRAMPOLINE,
+};
 use std::path::{Path, PathBuf};
 
 fn fixtures_dir() -> PathBuf {
@@ -19,9 +21,30 @@ fn listing(name: &str) -> AsmListing {
     parse_listing(&text)
 }
 
+fn source_text(name: &str) -> String {
+    std::fs::read_to_string(fixtures_dir().join(name)).expect("source fixture readable")
+}
+
 fn source(name: &str) -> SourceFile {
-    let text = std::fs::read_to_string(fixtures_dir().join(name)).expect("source fixture readable");
+    SourceFile::from_source(name.to_string(), source_text(name))
+}
+
+/// `name`'s fixture with an `expect(...)` marker under its entry's
+/// `variant(...)` marker.
+fn expecting(name: &str, rung: &str, expect: &str) -> SourceFile {
+    let marker = format!("// ninja-lint: variant({rung})");
+    let text = source_text(name).replace(&marker, &format!("{marker}\n// ninja-lint: {expect}"));
     SourceFile::from_source(name.to_string(), text)
+}
+
+/// The findings of `rule`, asserting no other warning fired.
+fn only(findings: &[ninja_lint::Finding], rule: RuleId) -> Vec<&ninja_lint::Finding> {
+    let warnings: Vec<_> = findings
+        .iter()
+        .filter(|f| f.rule.severity() == Severity::Warning)
+        .collect();
+    assert!(warnings.iter().all(|f| f.rule == rule), "{findings:#?}");
+    warnings
 }
 
 #[test]
@@ -142,19 +165,142 @@ fn nl011_fires_exactly_once_on_a_vectorized_rung_with_scalarized_lanes() {
         (p.vector_fp_ops, p.scalar_fp_ops, p.scalar_conv_ops),
         (2, 0, 3)
     );
-    assert!(ninja_lint::render_profiles(&profiles).contains(" sconv=3 "));
+    let line = ninja_lint::render_profiles(&profiles);
+    assert!(
+        line.starts_with("vecprofile asm_simd_scalarized/simd: vec128 width=128 fma=no "),
+        "{line}"
+    );
+    assert!(line.contains(" sconv=3 "), "{line}");
 }
 
 #[test]
 fn mismatched_listing_yields_no_evidence_and_no_findings() {
     // Pairing the ninja source with an unrelated listing must classify as
-    // no-evidence (symbols inlined away / absent) and stay silent.
+    // no-evidence (symbols inlined away / absent) and stay silent...
     let files = [source("asm_ninja_scalar.rs")];
     let (profiles, findings) = check_asm(&files, &[listing("sse.s")]);
     assert!(findings.is_empty(), "{findings:#?}");
     let p = &profiles[0];
     assert_eq!(p.matched_symbols, 0);
     assert_eq!(p.classification, "no-evidence");
+    // ...unless the rung declares a profile: then no evidence is a miss.
+    let files = [expecting("asm_ninja_scalar.rs", "ninja", "expect(vec128)")];
+    let (_, findings) = check_asm(&files, &[listing("sse.s")]);
+    let hits = only(&findings, RuleId::NinjaRungNotVectorized);
+    assert_eq!(hits.len(), 1, "{findings:#?}");
+    assert!(
+        hits[0].message.contains("no listing symbol"),
+        "{}",
+        hits[0].message
+    );
+}
+
+#[test]
+fn nl008_names_every_unmet_clause_of_a_declared_profile() {
+    let src =
+        "// ninja-lint: variant(simd)\n// ninja-lint: expect(vec256, fma)\npub fn run_simd() {}\n";
+    let files = [SourceFile::from_source("ssekern.rs".into(), src.into())];
+    let (_, findings) = check_asm(&files, &[listing("sse.s")]);
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+    let f = &findings[0];
+    assert_eq!(
+        (f.rule, f.file.as_str(), f.line),
+        (RuleId::NinjaRungNotVectorized, "ssekern.rs", 3)
+    );
+    for clause in [
+        "expect(...) marker",
+        "vec128 is narrower than vec256",
+        "no fma",
+    ] {
+        assert!(f.message.contains(clause), "{clause}: {}", f.message);
+    }
+    // The same listing meets a profile it does reach.
+    let met = src.replace("expect(vec256, fma)", "expect(vec128)");
+    let files = [SourceFile::from_source("ssekern.rs".into(), met)];
+    assert!(check_asm(&files, &[listing("sse.s")]).1.is_empty());
+}
+
+#[test]
+fn markers_are_x86_facts_so_a_neon_listing_meets_vec256_with_any_vector() {
+    // NEON registers are 128 bits wide: on an AArch64 listing a marked
+    // rung is held to the any-vector floor, not to its x86-64 width.
+    let src =
+        "// ninja-lint: variant(simd)\n// ninja-lint: expect(vec256, fma)\npub fn run_simd() {}\n";
+    let files = [SourceFile::from_source("neonkern.rs".into(), src.into())];
+    let (_, findings) = check_asm(&files, &[listing("neon.s")]);
+    assert!(findings.is_empty(), "{findings:#?}");
+    // The floor still bites: a scalar AArch64 rung fails its marker.
+    let scalar = "_ZN8neonkern8run_simd17h0000000000000000E:\n\tfadd\ts0, s0, s1\n\tret\n";
+    let (_, findings) = check_asm(&files, &[parse_listing(scalar)]);
+    assert_eq!(
+        only(&findings, RuleId::NinjaRungNotVectorized).len(),
+        1,
+        "{findings:#?}"
+    );
+}
+
+#[test]
+fn nl008_fires_once_on_scalarized_lanes_under_sconv_0() {
+    let files = [expecting(
+        "asm_simd_scalarized.rs",
+        "simd",
+        "expect(vec128, sconv=0)",
+    )];
+    let (_, findings) = check_asm(&files, &[listing("scalarized.s")]);
+    let hits = only(&findings, RuleId::NinjaRungNotVectorized);
+    assert_eq!(hits.len(), 1, "{findings:#?}");
+    assert!(hits[0].message.contains("sconv=3"), "{}", hits[0].message);
+    assert!(!hits[0].message.contains("narrower"), "{}", hits[0].message);
+}
+
+#[test]
+fn nl012_fires_once_on_an_intrinsic_outlined_from_the_trampoline() {
+    let files = [source("outlined.rs")];
+    let (_, findings) = check_asm(&files, &[listing("outlined.s")]);
+    // The Debug impl's call sits outside every trampoline: no finding.
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+    let f = &findings[0];
+    assert_eq!(f.rule, RuleId::OutlinedIntrinsic);
+    assert_eq!(f.rule.severity(), Severity::Warning);
+    assert_eq!(f.file, "outlined.rs");
+    let text = source_text("outlined.rs");
+    let run_line = text.lines().position(|l| l.contains("fn run<")).unwrap() + 1;
+    assert_eq!(f.line as usize, run_line, "{}", f.message);
+    assert!(f.message.contains("`_mm256_fmadd_ps`"), "{}", f.message);
+}
+
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root")
+        .to_path_buf()
+}
+
+#[test]
+fn nl012_walks_from_the_trampoline_the_dispatch_really_defines() {
+    // NL012 roots on a symbol name; a renamed or reshaped trampoline
+    // would leave it nothing to walk, so the name is pinned to the source.
+    let dispatch = repo_root().join("crates/simd/src/isa/dispatch.rs");
+    let file = SourceFile::from_source(
+        "dispatch.rs".into(),
+        std::fs::read_to_string(dispatch).expect("dispatch source readable"),
+    );
+    let span = file
+        .segmented
+        .spans
+        .iter()
+        .find(|s| s.name == AVX2_TRAMPOLINE);
+    let sig = span
+        .map(|s| s.sig_line as usize)
+        .expect("trampoline fn present");
+    let attrs = &file.lines[sig.saturating_sub(4)..sig];
+    assert!(
+        attrs
+            .iter()
+            .any(|l| l.contains("#[target_feature(enable = \"avx2")),
+        "{attrs:#?}"
+    );
 }
 
 /// Compiles the kernels crate and audits the real tree — slow, so opt-in:
@@ -162,42 +308,26 @@ fn mismatched_listing_yields_no_evidence_and_no_findings() {
 #[test]
 #[ignore = "drives cargo rustc --emit asm on crates/kernels"]
 fn real_tree_asm_audit_is_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .to_path_buf();
-    let audit =
-        ninja_lint::asm_audit(&root, &ninja_lint::AsmOptions::default()).expect("audit runs");
+    let audit = ninja_lint::asm_audit(&repo_root(), &ninja_lint::AsmOptions::default())
+        .expect("audit runs");
+    // At the default level the AVX2 arm lives behind the trampoline, so
+    // NL012 must have had something to walk.
+    assert!(
+        audit.trampolines > 0,
+        "no `{AVX2_TRAMPOLINE}` in the listing"
+    );
     assert!(
         audit.report.clean,
         "real-tree asm audit must pass:\n{}",
         audit.report.render_text()
     );
-    let ninja: Vec<_> = audit
+    // One profile per (kernel, rung): ten kernels, five rungs. What each
+    // must compile to is declared by its `expect(...)` marker and already
+    // judged in `clean`.
+    let cells: std::collections::BTreeSet<_> = audit
         .profiles
         .iter()
-        .filter(|p| p.rung == "ninja")
+        .map(|p| (p.kernel.as_str(), p.rung.as_str()))
         .collect();
-    // The compiler rungs the feature frame recompiles: 256-bit at the
-    // default target-cpu, and no lane taken apart by a scalar compare or
-    // conversion in the two kernels whose math is all polynomial.
-    for p in &audit.profiles {
-        let framed = matches!(p.kernel.as_str(), "nbody" | "libor" | "black_scholes");
-        if framed && matches!(p.rung.as_str(), "simd" | "algorithmic") {
-            assert_eq!(p.width_bits, 256, "{}/{}", p.kernel, p.rung);
-            if p.kernel != "nbody" {
-                assert_eq!(p.scalar_conv_ops, 0, "{}/{}", p.kernel, p.rung);
-            }
-        }
-    }
-    assert_eq!(ninja.len(), 10, "one ninja profile per kernel");
-    for p in ninja {
-        assert!(
-            p.width_bits >= 128,
-            "{}/ninja shows no vector evidence: {}",
-            p.kernel,
-            p.classification
-        );
-    }
+    assert_eq!((cells.len(), audit.profiles.len()), (50, 50), "{cells:?}");
 }

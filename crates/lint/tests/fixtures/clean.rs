@@ -3,10 +3,7 @@
 //! Fixtures are lexed by the lint, never compiled; they mirror the shape
 //! of a real `crates/kernels/src/*.rs` entry (variant ladder, markers,
 //! `VariantInfo` effort declarations, a ninja tier written once against
-//! the width-generic `Isa` trait, one justified unsafe site). NL003
-//! accepts the trait surface as hand-SIMD evidence: the whole point of
-//! the dispatcher is that one kernel source measures at every vector
-//! width, and the lint must not punish that.
+//! the width-generic `Isa` trait, one justified unsafe site).
 
 use ninja_parallel::{par_chunks_mut, ThreadPool};
 use ninja_simd::isa::{dispatch, Isa, IsaOp, SimdF32};
@@ -93,6 +90,7 @@ impl DotProd {
 
     /// Hand-vectorized once plus threads; measured at whatever width the
     /// dispatcher resolves (or a `NINJA_ISA` override forces).
+    // ninja-lint: expect(vec256, fma)
     // ninja-lint: variant(ninja)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
         let mut out = vec![0.0f32; self.n];

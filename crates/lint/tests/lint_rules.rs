@@ -2,7 +2,8 @@
 //! rule exactly once, the clean fixture passes, the `ninja-lint` binary's
 //! exit codes match, and the real tree is clean under `--deny-warnings`.
 
-use ninja_lint::{analyze_files, analyze_workspace, LintReport, RuleId};
+use ninja_lint::rules::check_file;
+use ninja_lint::{analyze_files, analyze_workspace, LintReport, RuleId, SourceFile};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -48,8 +49,8 @@ fn assert_fires_exactly_once(name: &str, rule: RuleId) {
 
 #[test]
 fn clean_fixture_passes() {
-    // Its ninja rung is written against the width-generic `Isa` trait,
-    // which satisfies NL003 like any explicit vector code.
+    // Its ninja entry carries `expect(...)` above `variant(...)`: either
+    // order attaches.
     let report = lint_fixture("clean.rs");
     assert!(report.clean, "{:#?}", report.findings);
 }
@@ -62,11 +63,6 @@ fn naive_uses_threads_fires_nl001_once() {
 #[test]
 fn parallel_uses_isa_fires_nl002_once() {
     assert_fires_exactly_once("parallel_uses_isa.rs", RuleId::SimdInScalarRung);
-}
-
-#[test]
-fn ninja_without_simd_fires_nl003_once() {
-    assert_fires_exactly_once("ninja_without_simd.rs", RuleId::NinjaWithoutSimd);
 }
 
 #[test]
@@ -118,7 +114,6 @@ fn binary_exits_nonzero_on_each_violation_fixture() {
     for name in [
         "naive_uses_threads.rs",
         "parallel_uses_isa.rs",
-        "ninja_without_simd.rs",
         "effort_drift.rs",
         "missing_safety.rs",
         "relaxed_unjustified.rs",
@@ -189,9 +184,34 @@ fn binary_lists_rules() {
     let (code, stdout, _) = run_binary(&["--list-rules"]);
     assert_eq!(code, 0);
     for id in [
-        "NL001", "NL002", "NL003", "NL004", "NL005", "NL006", "NL007", "NL008", "NL009", "NL010",
-        "NL011",
+        "NL001", "NL002", "NL004", "NL005", "NL006", "NL007", "NL008", "NL009", "NL010", "NL011",
+        "NL012",
     ] {
         assert!(stdout.contains(id), "{stdout}");
+    }
+    assert!(!stdout.contains("NL003"), "{stdout}");
+    assert_eq!(stdout.lines().count(), 11, "{stdout}");
+}
+
+#[test]
+fn malformed_expect_markers_fire_nl007_once_each() {
+    for (marker, why) in [
+        ("expect(vec257)", "not an expectation"),
+        ("expect(sconv=1)", "not an expectation"),
+        ("expect()", "not an expectation"),
+        ("expect(fma, fma)", "repeats a clause"),
+        ("expect(vec128, vec256)", "repeats a clause"),
+        ("expect(fma)", "needs a width"),
+        ("expect(vec256)", "no variant(...)"),
+    ] {
+        let src = format!("// ninja-lint: {marker}\nfn run_ninja() {{}}\n");
+        let findings = check_file(&SourceFile::from_source("k.rs".into(), src));
+        assert_eq!(findings.len(), 1, "{marker}: {findings:#?}");
+        assert_eq!(findings[0].rule, RuleId::MalformedMarker, "{marker}");
+        assert!(
+            findings[0].message.contains(why),
+            "{marker}: {}",
+            findings[0].message
+        );
     }
 }

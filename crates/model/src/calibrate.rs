@@ -56,16 +56,20 @@ fn measure_scalar_gflops() -> f64 {
     (ITERS as f64 * 8.0 * 2.0) / secs / 1e9
 }
 
-/// SIMD multiply-add throughput with four independent vector chains, on
-/// the ISA backend the kernels' ninja rungs dispatch to.
+/// SIMD multiply-add throughput with eight independent vector chains
+/// (enough to cover a 4-cycle FMA latency on two ports), on the ISA
+/// backend the kernels' ninja rungs dispatch to.
 struct SimdFlops;
 
 impl IsaOp for SimdFlops {
     /// GFLOP/s.
     type Output = f64;
+    // `inline(always)` like every `IsaOp::run`: out of the dispatcher's
+    // feature frame, each intrinsic would be an out-of-line call.
+    #[inline(always)]
     fn run<I: Isa>(self) -> f64 {
         const ITERS: u64 = 4_000_000;
-        let mut acc = [1.0f32, 1.1, 1.2, 1.3].map(I::F32::splat);
+        let mut acc = [1.0f32, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7].map(I::F32::splat);
         let a = I::F32::splat(black_box(1.000_000_1f32));
         let b = I::F32::splat(black_box(1e-9f32));
         let start = Instant::now();
@@ -76,9 +80,9 @@ impl IsaOp for SimdFlops {
         }
         let secs = start.elapsed().as_secs_f64();
         black_box(acc.map(|v| v.reduce_sum()));
-        // 4 chains x LANES x (1 mul + 1 add).
+        // 8 chains x LANES x (1 mul + 1 add).
         let lanes = <I::F32 as SimdF32>::LANES as f64;
-        (ITERS as f64 * 4.0 * lanes * 2.0) / secs / 1e9
+        (ITERS as f64 * acc.len() as f64 * lanes * 2.0) / secs / 1e9
     }
 }
 
@@ -176,7 +180,14 @@ mod tests {
     fn calibrated_machine_works_with_the_model() {
         // Run the real (brief) microbenchmarks once and feed the result
         // through the prediction path end to end.
-        let m = machine_from(measure_host(), 2);
+        let cal = measure_host();
+        // A vector pipeline of 4+ lanes must not lose to one scalar lane,
+        // as it does when the probe compiles outside the feature frame.
+        // Unoptimised builds time call overhead, not the pipeline.
+        if !cfg!(debug_assertions) && ninja_simd::isa::active().width_bits() >= 128 {
+            assert!(cal.simd_gflops >= cal.scalar_gflops, "{cal:?}");
+        }
+        let m = machine_from(cal, 2);
         assert!(m.peak_gflops() > 0.1, "{m:?}");
         assert!(m.core_bandwidth_gbs > 0.05, "{m:?}");
         for spec in registry().iter().take(2) {
