@@ -510,7 +510,7 @@ fn run_suite(cli: &Cli) {
                 "\nhost calibration: scalar {:.2} GFLOP/s, {} SIMD {:.2} GFLOP/s \
                  (effective width {:.2}), stream {:.2} GB/s",
                 cal.scalar_gflops,
-                ninja_simd::isa::active().name(),
+                cal.isa,
                 cal.simd_gflops,
                 cal.effective_lanes(),
                 cal.bandwidth_gbs

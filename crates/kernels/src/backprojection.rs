@@ -296,22 +296,22 @@ pub fn spec() -> KernelSpec {
             },
             VariantInfo {
                 variant: Variant::Parallel,
-                effort_loc: 2,
+                effort_loc: 5,
                 what_changed: "parallel_for over image rows",
             },
             VariantInfo {
                 variant: Variant::Simd,
-                effort_loc: 12,
+                effort_loc: 9,
                 what_changed: "angle-major loops, incremental detector coordinate",
             },
             VariantInfo {
                 variant: Variant::Algorithmic,
-                effort_loc: 14,
+                effort_loc: 11,
                 what_changed: "strength reduction + row parallelism",
             },
             VariantInfo {
                 variant: Variant::Ninja,
-                effort_loc: 75,
+                effort_loc: 40,
                 what_changed: "vector-width pixel SIMD with explicit interpolation gathers",
             },
         ],

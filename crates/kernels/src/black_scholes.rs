@@ -458,22 +458,22 @@ pub fn spec() -> KernelSpec {
             },
             VariantInfo {
                 variant: Variant::Parallel,
-                effort_loc: 2,
+                effort_loc: 8,
                 what_changed: "parallel_for over options",
             },
             VariantInfo {
                 variant: Variant::Simd,
-                effort_loc: 15,
+                effort_loc: 41,
                 what_changed: "AoS->SoA, f32, inlined polynomial math",
             },
             VariantInfo {
                 variant: Variant::Algorithmic,
-                effort_loc: 17,
+                effort_loc: 38,
                 what_changed: "SoA polynomial loop + parallel_for",
             },
             VariantInfo {
                 variant: Variant::Ninja,
-                effort_loc: 90,
+                effort_loc: 48,
                 what_changed: "hand SIMD with vector exp/ln/CDF, interleaved stores",
             },
         ],

@@ -340,17 +340,17 @@ pub fn spec() -> KernelSpec {
             },
             VariantInfo {
                 variant: Variant::Parallel,
-                effort_loc: 2,
+                effort_loc: 8,
                 what_changed: "parallel_for over outputs",
             },
             VariantInfo {
                 variant: Variant::Simd,
-                effort_loc: 14,
+                effort_loc: 19,
                 what_changed: "split re/im arrays, tap-outer streaming loops",
             },
             VariantInfo {
                 variant: Variant::Algorithmic,
-                effort_loc: 16,
+                effort_loc: 23,
                 what_changed: "SoA streaming + parallel_for",
             },
             VariantInfo {

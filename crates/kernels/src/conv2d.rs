@@ -295,22 +295,22 @@ pub fn spec() -> KernelSpec {
             },
             VariantInfo {
                 variant: Variant::Parallel,
-                effort_loc: 2,
+                effort_loc: 7,
                 what_changed: "parallel_for over rows",
             },
             VariantInfo {
                 variant: Variant::Simd,
-                effort_loc: 18,
+                effort_loc: 22,
                 what_changed: "interior/boundary split, unrolled constant taps",
             },
             VariantInfo {
                 variant: Variant::Algorithmic,
-                effort_loc: 20,
+                effort_loc: 24,
                 what_changed: "interior split + row parallelism",
             },
             VariantInfo {
                 variant: Variant::Ninja,
-                effort_loc: 80,
+                effort_loc: 37,
                 what_changed: "hand SIMD across x, 25 taps register-blocked",
             },
         ],

@@ -102,9 +102,10 @@ impl fmt::Display for Variant {
 pub struct VariantInfo {
     /// Which rung of the ladder this is.
     pub variant: Variant,
-    /// Approximate lines of code added/changed relative to the naive
-    /// version — the paper's programming-effort metric (its Figure on
-    /// effort compares exactly this).
+    /// Lines of code added/changed relative to the naive version — the
+    /// paper's programming-effort metric (its Figure on effort compares
+    /// exactly this). Registry kernels hold `ninja_lint::measured_effort`
+    /// of their source file, pinned by the root `effort_measured` test.
     pub effort_loc: u32,
     /// One-line description of what was changed.
     pub what_changed: &'static str,

@@ -587,22 +587,22 @@ pub fn spec() -> KernelSpec {
             },
             VariantInfo {
                 variant: Variant::Parallel,
-                effort_loc: 2,
+                effort_loc: 7,
                 what_changed: "parallel_for over rows",
             },
             VariantInfo {
                 variant: Variant::Simd,
-                effort_loc: 30,
+                effort_loc: 80,
                 what_changed: "AoS->SoA planes, interior/boundary split",
             },
             VariantInfo {
                 variant: Variant::Algorithmic,
-                effort_loc: 35,
+                effort_loc: 80,
                 what_changed: "SoA + split + row-band parallelism",
             },
             VariantInfo {
                 variant: Variant::Ninja,
-                effort_loc: 95,
+                effort_loc: 98,
                 what_changed: "explicit SIMD collide over SoA planes",
             },
         ],

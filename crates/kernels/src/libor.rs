@@ -498,22 +498,22 @@ pub fn spec() -> KernelSpec {
             },
             VariantInfo {
                 variant: Variant::Parallel,
-                effort_loc: 2,
+                effort_loc: 8,
                 what_changed: "parallel_for over paths",
             },
             VariantInfo {
                 variant: Variant::Simd,
-                effort_loc: 25,
+                effort_loc: 38,
                 what_changed: "path-SoA groups, f32 polynomial exp",
             },
             VariantInfo {
                 variant: Variant::Algorithmic,
-                effort_loc: 27,
+                effort_loc: 33,
                 what_changed: "path-SoA groups + parallel_for",
             },
             VariantInfo {
                 variant: Variant::Ninja,
-                effort_loc: 80,
+                effort_loc: 39,
                 what_changed: "one vector group of paths per step (8 under AVX2), vector exp",
             },
         ],

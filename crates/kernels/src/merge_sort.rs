@@ -415,22 +415,22 @@ pub fn spec() -> KernelSpec {
             },
             VariantInfo {
                 variant: Variant::Parallel,
-                effort_loc: 4,
+                effort_loc: 7,
                 what_changed: "fork the recursion with join",
             },
             VariantInfo {
                 variant: Variant::Simd,
-                effort_loc: 12,
+                effort_loc: 41,
                 what_changed: "iterative bottom-up, insertion base (compiler still scalar)",
             },
             VariantInfo {
                 variant: Variant::Algorithmic,
-                effort_loc: 45,
+                effort_loc: 65,
                 what_changed: "ping-pong buffer, chunk-parallel + parallel merge rounds",
             },
             VariantInfo {
                 variant: Variant::Ninja,
-                effort_loc: 130,
+                effort_loc: 115,
                 what_changed: "vector-width bitonic SIMD merge network in the inner loop",
             },
         ],

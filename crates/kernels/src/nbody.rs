@@ -356,22 +356,22 @@ pub fn spec() -> KernelSpec {
             },
             VariantInfo {
                 variant: Variant::Parallel,
-                effort_loc: 2,
+                effort_loc: 7,
                 what_changed: "parallel_for over bodies",
             },
             VariantInfo {
                 variant: Variant::Simd,
-                effort_loc: 10,
+                effort_loc: 31,
                 what_changed: "AoS->SoA so the compiler can vectorize the j loop",
             },
             VariantInfo {
                 variant: Variant::Algorithmic,
-                effort_loc: 12,
+                effort_loc: 34,
                 what_changed: "SoA + parallel_for",
             },
             VariantInfo {
                 variant: Variant::Ninja,
-                effort_loc: 70,
+                effort_loc: 43,
                 what_changed: "hand SIMD over j, refined rsqrt, padded arrays",
             },
         ],

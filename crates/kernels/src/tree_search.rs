@@ -396,22 +396,22 @@ pub fn spec() -> KernelSpec {
             },
             VariantInfo {
                 variant: Variant::Parallel,
-                effort_loc: 2,
+                effort_loc: 8,
                 what_changed: "parallel_for over queries",
             },
             VariantInfo {
                 variant: Variant::Simd,
-                effort_loc: 6,
+                effort_loc: 12,
                 what_changed: "iterative descent (compiler still cannot vectorize)",
             },
             VariantInfo {
                 variant: Variant::Algorithmic,
-                effort_loc: 25,
+                effort_loc: 17,
                 what_changed: "linearized Eytzinger layout + parallel queries",
             },
             VariantInfo {
                 variant: Variant::Ninja,
-                effort_loc: 85,
+                effort_loc: 51,
                 what_changed: "SIMD-blocked 4-query descent with gathers",
             },
         ],

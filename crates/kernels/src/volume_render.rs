@@ -341,22 +341,22 @@ pub fn spec() -> KernelSpec {
             },
             VariantInfo {
                 variant: Variant::Parallel,
-                effort_loc: 2,
+                effort_loc: 5,
                 what_changed: "parallel_for over image rows",
             },
             VariantInfo {
                 variant: Variant::Simd,
-                effort_loc: 5,
+                effort_loc: 2,
                 what_changed: "loop restructure; gathers + early exit still block the compiler",
             },
             VariantInfo {
                 variant: Variant::Algorithmic,
-                effort_loc: 15,
+                effort_loc: 8,
                 what_changed: "2-row ray tiles for sample locality + threads",
             },
             VariantInfo {
                 variant: Variant::Ninja,
-                effort_loc: 120,
+                effort_loc: 67,
                 what_changed: "vector-width ray packets, masked compositing, manual gathers",
             },
         ],

@@ -12,8 +12,8 @@
 //!   `// ninja-lint:` markers, must not reference constructs their rung
 //!   forbids (thread runtime in naive/simd; explicit SIMD or `unsafe` in
 //!   naive/parallel).
-//! * **Effort honesty** (NL004): declared `effort_loc` must be within a
-//!   loose tolerance of the measured source-line diff against naive.
+//! * **Measured effort** ([`measured_effort`]): per rung, the source lines
+//!   added or changed against naive — the number F6 reports.
 //! * **`unsafe` audit** (NL005): every unsafe site across the workspace
 //!   crates needs an adjacent `// SAFETY:` justification.
 //! * **Coverage & hygiene** (NL006/NL007): every rung must be annotated,
@@ -51,7 +51,7 @@ pub mod vecprofile;
 
 pub use asm::{demangle, detect_arch, parse_listing, Arch, AsmFunction, AsmListing, InsnCounts};
 pub use report::{FindingRecord, LintReport, RuleRecord};
-pub use rules::{Finding, RuleId, Severity, ALL_RULES};
+pub use rules::{measured_effort, Finding, RuleId, Severity, ALL_RULES};
 pub use source::SourceFile;
 pub use vecprofile::{
     asm_audit, check_asm, profile_rungs, render_profiles, AsmAudit, AsmOptions, VecProfile,

@@ -175,7 +175,7 @@ mod tests {
         assert_eq!(r.findings[0].file, "a.rs");
         assert_eq!(r.findings[0].rule, "NL001");
         assert_eq!(r.findings[0].severity, "warning");
-        assert_eq!(r.rules.len(), 11);
+        assert_eq!(r.rules.len(), 10);
         assert_eq!(r.by_rule(RuleId::MissingSafetyComment).count(), 1);
     }
 
@@ -184,12 +184,12 @@ mod tests {
         let r = LintReport::new(
             "/repo".into(),
             1,
-            vec![finding(RuleId::EffortLocDrift, "k.rs", 12)],
+            vec![finding(RuleId::IncompleteVariantCoverage, "k.rs", 12)],
         );
         let json = r.to_json();
         for needle in [
-            "\"rule\": \"NL004\"",
-            "\"name\": \"effort-loc-drift\"",
+            "\"rule\": \"NL006\"",
+            "\"name\": \"incomplete-variant-coverage\"",
             "\"severity\": \"warning\"",
             "\"file\": \"k.rs\"",
             "\"line\": 12",

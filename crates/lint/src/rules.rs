@@ -1,5 +1,5 @@
-//! The rule engine: per-rung purity rules, effort drift, the workspace
-//! SAFETY audit, and marker hygiene.
+//! The rule engine: per-rung purity rules, the workspace SAFETY audit,
+//! marker hygiene, and the measured per-rung effort.
 //!
 //! Every rule has a stable ID. IDs are load-bearing: `allow(NLnnn, ...)`
 //! markers, CI output and the JSON findings report all key on them, so
@@ -9,7 +9,6 @@
 //! |-------|-----------------------------|--------------|
 //! | NL001 | threads-in-serial-rung      | kernel files |
 //! | NL002 | simd-in-scalar-rung         | kernel files |
-//! | NL004 | effort-loc-drift            | kernel files |
 //! | NL005 | missing-safety-comment      | every file   |
 //! | NL006 | incomplete-variant-coverage | kernel files |
 //! | NL007 | malformed-marker            | every file   |
@@ -65,15 +64,6 @@ pub const EXPLICIT_SIMD_IDENTS: [&str; 13] = [
     "Neon",
 ];
 
-/// Declared-vs-measured effort tolerance: a declared `effort_loc` of `d`
-/// and a measured diff of `m` lines agree when each is at most
-/// `SLOPE * other + OFFSET`. The bound is deliberately loose — `effort_loc`
-/// is a hand-estimated metric — and exists to catch order-of-magnitude
-/// drift, not off-by-a-few.
-pub const EFFORT_SLOPE: u32 = 4;
-/// Additive slack of the effort tolerance (see [`EFFORT_SLOPE`]).
-pub const EFFORT_OFFSET: u32 = 24;
-
 /// How many lines above an `unsafe` token the SAFETY audit searches,
 /// skipping blanks, attributes and grouped `unsafe impl` lines.
 const SAFETY_WINDOW: usize = 10;
@@ -84,10 +74,9 @@ const SAFETY_WINDOW: usize = 10;
 const ORDERING_WINDOW: usize = 10;
 
 /// All rules, in ID order.
-pub const ALL_RULES: [RuleId; 11] = [
+pub const ALL_RULES: [RuleId; 10] = [
     RuleId::ThreadsInSerialRung,
     RuleId::SimdInScalarRung,
-    RuleId::EffortLocDrift,
     RuleId::MissingSafetyComment,
     RuleId::IncompleteVariantCoverage,
     RuleId::MalformedMarker,
@@ -128,8 +117,6 @@ pub enum RuleId {
     /// NL002: a Naive/Parallel-rung body references explicit SIMD or
     /// `unsafe`.
     SimdInScalarRung,
-    /// NL004: declared `effort_loc` disagrees with the measured diff size.
-    EffortLocDrift,
     /// NL005: an `unsafe` site without an adjacent `// SAFETY:` comment.
     MissingSafetyComment,
     /// NL006: a kernel file is missing variant attribution for some rung.
@@ -159,7 +146,6 @@ impl RuleId {
         match self {
             RuleId::ThreadsInSerialRung => "NL001",
             RuleId::SimdInScalarRung => "NL002",
-            RuleId::EffortLocDrift => "NL004",
             RuleId::MissingSafetyComment => "NL005",
             RuleId::IncompleteVariantCoverage => "NL006",
             RuleId::MalformedMarker => "NL007",
@@ -186,7 +172,6 @@ impl RuleId {
         match self {
             RuleId::ThreadsInSerialRung => "threads-in-serial-rung",
             RuleId::SimdInScalarRung => "simd-in-scalar-rung",
-            RuleId::EffortLocDrift => "effort-loc-drift",
             RuleId::MissingSafetyComment => "missing-safety-comment",
             RuleId::IncompleteVariantCoverage => "incomplete-variant-coverage",
             RuleId::MalformedMarker => "malformed-marker",
@@ -209,10 +194,6 @@ impl RuleId {
                 "naive/parallel variant bodies must not reference explicit SIMD \
                  (ninja_simd, AlignedVec, the width-generic Isa dispatch \
                  surface), or use `unsafe`"
-            }
-            RuleId::EffortLocDrift => {
-                "declared effort_loc must be within tolerance of the measured \
-                 source-line diff of the variant's attributed spans vs naive"
             }
             RuleId::MissingSafetyComment => {
                 "every `unsafe` block/impl/fn needs an adjacent `// SAFETY:` \
@@ -279,7 +260,6 @@ pub fn check_file(file: &SourceFile) -> Vec<Finding> {
     check_ordering(file, &mut findings);
     if file.is_kernel_file() && file.segmented.skip_file.is_none() {
         check_purity(file, &mut findings);
-        check_effort(file, &mut findings);
         check_coverage(file, &mut findings);
     }
     findings.sort_by_key(|f| (f.line, f.rule.id()));
@@ -348,47 +328,21 @@ fn check_purity(file: &SourceFile, findings: &mut Vec<Finding>) {
     }
 }
 
-/// NL004: declared `effort_loc` vs the measured line diff against naive.
+/// Measured programming effort of one kernel file, one value per rung in
+/// [`Rung::ALL`] order; `None` for a file without attribution markers or
+/// with a `skip-file` marker.
 ///
-/// The measured effort of rung `R` is the number of distinct normalized
-/// source lines in `R`-attributed spans that do not appear in any
-/// naive-attributed span — a mechanical stand-in for the paper's
-/// "lines added/changed relative to the naive version".
-fn check_effort(file: &SourceFile, findings: &mut Vec<Finding>) {
-    let naive_lines = attributed_lines(file, Rung::Naive);
-    for (rung, declared, decl_line) in &file.effort_decls {
-        if *rung == Rung::Naive {
-            continue; // zero by definition; nothing to diff against
-        }
-        let span_allows = file
-            .segmented
-            .spans
-            .iter()
-            .filter(|s| s.rungs().any(|r| r == *rung))
-            .any(|s| s.allowed("NL004").is_some());
-        if span_allows {
-            continue;
-        }
-        let lines = attributed_lines(file, *rung);
-        if lines.is_empty() {
-            continue; // NL006 reports the missing attribution.
-        }
-        let measured = lines.difference(&naive_lines).count() as u32;
-        let declared = *declared;
-        let within = |a: u32, b: u32| a <= b.saturating_mul(EFFORT_SLOPE) + EFFORT_OFFSET;
-        if !within(declared, measured) || !within(measured, declared) {
-            findings.push(Finding {
-                rule: RuleId::EffortLocDrift,
-                file: file.rel_path.clone(),
-                line: *decl_line,
-                message: format!(
-                    "{rung} declares effort_loc = {declared} but the lint \
-                     measures a {measured}-line diff vs naive (tolerance: each \
-                     within {EFFORT_SLOPE}x + {EFFORT_OFFSET} of the other)"
-                ),
-            });
-        }
+/// The effort of rung `R` is the number of distinct trimmed, non-comment
+/// body lines in the spans `R`'s `variant(...)`/`effort(...)` markers
+/// attribute to it that appear in no naive-attributed span — the paper's
+/// "lines added/changed relative to the naive version", counted per file.
+pub fn measured_effort(src: &str) -> Option<[u32; 5]> {
+    let file = SourceFile::from_source(String::new(), src.to_string());
+    if !file.is_kernel_file() || file.segmented.skip_file.is_some() {
+        return None;
     }
+    let naive = attributed_lines(&file, Rung::Naive);
+    Some(Rung::ALL.map(|r| attributed_lines(&file, r).difference(&naive).count() as u32))
 }
 
 /// Distinct normalized body lines over every span attributed to `rung`.
@@ -631,8 +585,8 @@ mod tests {
         assert_eq!(
             ids,
             [
-                "NL001", "NL002", "NL004", "NL005", "NL006", "NL007", "NL008", "NL009", "NL010",
-                "NL011", "NL012"
+                "NL001", "NL002", "NL005", "NL006", "NL007", "NL008", "NL009", "NL010", "NL011",
+                "NL012"
             ]
         );
         for r in ALL_RULES {
@@ -743,19 +697,60 @@ mod tests {
     }
 
     #[test]
-    fn effort_drift_fires_on_order_of_magnitude_gap() {
-        // A one-line parallel body declaring 500 lines of effort.
-        let src = CLEAN.replace("effort_loc: 4,", "effort_loc: 500,");
-        let findings = analyze(&src);
-        assert_eq!(rules_of(&findings), ["NL004"], "{findings:#?}");
-        assert!(findings[0].message.contains("500"));
+    fn measured_effort_is_a_hand_countable_line_diff() {
+        let src = "\
+// ninja-lint: variant(naive)
+fn run_naive(xs: &[f32]) -> f32 {
+    let mut s = 0.0;
+    for x in xs {
+        s += x;
+    }
+    s
+}
+
+// ninja-lint: variant(parallel, algorithmic)
+fn run_parallel(xs: &[f32]) -> f32 {
+    // Only the signature differs from naive; this comment and the blank
+    // line below do not count.
+
+    let mut s = 0.0;
+    for x in xs {
+        s += x;
+    }
+    s
+}
+
+// ninja-lint: effort(simd, ninja)
+fn widen(x: f32) -> f32 {
+    x * 2.0
+}
+
+// ninja-lint: variant(simd)
+fn run_simd(xs: &[f32]) -> f32 {
+    xs.iter().map(|&x| widen(x)).sum()
+}
+
+// ninja-lint: variant(ninja)
+fn run_ninja(xs: &[f32]) -> f32 {
+    let mut s = 0.0;
+    for x in xs.chunks(8) {
+        s += x.iter().map(|&v| widen(v)).sum::<f32>();
+    }
+    s
+}
+";
+        // parallel/algorithmic: the signature. simd: signature + body +
+        // widen's two non-naive lines. ninja: signature + two changed body
+        // lines + widen's two. Every `}` and `s` line also occurs in naive.
+        assert_eq!(measured_effort(src), Some([0, 1, 4, 1, 5]));
+        assert_eq!(measured_effort("fn f() {}\n"), None);
+        let skipped = format!("// ninja-lint: skip-file(\"fault injection\")\n{src}");
+        assert_eq!(measured_effort(&skipped), None);
     }
 
     #[test]
     fn coverage_fires_per_missing_rung() {
-        let findings = analyze(
-            "// ninja-lint: variant(naive)\nfn run_naive() {}\nfn spec() { let effort_loc = 0; }\nfn info() -> u32 { VariantInfo { variant: Variant::Naive, effort_loc: 0 }.effort_loc }\n",
-        );
+        let findings = analyze("// ninja-lint: variant(naive)\nfn run_naive() {}\n");
         let nl006 = findings.iter().filter(|f| f.rule.id() == "NL006").count();
         assert_eq!(nl006, 4, "{findings:#?}");
     }
@@ -763,7 +758,7 @@ mod tests {
     #[test]
     fn skip_file_disables_ladder_rules_but_not_safety() {
         let findings = analyze(
-            "// ninja-lint: skip-file(\"fault injection kernel\")\nfn info() -> u32 { VariantInfo { variant: Variant::Naive, effort_loc: 0 }.effort_loc }\nfn f(p: *const u32) -> u32 { unsafe { *p } }\n",
+            "// ninja-lint: skip-file(\"fault injection kernel\")\nfn f(p: *const u32) -> u32 { unsafe { *p } }\n",
         );
         assert_eq!(rules_of(&findings), ["NL005"], "{findings:#?}");
     }

@@ -1,8 +1,8 @@
-//! Per-file analysis state: lexed tokens, segmented spans, declared
-//! `effort_loc` values, and line/comment lookup helpers.
+//! Per-file analysis state: lexed tokens, segmented spans, and
+//! line/comment lookup helpers.
 
-use crate::lexer::{lex, Lexed, TokKind};
-use crate::markers::{parse_markers, MarkerError, Rung};
+use crate::lexer::{lex, Lexed};
+use crate::markers::{parse_markers, MarkerError};
 use crate::spans::{segment, Segmented};
 use std::collections::HashMap;
 
@@ -19,8 +19,6 @@ pub struct SourceFile {
     pub segmented: Segmented,
     /// Marker comments that failed to parse.
     pub marker_errors: Vec<MarkerError>,
-    /// Declared `effort_loc` values: (rung, declared, source line).
-    pub effort_decls: Vec<(Rung, u32, u32)>,
     comments_by_line: HashMap<u32, String>,
 }
 
@@ -37,14 +35,12 @@ impl SourceFile {
             slot.push_str(&c.text);
             slot.push(' ');
         }
-        let effort_decls = parse_effort_decls(&lexed);
         Self {
             rel_path,
             lines,
             lexed,
             segmented,
             marker_errors,
-            effort_decls,
             comments_by_line,
         }
     }
@@ -59,105 +55,16 @@ impl SourceFile {
         self.comments_by_line.get(&line).map(String::as_str)
     }
 
-    /// Whether the ladder rules apply to this file: it either declares
-    /// `effort_loc` values in a `VariantInfo` literal or carries
-    /// ninja-lint attribution markers.
+    /// Whether the ladder rules apply to this file: it carries ninja-lint
+    /// attribution markers (or a `skip-file` marker opting out of them).
     pub fn is_kernel_file(&self) -> bool {
-        !self.effort_decls.is_empty()
-            || self.segmented.skip_file.is_some()
-            || self.segmented.spans.iter().any(|s| s.is_attributed())
+        self.segmented.skip_file.is_some() || self.segmented.spans.iter().any(|s| s.is_attributed())
     }
-}
-
-/// Finds `effort_loc: <int>` struct-literal fields and pairs each with
-/// the `Variant::<Rung>` named just before it in the same literal.
-///
-/// Declarations whose nearby variant is not a literal rung (e.g. a
-/// loop variable, as in the chaos kernel) are skipped — such files must
-/// either be annotated or marked skip-file, which rule NL006 enforces.
-fn parse_effort_decls(lexed: &Lexed) -> Vec<(Rung, u32, u32)> {
-    let toks = &lexed.tokens;
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if !toks[i].is_ident("effort_loc") {
-            continue;
-        }
-        let Some(colon) = toks.get(i + 1) else {
-            continue;
-        };
-        if !colon.is_punct(':') {
-            continue;
-        }
-        let Some(TokKind::Number(n)) = toks.get(i + 2).map(|t| &t.kind) else {
-            continue;
-        };
-        let Ok(declared) = n.replace('_', "").parse::<u32>() else {
-            continue;
-        };
-        // Backward scan for `Variant :: <rung>` in the same literal.
-        let lo = i.saturating_sub(12);
-        let mut rung = None;
-        for j in (lo..i).rev() {
-            if toks[j].is_ident("Variant")
-                && toks.get(j + 1).is_some_and(|t| t.is_punct(':'))
-                && toks.get(j + 2).is_some_and(|t| t.is_punct(':'))
-            {
-                rung = toks
-                    .get(j + 3)
-                    .and_then(|t| t.ident())
-                    .and_then(|name| Rung::from_name(&name.to_lowercase()));
-                break;
-            }
-        }
-        if let Some(rung) = rung {
-            out.push((rung, declared, toks[i].line));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn effort_decls_pair_with_variants() {
-        let src = r#"
-            fn spec() -> [VariantInfo; 2] {
-                [
-                    VariantInfo { variant: Variant::Naive, effort_loc: 0, what: "" },
-                    VariantInfo { variant: Variant::Ninja, effort_loc: 70, what: "" },
-                ]
-            }
-        "#;
-        let f = SourceFile::from_source("x.rs".into(), src.into());
-        assert_eq!(
-            f.effort_decls
-                .iter()
-                .map(|(r, d, _)| (*r, *d))
-                .collect::<Vec<_>>(),
-            [(Rung::Naive, 0), (Rung::Ninja, 70)]
-        );
-        assert!(f.is_kernel_file());
-    }
-
-    #[test]
-    fn computed_effort_loc_is_not_a_decl() {
-        // The chaos kernel maps over Variant::ALL with a non-literal field.
-        let src =
-            "fn f() { Variant::ALL.map(|v| VariantInfo { variant: v, effort_loc: idx(v) }); }";
-        let f = SourceFile::from_source("x.rs".into(), src.into());
-        assert!(f.effort_decls.is_empty());
-        assert!(!f.is_kernel_file());
-    }
-
-    #[test]
-    fn struct_declarations_are_not_decls() {
-        let src = "pub struct VariantInfo { pub variant: Variant, pub effort_loc: u32 }";
-        let f = SourceFile::from_source("x.rs".into(), src.into());
-        assert!(f.effort_decls.is_empty());
-        assert!(!f.is_kernel_file());
-    }
 
     #[test]
     fn line_and_comment_lookup() {

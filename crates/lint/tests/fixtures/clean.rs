@@ -2,8 +2,8 @@
 //!
 //! Fixtures are lexed by the lint, never compiled; they mirror the shape
 //! of a real `crates/kernels/src/*.rs` entry (variant ladder, markers,
-//! `VariantInfo` effort declarations, a ninja tier written once against
-//! the width-generic `Isa` trait, one justified unsafe site).
+//! a ninja tier written once against the width-generic `Isa` trait, one
+//! justified unsafe site).
 
 use ninja_parallel::{par_chunks_mut, ThreadPool};
 use ninja_simd::isa::{dispatch, Isa, IsaOp, SimdF32};
@@ -102,38 +102,5 @@ impl DotProd {
             });
         });
         out
-    }
-}
-
-pub fn spec() -> KernelSpec {
-    KernelSpec {
-        name: "dotprod",
-        variants: [
-            VariantInfo {
-                variant: Variant::Naive,
-                effort_loc: 0,
-                what_changed: "serial scalar loop",
-            },
-            VariantInfo {
-                variant: Variant::Parallel,
-                effort_loc: 4,
-                what_changed: "parallel_for over chunks",
-            },
-            VariantInfo {
-                variant: Variant::Simd,
-                effort_loc: 6,
-                what_changed: "iterator form the compiler vectorizes",
-            },
-            VariantInfo {
-                variant: Variant::Algorithmic,
-                effort_loc: 10,
-                what_changed: "vectorizable form + threads",
-            },
-            VariantInfo {
-                variant: Variant::Ninja,
-                effort_loc: 25,
-                what_changed: "width-generic Isa body, masked stores, runtime dispatch",
-            },
-        ],
     }
 }

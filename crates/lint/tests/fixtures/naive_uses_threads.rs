@@ -105,36 +105,3 @@ impl DotProd {
         out
     }
 }
-
-pub fn spec() -> KernelSpec {
-    KernelSpec {
-        name: "dotprod",
-        variants: [
-            VariantInfo {
-                variant: Variant::Naive,
-                effort_loc: 0,
-                what_changed: "serial scalar loop",
-            },
-            VariantInfo {
-                variant: Variant::Parallel,
-                effort_loc: 4,
-                what_changed: "parallel_for over chunks",
-            },
-            VariantInfo {
-                variant: Variant::Simd,
-                effort_loc: 6,
-                what_changed: "iterator form the compiler vectorizes",
-            },
-            VariantInfo {
-                variant: Variant::Algorithmic,
-                effort_loc: 10,
-                what_changed: "vectorizable form + threads",
-            },
-            VariantInfo {
-                variant: Variant::Ninja,
-                effort_loc: 25,
-                what_changed: "width-generic Isa body, masked stores, runtime dispatch",
-            },
-        ],
-    }
-}

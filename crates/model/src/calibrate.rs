@@ -4,7 +4,7 @@
 //! per-core capability instead of datasheet numbers.
 
 use crate::Machine;
-use ninja_simd::isa::{dispatch, Isa, IsaOp, SimdF32};
+use ninja_simd::isa::{active, dispatch_on, Isa, IsaKind, IsaOp, SimdF32};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -18,6 +18,8 @@ pub struct HostCalibration {
     pub simd_gflops: f64,
     /// Sustained single-thread streaming read bandwidth, GB/s.
     pub bandwidth_gbs: f64,
+    /// Backend the SIMD probe dispatched to.
+    pub isa: IsaKind,
 }
 
 impl HostCalibration {
@@ -116,10 +118,12 @@ fn measure_bandwidth_gbs() -> f64 {
 
 /// Runs the three microbenchmarks (≈1 s total).
 pub fn measure_host() -> HostCalibration {
+    let isa = active();
     HostCalibration {
         scalar_gflops: measure_scalar_gflops(),
-        simd_gflops: dispatch(SimdFlops),
+        simd_gflops: dispatch_on(isa, SimdFlops),
         bandwidth_gbs: measure_bandwidth_gbs(),
+        isa,
     }
 }
 
@@ -129,8 +133,10 @@ pub fn measure_host() -> HostCalibration {
 ///
 /// The frequency field is derived from the measured scalar rate (the model
 /// only ever uses their product), the SIMD width from the measured
-/// vector/scalar ratio, and machine bandwidth from the single-core number
-/// with the mild per-core scaling typical of client parts.
+/// vector/scalar ratio, machine bandwidth from the single-core number
+/// with the mild per-core scaling typical of client parts, and hardware
+/// gather from the probed backend: only AVX2 has a gather instruction
+/// (`vgatherdps`); SSE2, NEON and Scalar assemble lanes one by one.
 pub fn machine_from(cal: HostCalibration, threads: usize) -> Machine {
     let lanes = cal.effective_lanes().round().clamp(1.0, 16.0) as u32;
     Machine {
@@ -142,7 +148,7 @@ pub fn machine_from(cal: HostCalibration, threads: usize) -> Machine {
         flops_per_cycle_per_lane: 2.0,
         bandwidth_gbs: cal.bandwidth_gbs * (threads as f64).sqrt().max(1.0),
         core_bandwidth_gbs: cal.bandwidth_gbs,
-        has_gather: false,
+        has_gather: cal.isa == IsaKind::Avx2,
     }
 }
 
@@ -150,6 +156,13 @@ pub fn machine_from(cal: HostCalibration, threads: usize) -> Machine {
 mod tests {
     use super::*;
     use ninja_kernels::{registry, Variant};
+    use std::sync::OnceLock;
+
+    /// One real (≈1 s) calibration shared by the tests that need it.
+    fn host() -> HostCalibration {
+        static HOST: OnceLock<HostCalibration> = OnceLock::new();
+        *HOST.get_or_init(measure_host)
+    }
 
     #[test]
     fn machine_from_is_sane() {
@@ -157,6 +170,7 @@ mod tests {
             scalar_gflops: 4.0,
             simd_gflops: 14.0,
             bandwidth_gbs: 10.0,
+            isa: IsaKind::Sse2,
         };
         let m = machine_from(cal, 4);
         assert_eq!(m.cores, 4);
@@ -172,15 +186,16 @@ mod tests {
             scalar_gflops: 5.0,
             simd_gflops: 20.0,
             bandwidth_gbs: 8.0,
+            isa: IsaKind::Sse2,
         };
         assert!((cal.effective_lanes() - 4.0).abs() < 1e-9);
     }
 
     #[test]
     fn calibrated_machine_works_with_the_model() {
-        // Run the real (brief) microbenchmarks once and feed the result
-        // through the prediction path end to end.
-        let cal = measure_host();
+        // Feed the real microbenchmarks through the prediction path end
+        // to end.
+        let cal = host();
         // A vector pipeline of 4+ lanes must not lose to one scalar lane,
         // as it does when the probe compiles outside the feature frame.
         // Unoptimised builds time call overhead, not the pipeline.
@@ -195,5 +210,13 @@ mod tests {
             assert!(t.is_finite() && t > 0.0, "{}", spec.name);
             assert!(crate::predicted_gap(&spec.character, &m) >= 1.0);
         }
+    }
+
+    #[test]
+    fn calibrated_gather_follows_the_dispatched_backend() {
+        // `NINJA_ISA=sse2` (or scalar) must model software gather; the
+        // AVX2 backend's `gather` is `vgatherdps`.
+        let m = machine_from(host(), 1);
+        assert_eq!(m.has_gather, active() == IsaKind::Avx2, "{:?}", host());
     }
 }
