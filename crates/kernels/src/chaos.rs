@@ -14,8 +14,8 @@
 // ninja-lint: skip-file("fault-injection harness kernel; its variants fake work by design")
 
 use crate::framework::{
-    Characterization, Instance, KernelSpec, ProblemSize, ValidationError, Variant, VariantInfo,
-    Work,
+    Characterization, Instance, KernelSpec, OutputData, ProblemSize, ValidationError, Variant,
+    VariantInfo, Work,
 };
 use ninja_parallel::ThreadPool;
 
@@ -229,7 +229,7 @@ impl Instance for ChaosInstance {
                 FailureMode::WrongOutput => {}
             }
         }
-        self.output(variant).iter().map(|&x| x as f64).sum()
+        self.output(variant).checksum()
     }
 
     fn validate(&mut self, variant: Variant, _pool: &ThreadPool) -> Result<(), ValidationError> {
@@ -248,22 +248,16 @@ impl Instance for ChaosInstance {
                 FailureMode::WrongOutput => {}
             }
         }
-        let reference = self.honest_output();
-        let out = self.output(variant);
-        let mut worst = (0.0f64, 0usize);
-        for (i, (&a, &b)) in out.iter().zip(reference.iter()).enumerate() {
-            let err = ((a - b).abs() as f64) / (b.abs() as f64).max(1.0);
-            if err > worst.0 {
-                worst = (err, i);
-            }
-        }
-        if worst.0 > 1e-6 {
+        let (err, pos) = self
+            .output(variant)
+            .worst_error(&self.honest_output())
+            .expect("every variant emits the honest output's shape");
+        if err > 1e-6 {
             return Err(ValidationError {
                 kernel: "chaos",
                 variant,
                 detail: format!(
-                    "worst relative error {:.3e} at element {} (injected corruption)",
-                    worst.0, worst.1
+                    "worst relative error {err:.3e} at element {pos} (injected corruption)"
                 ),
             });
         }

@@ -20,6 +20,9 @@ use rand::{Rng, SeedableRng};
 /// Number of filter taps (the paper uses short FIR filters of this order).
 pub const TAPS: usize = 16;
 
+/// Output samples per parallel chunk of the threaded rungs.
+const CHUNK: usize = 8192;
+
 /// A complex sample in the naive array-of-structs layout.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct Complex {
@@ -121,13 +124,14 @@ impl Conv1d {
         out
     }
 
-    /// Fills SoA outputs for `i` in `[lo, hi)` with a vectorizable loop
+    /// Fills SoA outputs from `i = lo` on, one per `out_re`/`out_im`
+    /// element, with a vectorizable loop
     /// (tap-outer, sample-inner; unit-stride float arithmetic only).
     /// `inline(always)` so it compiles inside its callers' feature frames
     /// (see `isa::with_active_features`).
     #[inline(always)]
     // ninja-lint: effort(simd, algorithmic)
-    fn soa_range(&self, lo: usize, hi: usize, out_re: &mut [f32], out_im: &mut [f32]) {
+    fn soa_range(&self, lo: usize, out_re: &mut [f32], out_im: &mut [f32]) {
         out_re.fill(0.0);
         out_im.fill(0.0);
         let n = out_re.len();
@@ -139,8 +143,8 @@ impl Conv1d {
             // panic-free and the auto-vectorizer can turn it into packed
             // FMAs (with per-sample checks LLVM emits scalar code — caught
             // by the NL008 asm audit).
-            let sr = &self.sig_re[lo + k..hi + k][..n];
-            let si = &self.sig_im[lo + k..hi + k][..n];
+            let sr = &self.sig_re[lo + k..][..n];
+            let si = &self.sig_im[lo + k..][..n];
             for j in 0..n {
                 out_re[j] += tr * sr[j] - ti * si[j];
                 out_im[j] += tr * si[j] + ti * sr[j];
@@ -157,32 +161,36 @@ impl Conv1d {
         let mut im = vec![0.0f32; m];
         isa::with_active_features(
             #[inline(always)]
-            || self.soa_range(0, m, &mut re, &mut im),
+            || self.soa_range(0, &mut re, &mut im),
         );
-        interleave(&re, &im)
+        let mut out = vec![0.0f32; 2 * m];
+        interleave_into(&re, &im, &mut out);
+        out
     }
 
-    /// Low-effort endpoint: SoA streaming loops plus `parallel_for`.
+    /// Low-effort endpoint: SoA streaming loops plus `parallel_for`. Each
+    /// chunk fills stack scratch inside the feature frame and interleaves
+    /// it straight into its slice of the output.
     // ninja-lint: variant(algorithmic)
     // ninja-lint: expect(vec256)
     pub fn run_algorithmic(&self, pool: &ThreadPool) -> Vec<f32> {
         let m = self.out_len();
-        let mut re = vec![0.0f32; m];
-        let mut im = vec![0.0f32; m];
-        let this = self;
-        ninja_parallel::par_zip_chunks_mut(pool, &mut re, &mut im, 8192, |chunk_idx, cre, cim| {
-            let lo = chunk_idx * 8192;
+        let mut out = vec![0.0f32; 2 * m];
+        par_chunks_mut(pool, &mut out, 2 * CHUNK, |chunk_idx, chunk| {
+            let (mut re, mut im) = ([0.0f32; CHUNK], [0.0f32; CHUNK]);
+            let (re, im) = (&mut re[..chunk.len() / 2], &mut im[..chunk.len() / 2]);
             isa::with_active_features(
                 #[inline(always)]
-                || this.soa_range(lo, lo + cre.len(), cre, cim),
+                || self.soa_range(chunk_idx * CHUNK, re, im),
             );
+            interleave_into(re, im, chunk);
         });
-        interleave(&re, &im)
+        out
     }
 
-    /// Ninja tier: explicit width-generic SIMD complex MAC in the
-    /// tap-outer streaming form (unit-stride loads, two read-modify-write
-    /// streams), parallel over output blocks.
+    /// Ninja tier: explicit width-generic SIMD complex MAC (unit-stride
+    /// loads, all taps' sums in registers, one interleaved `(re, im)`
+    /// store per vector), parallel over output blocks.
     // ninja-lint: variant(ninja)
     // ninja-lint: expect(vec256, fma)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
@@ -194,22 +202,18 @@ impl Conv1d {
     /// cross thread boundaries (see `ninja_simd::isa::dispatch`).
     // ninja-lint: effort(ninja)
     fn run_ninja_on(&self, kind: IsaKind, pool: &ThreadPool) -> Vec<f32> {
-        let m = self.out_len();
-        let mut re = vec![0.0f32; m];
-        let mut im = vec![0.0f32; m];
-        let this = self;
-        ninja_parallel::par_zip_chunks_mut(pool, &mut re, &mut im, 8192, |chunk_idx, cre, cim| {
+        let mut out = vec![0.0f32; 2 * self.out_len()];
+        par_chunks_mut(pool, &mut out, 2 * CHUNK, |chunk_idx, chunk| {
             dispatch_on(
                 kind,
                 ConvChunk {
-                    kernel: this,
-                    lo: chunk_idx * 8192,
-                    out_re: cre,
-                    out_im: cim,
+                    kernel: self,
+                    lo: chunk_idx * CHUNK,
+                    out: chunk,
                 },
             );
         });
-        interleave(&re, &im)
+        out
     }
 }
 
@@ -219,8 +223,8 @@ struct ConvChunk<'a> {
     kernel: &'a Conv1d,
     /// First output sample index covered by this chunk.
     lo: usize,
-    out_re: &'a mut [f32],
-    out_im: &'a mut [f32],
+    /// The chunk's interleaved `(re, im)` output pairs.
+    out: &'a mut [f32],
 }
 
 impl IsaOp for ConvChunk<'_> {
@@ -230,8 +234,8 @@ impl IsaOp for ConvChunk<'_> {
     fn run<I: Isa>(self) {
         let lanes = <I::F32 as SimdF32>::LANES;
         let this = self.kernel;
-        let (lo, cre, cim) = (self.lo, self.out_re, self.out_im);
-        let len = cre.len();
+        let (lo, out) = (self.lo, self.out);
+        let len = out.len() / 2;
         // Hoist the broadcast tap registers out of the hot loops (the
         // register type depends on the instantiated backend, so the splat
         // happens per chunk — 16 splats against 8192 samples).
@@ -259,10 +263,12 @@ impl IsaOp for ConvChunk<'_> {
                 re1 = tr.mul_add(sr1, re1) - ti * si1;
                 im1 = tr.mul_add(si1, im1) + ti * sr1;
             }
-            re0.store(&mut cre[j..]);
-            im0.store(&mut cim[j..]);
-            re1.store(&mut cre[j + lanes..]);
-            im1.store(&mut cim[j + lanes..]);
+            let (lo0, hi0) = re0.interleave(im0);
+            let (lo1, hi1) = re1.interleave(im1);
+            lo0.store(&mut out[2 * j..]);
+            hi0.store(&mut out[2 * j + lanes..]);
+            lo1.store(&mut out[2 * j + 2 * lanes..]);
+            hi1.store(&mut out[2 * j + 3 * lanes..]);
         }
         for j in (vec_len2..vec_len).step_by(lanes) {
             let i = lo + j;
@@ -274,13 +280,14 @@ impl IsaOp for ConvChunk<'_> {
                 acc_re = tr.mul_add(sr, acc_re) - ti * si;
                 acc_im = tr.mul_add(si, acc_im) + ti * sr;
             }
-            acc_re.store(&mut cre[j..]);
-            acc_im.store(&mut cim[j..]);
+            let (pairs_lo, pairs_hi) = acc_re.interleave(acc_im);
+            pairs_lo.store(&mut out[2 * j..]);
+            pairs_hi.store(&mut out[2 * j + lanes..]);
         }
         // Masked tail: partial loads of the remaining samples (inactive
         // lanes read as zero and contribute nothing), partial stores of
-        // the remaining outputs. The source windows end exactly at the
-        // last sample the active lanes touch.
+        // the remaining `2n` interleaved outputs. The source windows end
+        // exactly at the last sample the active lanes touch.
         if vec_len < len {
             let n = len - vec_len;
             let i = lo + vec_len;
@@ -292,19 +299,24 @@ impl IsaOp for ConvChunk<'_> {
                 acc_re = tr.mul_add(sr, acc_re) - ti * si;
                 acc_im = tr.mul_add(si, acc_im) + ti * sr;
             }
-            acc_re.store_partial(&mut cre[vec_len..]);
-            acc_im.store_partial(&mut cim[vec_len..]);
+            let (pairs_lo, pairs_hi) = acc_re.interleave(acc_im);
+            let tail = &mut out[2 * vec_len..];
+            pairs_lo.store_partial(tail);
+            if tail.len() > lanes {
+                pairs_hi.store_partial(&mut tail[lanes..]);
+            }
         }
     }
 }
 
-fn interleave(re: &[f32], im: &[f32]) -> Vec<f32> {
-    let mut out = vec![0.0f32; 2 * re.len()];
-    for i in 0..re.len() {
-        out[2 * i] = re[i];
-        out[2 * i + 1] = im[i];
+/// Writes `re`/`im` as interleaved `(re, im)` pairs into `out`, which
+/// holds exactly `2 * re.len()` floats.
+#[inline(always)]
+fn interleave_into(re: &[f32], im: &[f32], out: &mut [f32]) {
+    for ((pair, &r), &i) in out.chunks_exact_mut(2).zip(re).zip(im) {
+        pair[0] = r;
+        pair[1] = i;
     }
-    out
 }
 
 fn run(k: &Conv1d, variant: Variant, pool: &ThreadPool) -> Vec<f32> {
@@ -350,12 +362,12 @@ pub fn spec() -> KernelSpec {
             },
             VariantInfo {
                 variant: Variant::Algorithmic,
-                effort_loc: 23,
+                effort_loc: 21,
                 what_changed: "SoA streaming + parallel_for",
             },
             VariantInfo {
                 variant: Variant::Ninja,
-                effort_loc: 65,
+                effort_loc: 66,
                 what_changed: "hand SIMD complex MAC, register accumulators",
             },
         ],
@@ -462,11 +474,39 @@ mod tests {
                 isa::with_features_on(
                     kind,
                     #[inline(always)]
-                    || k.soa_range(0, m, &mut re, &mut im),
+                    || k.soa_range(0, &mut re, &mut im),
                 );
-                interleave(&re, &im)
+                let mut out = vec![0.0f32; 2 * m];
+                interleave_into(&re, &im, &mut out);
+                out
             },
         );
+    }
+
+    /// Output lengths around the chunk size: a partial single chunk, an
+    /// exact one, one sample into a second chunk, and a second chunk that
+    /// ends in the interleaved masked tail. The ninja rung runs on every
+    /// backend; the parallel and algorithmic rungs' chunking does not
+    /// depend on one (the backend-dependent loop body is covered above).
+    #[test]
+    fn threaded_rungs_conform_across_chunk_boundaries() {
+        let lanes = ninja_simd::isa::MAX_ISA_F32_LANES;
+        let sizes = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + lanes + 1].map(|m| m + TAPS - 1);
+        type Rung = fn(&Conv1d, IsaKind, &ThreadPool) -> Vec<f32>;
+        let rungs: [Rung; 3] = [
+            |k, _, pool| k.run_parallel(pool),
+            |k, _, pool| k.run_algorithmic(pool),
+            Conv1d::run_ninja_on,
+        ];
+        for rung in rungs {
+            crate::framework::assert_conforms_on_every_backend(
+                sizes,
+                1e-4,
+                |n| Conv1d::with_len(n, 11),
+                Conv1d::run_naive,
+                rung,
+            );
+        }
     }
 
     #[test]

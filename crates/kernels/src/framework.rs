@@ -180,11 +180,14 @@ impl std::error::Error for ValidationError {}
 
 /// A runnable, validated kernel instance (inputs already generated).
 ///
-/// Implementations own their inputs and scratch space; `run` executes one
-/// variant end-to-end and returns a checksum of the output so the optimizer
-/// cannot dead-code-eliminate the work.
+/// Implementations own their inputs; `run` is the timed unit. One call
+/// runs the rung, which allocates its output, then reads every output
+/// element into a checksum (so the optimizer cannot dead-code-eliminate
+/// the work, and a NaN/inf anywhere surfaces as a non-finite result), then
+/// drops the output.
 pub trait Instance: Send {
-    /// Executes `variant` once, returning an output checksum.
+    /// Executes `variant` once, returning the [`OutputData::checksum`] of
+    /// its whole output.
     fn run(&mut self, variant: Variant, pool: &ThreadPool) -> f64;
 
     /// Executes `variant` and compares its full output against the
@@ -229,16 +232,36 @@ impl fmt::Debug for KernelSpec {
 
 /// Output buffers that can be checksummed and compared against a reference.
 pub trait OutputData {
-    /// Order-insensitive-ish checksum used to keep the optimizer honest.
+    /// Sum of every element as `f64`: it keeps the optimizer honest, and
+    /// a NaN or infinity anywhere in the output makes it non-finite.
     fn checksum(&self) -> f64;
     /// Largest relative mismatch vs `reference`, plus its position, or
     /// `None` if shapes differ.
     fn worst_error(&self, reference: &Self) -> Option<(f64, usize)>;
 }
 
+/// Sums `values` as `f64` over eight independent lane accumulators, so
+/// the adds pipeline instead of waiting on one serial chain. Every
+/// element is read, and a NaN or infinity propagates to the result.
+fn lane_sum<T: Copy>(values: &[T], widen: impl Fn(T) -> f64) -> f64 {
+    let mut lanes = [0.0f64; 8];
+    let chunks = values.chunks_exact(8);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (acc, &x) in lanes.iter_mut().zip(chunk) {
+            *acc += widen(x);
+        }
+    }
+    let mut total: f64 = lanes.iter().sum();
+    for &x in tail {
+        total += widen(x);
+    }
+    total
+}
+
 impl OutputData for Vec<f32> {
     fn checksum(&self) -> f64 {
-        self.iter().map(|&x| x as f64).sum()
+        lane_sum(self, f64::from)
     }
 
     fn worst_error(&self, reference: &Self) -> Option<(f64, usize)> {
@@ -259,7 +282,7 @@ impl OutputData for Vec<f32> {
 
 impl OutputData for Vec<f64> {
     fn checksum(&self) -> f64 {
-        self.iter().sum()
+        lane_sum(self, |x| x)
     }
 
     fn worst_error(&self, reference: &Self) -> Option<(f64, usize)> {
@@ -279,7 +302,7 @@ impl OutputData for Vec<f64> {
 
 impl OutputData for Vec<u32> {
     fn checksum(&self) -> f64 {
-        self.iter().map(|&x| x as f64).sum()
+        lane_sum(self, f64::from)
     }
 
     fn worst_error(&self, reference: &Self) -> Option<(f64, usize)> {
@@ -433,6 +456,46 @@ mod tests {
         assert_eq!(vec![1.0f32, 2.0].checksum(), 3.0);
         assert_eq!(vec![1.0f64, 2.0].checksum(), 3.0);
         assert_eq!(vec![1u32, 2].checksum(), 3.0);
+    }
+
+    /// Every length up to two full lane groups plus a remainder: the
+    /// lane sum matches the serial sum.
+    #[test]
+    fn lane_checksum_matches_the_serial_sum_at_every_length() {
+        for len in 0..=17usize {
+            let f32s: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37 - 2.0) * 1.5e3).collect();
+            let f64s: Vec<f64> = f32s.iter().map(|&x| f64::from(x) * 1e-3).collect();
+            let u32s: Vec<u32> = (0..len as u32)
+                .map(|i| i.wrapping_mul(2_654_435_761))
+                .collect();
+            let close = |lanes: f64, serial: f64| {
+                assert!(
+                    (lanes - serial).abs() <= 1e-12 * serial.abs().max(1.0),
+                    "len {len}: lane sum {lanes} vs serial {serial}"
+                );
+            };
+            close(f32s.checksum(), f32s.iter().map(|&x| f64::from(x)).sum());
+            close(f64s.checksum(), f64s.iter().sum());
+            close(u32s.checksum(), u32s.iter().map(|&x| f64::from(x)).sum());
+        }
+    }
+
+    /// A NaN or an infinity in any lane or in the remainder makes the
+    /// checksum non-finite, which the harness reports as `NonFinite`.
+    #[test]
+    fn lane_checksum_propagates_non_finite_from_every_position() {
+        for len in 1..=18usize {
+            for pos in 0..len {
+                for bad in [f32::NAN, f32::INFINITY] {
+                    let mut out = vec![1.0f32; len];
+                    out[pos] = bad;
+                    assert!(!out.checksum().is_finite(), "{bad} at {pos} of {len}");
+                    let mut out: Vec<f64> = vec![1.0; len];
+                    out[pos] = f64::from(bad);
+                    assert!(!out.checksum().is_finite(), "{bad} at {pos} of {len} (f64)");
+                }
+            }
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ mod slice;
 
 pub use pool::{ThreadPool, ThreadPoolBuilder};
 pub use scope::Scope;
-pub use slice::{par_chunks_mut, par_zip_chunks_mut};
+pub use slice::par_chunks_mut;
 
 /// Returns the number of hardware threads available to this process.
 ///

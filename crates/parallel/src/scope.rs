@@ -6,26 +6,24 @@
 //! directory tree or processing a work queue whose length is discovered on
 //! the fly.
 
-use crate::latch::CountLatch;
 use crate::pool::ThreadPool;
-use parking_lot::{Condvar, Mutex};
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// Counts outstanding scope tasks; `wait_zero` blocks until all complete.
+/// Counts outstanding scope tasks. The scope's `DrainGuard` polls
+/// `is_idle` (helping run queued work meanwhile) rather than sleeping, so
+/// nothing needs waking: the decrement in `task_done` must be a finishing
+/// task's last touch of the latch, because the scope frame holding it may
+/// die the moment the count reads zero.
 pub(crate) struct ScopeLatch {
     outstanding: AtomicUsize,
-    lock: Mutex<()>,
-    cv: Condvar,
 }
 
 impl ScopeLatch {
     fn new() -> Self {
         Self {
             outstanding: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
         }
     }
 
@@ -34,10 +32,7 @@ impl ScopeLatch {
     }
 
     fn task_done(&self) {
-        if self.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = self.lock.lock();
-            self.cv.notify_all();
-        }
+        self.outstanding.fetch_sub(1, Ordering::AcqRel);
     }
 
     fn is_idle(&self) -> bool {
@@ -122,16 +117,19 @@ struct ScopeJob {
 /// # Safety
 ///
 /// `ptr` must be a `ScopeJob` from `Box::into_raw`, executed exactly once,
-/// whose scope is kept alive by `wait_zero` until the job completes.
+/// whose scope is kept alive by its `DrainGuard` until the job completes.
 unsafe fn exec_scope_job(ptr: *const ()) {
     // SAFETY: created by Box::into_raw in `spawn`, executed exactly once.
     let mut job = unsafe { Box::from_raw(ptr as *mut ScopeJob) };
     let task = job.task.take().expect("scope job executed twice");
-    // SAFETY: the scope outlives all its jobs (wait_zero before return).
+    // SAFETY: the scope outlives all its jobs (its `DrainGuard` waits for
+    // the latch to read zero before the frame returns).
     let scope = unsafe { &*job.scope };
     if catch_unwind(AssertUnwindSafe(task)).is_err() {
         scope.panicked.store(true, Ordering::Release);
     }
+    // The last touch of the scope: once this decrement reads zero, the
+    // frame that owns `scope` may return.
     scope.latch.task_done();
 }
 
@@ -195,11 +193,6 @@ impl ThreadPool {
         result
     }
 }
-
-// Re-exported latch pieces used by the pool internals live in `latch.rs`;
-// keep the unused import linter honest about the shared type.
-#[allow(unused)]
-fn _uses_count_latch(_: &CountLatch) {}
 
 #[cfg(test)]
 mod tests {

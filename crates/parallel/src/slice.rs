@@ -70,48 +70,6 @@ where
     });
 }
 
-/// Like [`par_chunks_mut`] but walks two equal-length slices in lockstep,
-/// handing `body` matching mutable chunks of both.
-///
-/// Used by SoA kernels that update several parallel arrays per element
-/// (e.g. positions and velocities in the N-body integrator).
-///
-/// # Panics
-///
-/// Panics if `a.len() != b.len()`.
-pub fn par_zip_chunks_mut<T, U, F>(
-    pool: &ThreadPool,
-    a: &mut [T],
-    b: &mut [U],
-    chunk_len: usize,
-    body: F,
-) where
-    T: Send,
-    U: Send,
-    F: Fn(usize, &mut [T], &mut [U]) + Sync,
-{
-    assert_eq!(a.len(), b.len(), "par_zip_chunks_mut needs equal lengths");
-    let len = a.len();
-    if len == 0 {
-        return;
-    }
-    let chunk_len = chunk_len.max(1);
-    let n_chunks = len.div_ceil(chunk_len);
-    let pa = SendPtr(a.as_mut_ptr());
-    let pb = SendPtr(b.as_mut_ptr());
-    pool.parallel_for(0..n_chunks, 1, move |r| {
-        for i in r {
-            let lo = i * chunk_len;
-            let hi = (lo + chunk_len).min(len);
-            // SAFETY: disjoint ranges per i; both slices outlive the call.
-            let ca = unsafe { std::slice::from_raw_parts_mut(pa.get().add(lo), hi - lo) };
-            // SAFETY: same disjointness argument, on the second slice.
-            let cb = unsafe { std::slice::from_raw_parts_mut(pb.get().add(lo), hi - lo) };
-            body(i, ca, cb);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,28 +118,5 @@ mod tests {
                 assert_eq!(chunk.len(), 4);
             }
         });
-    }
-
-    #[test]
-    fn zip_updates_both_slices() {
-        let pool = ThreadPool::with_threads(4);
-        let mut a = vec![1i64; 500];
-        let mut b = vec![2i64; 500];
-        par_zip_chunks_mut(&pool, &mut a, &mut b, 33, |_, ca, cb| {
-            for (x, y) in ca.iter_mut().zip(cb.iter_mut()) {
-                std::mem::swap(x, y);
-            }
-        });
-        assert!(a.iter().all(|&x| x == 2));
-        assert!(b.iter().all(|&y| y == 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "equal lengths")]
-    fn zip_length_mismatch_panics() {
-        let pool = ThreadPool::with_threads(1);
-        let mut a = vec![0u8; 3];
-        let mut b = vec![0u8; 4];
-        par_zip_chunks_mut(&pool, &mut a, &mut b, 2, |_, _, _| {});
     }
 }
