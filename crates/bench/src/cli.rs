@@ -39,7 +39,6 @@ impl Mode {
             Mode::Suite => &[
                 "--size",
                 "--threads",
-                "--affinity",
                 "--reps",
                 "--timeout",
                 "--fail-fast",
@@ -69,7 +68,6 @@ impl Mode {
             Mode::Serve => &[
                 "--size",
                 "--threads",
-                "--affinity",
                 "--kernels",
                 "--chaos-seed",
                 "--chaos-rate",
@@ -108,8 +106,6 @@ pub(crate) struct Cli {
     pub(crate) size: ProblemSize,
     /// Pool threads for parallel variants (and the serving pool).
     pub(crate) threads: usize,
-    /// Round-robin-pin pool workers to cores (best effort).
-    pub(crate) affinity: bool,
     /// Timed repetitions per variant.
     pub(crate) reps: u32,
     /// Per-variant wall-clock budget in seconds; `0` disables the watchdog.
@@ -135,8 +131,8 @@ pub(crate) struct Cli {
     /// Collect pool utilization and raw per-rep samples, calibrate the
     /// host, attribute cells against it and print the C1 table.
     pub(crate) probe_metrics: bool,
-    /// Open hardware performance counters around every measured rep and
-    /// pool job; degrades to a printed reason without a PMU.
+    /// Open hardware performance counters around every measured rep;
+    /// degrades to a printed reason without a PMU.
     pub(crate) counters: bool,
     /// Largest thread count of the `scale` grid; `None` uses the hardware
     /// thread count.
@@ -211,7 +207,6 @@ impl Default for Cli {
             mode: Mode::Suite,
             size: ProblemSize::Quick,
             threads: ninja_parallel::hardware_threads(),
-            affinity: false,
             reps: 3,
             timeout_s: 120,
             fail_fast: false,
@@ -292,7 +287,6 @@ pub(crate) fn parse_args<I: Iterator<Item = String>>(args: I) -> Result<Cli, Str
                     .parse()
                     .map_err(|e| format!("--timeout: {e}"))?;
             }
-            "--affinity" => cli.affinity = true,
             "--threads-max" => {
                 let max: usize = value("--threads-max")?
                     .parse()
@@ -474,12 +468,15 @@ mod tests {
                 Err("unknown mode 'unknown-word' (modes: model, scale, serve"),
             ),
             (&["--size", "test", "model"], Err("unknown flag 'model'")),
-            // Retired flags: the mode words replace two, the rest had no effect.
+            // Retired flags: the mode words replace two, `--affinity` pinned
+            // workers no workload asked to pin, the rest had no effect.
             (&["--scale"], Err("unknown flag '--scale'")),
             (&["--serve"], Err("unknown flag '--serve'")),
             (&["--quick"], Err("unknown flag '--quick'")),
             (&["--keep-going"], Err("unknown flag '--keep-going'")),
             (&["--lint"], Err("unknown flag '--lint'")),
+            (&["--affinity"], Err("unknown flag '--affinity'")),
+            (&["serve", "--affinity"], Err("unknown flag '--affinity'")),
             (
                 &["--noise-floor", "0.1"],
                 Err("unknown flag '--noise-floor'"),
@@ -543,7 +540,6 @@ mod tests {
             "latest~2",
             "--store",
             "/tmp/perfstore",
-            "--affinity",
             "--trace",
             "out.json",
             "--probe-metrics",
@@ -555,7 +551,7 @@ mod tests {
         assert_eq!(cli.threads, 4);
         assert_eq!(cli.reps, 7);
         assert_eq!(cli.timeout(), Some(std::time::Duration::from_secs(30)));
-        assert!(cli.fail_fast && cli.record && cli.affinity);
+        assert!(cli.fail_fast && cli.record);
         assert!(cli.probe_metrics && cli.counters && cli.asm);
         assert_eq!(cli.chaos, Some(FailureMode::Hang));
         assert_eq!(cli.baseline.as_deref(), Some("latest~2"));

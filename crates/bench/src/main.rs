@@ -18,8 +18,6 @@
 //!   ```text
 //!   --size test|quick|paper   problem-size preset (default: quick)
 //!   --threads N               measurement pool threads (default: hardware)
-//!   --affinity                round-robin-pin pool workers to cores (best
-//!                             effort)
 //!   --reps N                  timed repetitions per variant (default: 3)
 //!   --timeout SECONDS         per-variant wall-clock budget; 0 disables
 //!                             (default: 120)
@@ -45,8 +43,8 @@
 //!                             attribution against the calibrated host, and
 //!                             the C1 measured-vs-model gap table
 //!   --counters                hardware counters (perf_event_open) around
-//!                             every rep and pool job; degrades to a printed
-//!                             reason without a PMU
+//!                             every rep; degrades to a printed reason
+//!                             without a PMU
 //!   ```
 //!
 //!   A baseline of `latest` resolves *before* the new run is appended, so
@@ -65,7 +63,7 @@
 //!   fails client-side re-verification, or a ticket that outlives its
 //!   resolution contract, exits 1. Flags: `--kernels K` (one of
 //!   blackscholes, treesearch, libor; default blackscholes), `--size`,
-//!   `--threads`, `--affinity`, `--serve-rates a,b,c` (req/s, default
+//!   `--threads`, `--serve-rates a,b,c` (req/s, default
 //!   500,2000,8000), `--serve-duration-ms N` (per rate, default 1000),
 //!   `--chaos-seed`/`--chaos-rate` (faults at the serving layer), and
 //!   `--record`/`--store` (the serve log).
@@ -196,12 +194,7 @@ fn run_serve(cli: &Cli) {
         }
     );
 
-    let pool = Arc::new(
-        ninja_parallel::ThreadPool::builder()
-            .num_threads(cli.threads)
-            .affinity(cli.affinity)
-            .build(),
-    );
+    let pool = Arc::new(ninja_parallel::ThreadPool::with_threads(cli.threads));
     let report = match kernel_name.as_str() {
         "blackscholes" => {
             use ninja_kernels::black_scholes::{price_contract, OptionContract};
@@ -407,10 +400,9 @@ fn run_suite(cli: &Cli) {
         }
     }
     eprintln!(
-        "running full reproduction: size={} threads={}{} reps={} timeout={} mode={}{}",
+        "running full reproduction: size={} threads={} reps={} timeout={} mode={}{}",
         cli.size,
         cli.threads,
-        if cli.affinity { " affinity=on" } else { "" },
         cli.reps,
         match cli.timeout() {
             Some(budget) => format!("{}s", budget.as_secs()),
@@ -437,7 +429,6 @@ fn run_suite(cli: &Cli) {
     let mut harness = ninja_core::Harness::new()
         .size(cli.size)
         .threads(cli.threads)
-        .affinity(cli.affinity)
         .repetitions(cli.reps)
         .fail_fast(cli.fail_fast);
     harness = match cli.timeout() {
@@ -494,16 +485,13 @@ fn run_suite(cli: &Cli) {
             }
         }
         // Cumulative scheduler traffic over the whole run, one greppable
-        // line (CI asserts the stealing path actually exercised).
+        // line (CI asserts that other lanes ran `join` forks).
         let pm = harness.pool_metrics();
-        let sum = |f: fn(&ninja_probe::WorkerStats) -> u64| pm.workers.iter().map(f).sum::<u64>();
         println!(
-            "pool counters: steals={} local_pops={} injector_pops={} steal_ratio={:.3} parked_ms={}",
-            sum(|w| w.steals),
-            sum(|w| w.local_pops),
-            sum(|w| w.injector_pops),
+            "pool counters: steals={} steal_ratio={:.3} parked_ms={}",
+            pm.steals,
             pm.steal_ratio(),
-            sum(|w| w.parked_ns) / 1_000_000,
+            pm.workers.iter().map(|w| w.parked_ns).sum::<u64>() / 1_000_000,
         );
         if let (Some(cal), Some(machine)) = (calibration, &machine) {
             println!(
@@ -558,29 +546,6 @@ fn run_suite(cli: &Cli) {
         }
         if counted == 0 {
             println!("  (no cell produced counter samples)");
-        }
-        // Per-worker counter windows split by job source: a steal-path
-        // IPC below the local-pop IPC is cold-cache migration cost made
-        // visible. Only event ratios are meaningful here (the windows
-        // carry no wall time), so no bandwidth column.
-        let pm = harness.pool_metrics();
-        let mut windows = 0usize;
-        for (i, w) in pm.workers.iter().enumerate() {
-            for (source, win) in [("local", &w.local_window), ("steal", &w.steal_window)] {
-                if !win.any_counted() {
-                    continue;
-                }
-                windows += 1;
-                println!(
-                    "  worker {i} {source} ipc={} llc_miss={} instructions={}",
-                    fmt(win.ipc(), 2),
-                    fmt(win.llc_miss_rate(), 3),
-                    win.instructions,
-                );
-            }
-        }
-        if windows == 0 {
-            println!("  (no worker counter windows; pool jobs ran uncounted)");
         }
     }
 

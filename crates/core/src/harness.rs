@@ -131,7 +131,6 @@ pub struct Harness {
     /// (which joins workers) never runs while a thread is stuck in it.
     pool: Mutex<Arc<ThreadPool>>,
     threads: usize,
-    affinity: bool,
     validate: bool,
     timeout: Option<Duration>,
     fail_fast: bool,
@@ -155,7 +154,6 @@ impl Harness {
             runs: 3,
             pool: Mutex::new(Arc::new(ThreadPool::new())),
             threads,
-            affinity: false,
             validate: true,
             timeout: None,
             fail_fast: false,
@@ -189,14 +187,6 @@ impl Harness {
     /// Sets the number of pool threads used by parallel variants.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
-        self.pool = Mutex::new(self.make_pool());
-        self
-    }
-
-    /// Round-robin-pins pool workers to cores (off by default). Best
-    /// effort — see [`ThreadPoolBuilder::affinity`](ninja_parallel::ThreadPoolBuilder::affinity).
-    pub fn affinity(mut self, enabled: bool) -> Self {
-        self.affinity = enabled;
         self.pool = Mutex::new(self.make_pool());
         self
     }
@@ -265,14 +255,9 @@ impl Harness {
         Arc::clone(&self.pool.lock())
     }
 
-    /// Builds a pool from the harness's current scheduling knobs.
+    /// Builds a pool of the harness's thread count.
     fn make_pool(&self) -> Arc<ThreadPool> {
-        Arc::new(
-            ThreadPool::builder()
-                .num_threads(self.threads)
-                .affinity(self.affinity)
-                .build(),
-        )
+        Arc::new(ThreadPool::with_threads(self.threads))
     }
 
     /// Cumulative scheduler counters from the current pool (all zeros
@@ -777,10 +762,8 @@ mod tests {
     }
 
     #[test]
-    fn affinity_harness_measures_and_exposes_pool_metrics() {
-        let h = test_harness().affinity(true);
-        let r = h.run_kernel(&registry()[3]); // blackscholes
-        assert!(r.variants.iter().all(|v| v.is_ok()));
+    fn pool_metrics_snapshot_tracks_the_configured_pool() {
+        let h = test_harness();
         // Metrics flag is off here, so counters are zero — but the
         // snapshot's shape tracks the configured pool.
         let m = h.pool_metrics();

@@ -60,12 +60,11 @@ pub use vecprofile::{
 
 use std::path::{Path, PathBuf};
 
-/// Crates whose sources the workspace-wide lint scans — every workspace
-/// crate plus the vendored lock-free deque, whose unsafe/atomic density
-/// is exactly what the audits exist for. The kernel-ladder rules
-/// self-select per file; the SAFETY (NL005) and ORDERING (NL010) audits
-/// apply to all of them.
-pub const AUDITED_CRATES: [&str; 12] = [
+/// Crates whose sources the workspace-wide lint scans: every first-party
+/// workspace crate (the `third_party/` stand-ins are not scanned). The
+/// kernel-ladder rules self-select per file; the SAFETY (NL005) and
+/// ORDERING (NL010) audits apply to all of them.
+pub const AUDITED_CRATES: [&str; 11] = [
     "crates/bench",
     "crates/core",
     "crates/counters",
@@ -77,7 +76,6 @@ pub const AUDITED_CRATES: [&str; 12] = [
     "crates/probe",
     "crates/serve",
     "crates/simd",
-    "third_party/crossbeam",
 ];
 
 /// An I/O or configuration error from a lint run.

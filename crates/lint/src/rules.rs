@@ -32,14 +32,13 @@ use std::collections::HashSet;
 
 /// Identifiers whose presence in a serial-rung body means the variant is
 /// not actually serial (the `ninja-parallel` public surface).
-pub const THREAD_IDENTS: [&str; 7] = [
+pub const THREAD_IDENTS: [&str; 6] = [
     "ThreadPool",
     "ninja_parallel",
     "parallel_for",
     "parallel_for_each",
     "parallel_reduce",
     "par_chunks_mut",
-    "Scope",
 ];
 
 /// Identifiers whose presence in a traditional-rung body means the

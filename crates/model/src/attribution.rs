@@ -55,9 +55,9 @@ pub struct Attribution {
     /// Percent of pool thread-time idle during the measurement
     /// (0.0 also when pool metrics were not collected).
     pub pool_idle_pct: f64,
-    /// Fraction of executed pool jobs that arrived by work stealing
-    /// during the measurement (0.0 when not collected, or when the region
-    /// scheduled purely through `parallel_for` chunk claiming).
+    /// Fraction of executed pool jobs that were `join` forks run by a
+    /// lane other than their caller during the measurement (0.0 when not
+    /// collected, or when the cell never called `join`).
     pub pool_steal_ratio: f64,
     /// Measured instructions-per-cycle over the timed reps (`None` when
     /// hardware counters were unavailable).

@@ -4,18 +4,16 @@
 //! `parallel for` pragmas; its Ninja tier hand-partitions work across
 //! threads. This crate provides the equivalent substrate in Rust:
 //!
-//! * [`ThreadPool`] — a persistent pool of worker threads scheduled by a
-//!   work-stealing runtime: each worker owns a lock-free Chase–Lev deque
-//!   (LIFO pop, randomized FIFO theft by idle peers), with a shared
-//!   injector demoted to overflow/external submission,
-//! * [`ThreadPoolBuilder`] — scheduling knobs: thread count and
-//!   round-robin core affinity,
+//! * [`ThreadPool`] — a persistent pool of worker threads fed by one
+//!   shared FIFO queue, built with [`ThreadPool::with_threads`] (or
+//!   [`ThreadPool::new`], one thread per hardware thread),
 //! * [`ThreadPool::parallel_for`] — OpenMP-style loop parallelism with
 //!   dynamic chunk scheduling,
 //! * [`ThreadPool::parallel_reduce`] — parallel map-reduce over an index
 //!   range,
 //! * [`ThreadPool::join`] — binary fork-join (used by the recursive
-//!   merge-sort variants),
+//!   merge-sort variants); it waits for its fork before it returns or
+//!   unwinds, so the fork may borrow the caller's stack,
 //! * [`par_chunks_mut`] — parallel iteration over disjoint mutable chunks of
 //!   a slice, the idiom behind "each thread owns a tile of the output".
 //!
@@ -27,9 +25,9 @@
 //! The pool is instrumented with `ninja-probe`: when
 //! [`ninja_probe::set_metrics`] is on, relaxed-atomic per-lane counters
 //! record tasks, chunks, busy nanoseconds, and the scheduler's own
-//! traffic (local pops, injector pops, steals, parked time), snapshotted
-//! via [`ThreadPool::metrics`]; when tracing is on, each `parallel_for`
-//! participant records a span on its own lane. With both flags off (the
+//! traffic (steals — forks run by a lane other than their caller — and
+//! parked time), snapshotted via [`ThreadPool::metrics`]; when tracing is
+//! on, each `parallel_for` participant records a span on its own lane. With both flags off (the
 //! default) the cost is one relaxed boolean load per region.
 //!
 //! # Example
@@ -47,11 +45,9 @@
 
 mod latch;
 mod pool;
-mod scope;
 mod slice;
 
-pub use pool::{ThreadPool, ThreadPoolBuilder};
-pub use scope::Scope;
+pub use pool::ThreadPool;
 pub use slice::par_chunks_mut;
 
 /// Returns the number of hardware threads available to this process.

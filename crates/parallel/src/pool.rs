@@ -1,17 +1,22 @@
 //! The thread pool and its scheduling primitives.
 //!
-//! Scheduling architecture (the "runtime scheduler" of DESIGN.md): each
-//! worker owns a lock-free Chase–Lev deque and pops it LIFO (depth-first,
-//! cache-warm); idle workers steal FIFO from randomized victims; the
-//! mutex-backed injector is demoted to overflow/external submission. A
-//! bounded spin→yield→park backoff keeps idle workers cheap, and a
-//! Dekker-style sleeper handshake makes the park/notify race lossless.
+//! Scheduling architecture (the "runtime scheduler" of DESIGN.md): one
+//! shared FIFO queue feeds every worker, and two primitives put work on
+//! it — `parallel_for` (helper jobs that join a region's chunk loop) and
+//! `join` (the forked second closure). A bounded spin→yield→park backoff
+//! keeps idle workers cheap, and a Dekker-style sleeper handshake makes
+//! the park/notify race lossless.
+//!
+//! One lifetime rule covers both primitives: a job that may borrow a
+//! frame is awaited before that frame returns or unwinds, and a worker's
+//! last touch of frame-owned state is the release that lets the frame go
+//! (the latch's count-down for a region, the `DONE` store for a fork).
 
 use crate::latch::CountLatch;
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::cell::{Cell, UnsafeCell};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -33,20 +38,17 @@ fn store_first_panic(slot: &Mutex<Option<PanicPayload>>, payload: PanicPayload) 
     }
 }
 
-/// A type-erased pointer to a job living on some waiting caller's stack.
+/// A type-erased pointer to a queued job.
 ///
-/// Safety protocol: the frame that created the job blocks (via
-/// [`CountLatch`] or a state flag) until every pushed `JobRef` has been
-/// executed, so the pointer never dangles.
+/// Safety protocol: a `parallel_for` frame blocks on its [`CountLatch`]
+/// until every helper entry it pushed has run, and a `join` fork is a
+/// heap job the queue entry co-owns (see [`SharedOnce`]), so the pointer
+/// never dangles.
 struct JobRef {
     data: *const (),
-    exec: unsafe fn(*const ()),
-    /// Whether the executor should account this job's runtime to the
-    /// executing lane's `busy_ns`. Heap jobs (join/scope tasks) are timed
-    /// at the execution boundary; `parallel_for` helper jobs are not —
-    /// their harness accounts its own busy time per participant, and
-    /// timing them again here would double-count every worker.
-    timed: bool,
+    /// Runs the job; returns whether it ran a `join` fork its caller had
+    /// not claimed back — a steal, accounted to the executing lane.
+    exec: unsafe fn(*const ()) -> bool,
 }
 
 // SAFETY: the pointed-to job types are Sync (shared-call jobs) or carry
@@ -59,7 +61,7 @@ impl JobRef {
     /// `data` must still point at the live job it was created from; the
     /// frame-blocking protocol in the struct docs guarantees this.
     #[inline]
-    unsafe fn execute(self) {
+    unsafe fn execute(self) -> bool {
         (self.exec)(self.data)
     }
 }
@@ -74,13 +76,14 @@ struct SharedJob<'a> {
 /// # Safety
 ///
 /// `ptr` must come from a `JobRef` built over a live `SharedJob`.
-unsafe fn exec_shared(ptr: *const ()) {
+unsafe fn exec_shared(ptr: *const ()) -> bool {
     // SAFETY: ptr was created from a live SharedJob per the JobRef protocol.
     let job = unsafe { &*(ptr as *const SharedJob<'_>) };
     if let Err(payload) = catch_unwind(AssertUnwindSafe(job.func)) {
         store_first_panic(job.panic, payload);
     }
     job.latch.count_down();
+    false
 }
 
 const ONCE_PENDING: u8 = 0;
@@ -90,9 +93,9 @@ const ONCE_DONE: u8 = 2;
 /// A run-exactly-once job with a return value, used by [`ThreadPool::join`].
 struct OnceJob<F, R> {
     func: UnsafeCell<Option<F>>,
-    result: UnsafeCell<Option<R>>,
+    /// The closure's value, or its panic payload.
+    result: UnsafeCell<Option<Result<R, PanicPayload>>>,
     state: AtomicU8,
-    panic: UnsafeCell<Option<PanicPayload>>,
 }
 
 // SAFETY: access to func/result is serialized by the `state` machine:
@@ -106,7 +109,6 @@ impl<F: FnOnce() -> R, R> OnceJob<F, R> {
             func: UnsafeCell::new(Some(func)),
             result: UnsafeCell::new(None),
             state: AtomicU8::new(ONCE_PENDING),
-            panic: UnsafeCell::new(None),
         }
     }
 
@@ -126,13 +128,10 @@ impl<F: FnOnce() -> R, R> OnceJob<F, R> {
         }
         // SAFETY: we won the CAS, so we are the only thread touching the cells.
         let func = unsafe { (*self.func.get()).take().expect("once job claimed twice") };
-        match catch_unwind(AssertUnwindSafe(func)) {
-            // SAFETY: still the sole owner of the cells until the DONE store.
-            Ok(r) => unsafe { *self.result.get() = Some(r) },
-            // SAFETY: same exclusive access as `result` above; readers wait
-            // for the DONE store (Release/Acquire pair) before looking.
-            Err(payload) => unsafe { *self.panic.get() = Some(payload) },
-        }
+        let result = catch_unwind(AssertUnwindSafe(func));
+        // SAFETY: still the sole owner of the cells until the DONE store;
+        // readers wait for it (Release/Acquire pair) before looking.
+        unsafe { *self.result.get() = Some(result) };
         self.state.store(ONCE_DONE, Ordering::Release);
         true
     }
@@ -141,19 +140,12 @@ impl<F: FnOnce() -> R, R> OnceJob<F, R> {
         self.state.load(Ordering::Acquire) == ONCE_DONE
     }
 
-    /// Takes the result after `is_done` returned true.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the job's own panic payload if the job panicked, so
-    /// callers of [`ThreadPool::join`] observe the original message.
-    fn take_result(&self) -> R {
+    /// Takes the value, or the panic payload, after `is_done` returned
+    /// true. Never unwinds: the caller must release its reference to the
+    /// job before re-raising a payload.
+    fn take_result(&self) -> Result<R, PanicPayload> {
         assert!(self.is_done());
         // SAFETY: state is DONE, the runner has released the cells.
-        if let Some(payload) = unsafe { (*self.panic.get()).take() } {
-            resume_unwind(payload);
-        }
-        // SAFETY: as above.
         unsafe {
             (*self.result.get())
                 .take()
@@ -191,18 +183,73 @@ unsafe fn release_shared_once<F: FnOnce() -> R + Send, R: Send>(ptr: *const ()) 
     }
 }
 
+/// The `join` frame's reference to its pushed fork.
+///
+/// [`Fork::settle`] claims the fork back if no worker started it, or waits
+/// for the worker running it, then takes the result and releases the
+/// reference. Dropping an unsettled `Fork` — which happens only while `a`
+/// unwinds — does the same and discards `b`'s result, so `a`'s payload
+/// wins and the unwind never leaves a frame that `b` may still borrow.
+/// A guard, like `parallel_for`'s `WaitOnDrop`, keeps `a` a direct call
+/// where `catch_unwind` would route it through a function pointer.
+struct Fork<F: FnOnce() -> R + Send, R: Send>(*mut SharedOnce<F, R>);
+
+impl<F: FnOnce() -> R + Send, R: Send> Fork<F, R> {
+    fn settle(self) -> Result<R, PanicPayload> {
+        let this = std::mem::ManuallyDrop::new(self);
+        // SAFETY: `this` is never dropped, so this is the only release.
+        unsafe { this.settle_once() }
+    }
+
+    /// # Safety
+    ///
+    /// Call at most once: it surrenders the frame's reference.
+    unsafe fn settle_once(&self) -> Result<R, PanicPayload> {
+        // SAFETY: the frame holds one reference until the release below.
+        let job = unsafe { &(*self.0).job };
+        if !job.try_run() {
+            let mut spins = 0u32;
+            while !job.is_done() {
+                spins += 1;
+                if spins < 64 {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+        }
+        let result = job.take_result();
+        // SAFETY: releasing the frame's reference; `job` is not used again.
+        unsafe { release_shared_once::<F, R>(self.0 as *const ()) };
+        result
+    }
+}
+
+impl<F: FnOnce() -> R + Send, R: Send> Drop for Fork<F, R> {
+    fn drop(&mut self) {
+        // SAFETY: `settle` never drops its guard, so only an unwinding `a`
+        // gets here, and this is the only release.
+        drop(unsafe { self.settle_once() });
+    }
+}
+
+/// Runs a fork from the queue. The entry wins the state CAS only while
+/// the forking `join` is still busy in `a` — so a win is a fork run by a
+/// lane other than its caller, and is reported as a steal.
+///
 /// # Safety
 ///
 /// `ptr` must be a live `SharedOnce<F, R>` for which the queue entry holds
 /// the reference this call releases.
-unsafe fn exec_once<F: FnOnce() -> R + Send, R: Send>(ptr: *const ()) {
-    {
+unsafe fn exec_once<F: FnOnce() -> R + Send, R: Send>(ptr: *const ()) -> bool {
+    let stolen = {
         // SAFETY: the queue entry owns a reference (released below).
         let shared = unsafe { &*(ptr as *const SharedOnce<F, R>) };
-        shared.job.try_run();
-    }
+        shared.job.try_run()
+    };
     // SAFETY: releasing the queue entry's reference.
     unsafe { release_shared_once::<F, R>(ptr) };
+    stolen
 }
 
 /// Per-participant instrumentation counters, cache-line padded so relaxed
@@ -210,64 +257,17 @@ unsafe fn exec_once<F: FnOnce() -> R + Send, R: Send>(ptr: *const ()) {
 #[derive(Default)]
 #[repr(align(64))]
 struct Lane {
-    /// Jobs executed by this lane, from any source (own deque, injector,
-    /// or theft).
+    /// Queue entries executed by this lane (region helpers and forks,
+    /// including stale fork entries whose `join` claimed the work back).
     tasks: AtomicU64,
     /// `parallel_for` chunks claimed and run by this lane.
     chunks: AtomicU64,
     /// Nanoseconds spent inside pool work by this lane.
     busy_ns: AtomicU64,
-    /// Jobs popped from this lane's own deque (LIFO fast path).
-    local_pops: AtomicU64,
-    /// Jobs taken from the shared overflow injector.
-    injector_pops: AtomicU64,
-    /// Jobs stolen from another worker's deque.
+    /// `join` forks this lane ran for another lane's caller.
     steals: AtomicU64,
     /// Nanoseconds this lane spent parked on the idle condvar.
     parked_ns: AtomicU64,
-    /// Hardware-counter totals over jobs by work source: `[0]` = popped
-    /// from this lane's own deque, `[1]` = stolen from another worker.
-    /// Written only while `ninja_probe::counters_enabled()` and a counter
-    /// group is open on the executing thread; injector-sourced jobs are
-    /// counted by neither bucket (they carry no locality story).
-    windows: [LaneWindow; 2],
-}
-
-/// Relaxed-atomic accumulator for one work source's counter deltas.
-#[derive(Default)]
-struct LaneWindow {
-    cycles: AtomicU64,
-    instructions: AtomicU64,
-    llc_refs: AtomicU64,
-    llc_misses: AtomicU64,
-}
-
-impl LaneWindow {
-    /// Folds one job's counter delta in. Saturation is not needed here:
-    /// the deltas are small per-job windows and a snapshot reader only
-    /// ever diffs monotonic totals.
-    fn accumulate(&self, d: &ninja_probe::counters::CounterSample) {
-        // ORDERING: monotonic stats counters, same racy-snapshot contract
-        // as the rest of the lane's instrumentation.
-        self.cycles.fetch_add(d.cycles, Ordering::Relaxed);
-        self.instructions
-            .fetch_add(d.instructions, Ordering::Relaxed);
-        self.llc_refs.fetch_add(d.llc_refs, Ordering::Relaxed);
-        self.llc_misses.fetch_add(d.llc_misses, Ordering::Relaxed);
-    }
-
-    /// Renders the totals as a snapshot sample (event counts only; the
-    /// time fields stay zero by design — see `WorkerStats::local_window`).
-    fn snapshot(&self) -> ninja_probe::counters::CounterSample {
-        ninja_probe::counters::CounterSample {
-            // ORDERING: racy snapshot by design, as in `ThreadPool::metrics`.
-            cycles: self.cycles.load(Ordering::Relaxed),
-            instructions: self.instructions.load(Ordering::Relaxed),
-            llc_refs: self.llc_refs.load(Ordering::Relaxed),
-            llc_misses: self.llc_misses.load(Ordering::Relaxed),
-            ..Default::default()
-        }
-    }
 }
 
 /// All instrumentation state for one pool. Counters are only written while
@@ -293,47 +293,11 @@ impl Counters {
     }
 }
 
-/// Where `find_work` got a job from, for per-lane accounting.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum WorkSource {
-    /// Popped from the executing worker's own deque.
-    Local,
-    /// Taken from the shared overflow injector.
-    Injector,
-    /// Stolen from another worker's deque.
-    Stolen,
-}
-
-/// The calling worker's identity, registered in TLS by `worker_loop` so
-/// `Shared::push` can route jobs to the worker's own deque.
-#[derive(Clone, Copy)]
-struct WorkerCtx {
-    /// The pool this worker belongs to (identity-compared, never deref'd
-    /// through — methods are called on the pool's own `&Shared`).
-    shared: *const Shared,
-    /// The worker's own deque, owned by its `worker_loop` stack frame.
-    deque: *const Worker<JobRef>,
-}
-
 thread_local! {
     /// This thread's lane index in the pool it belongs to. Worker threads
     /// set their index at startup; every other thread (in particular the
     /// caller driving `parallel_for`) reports on lane 0.
     static LANE: Cell<usize> = const { Cell::new(0) };
-
-    /// This thread's `perf_event_open` counter group, opened lazily on the
-    /// first counted job and reused for the thread's lifetime (fds close
-    /// when the thread exits). The `RefCell` doubles as the re-entrancy
-    /// guard: a job that nests pool work (`join` claim-back) finds the
-    /// cell already borrowed by the enclosing window and executes
-    /// unwindowed, so nested work is counted exactly once — by the
-    /// outermost window.
-    static THREAD_COUNTERS: std::cell::RefCell<Option<ninja_probe::counters::ThreadCounters>> =
-        const { std::cell::RefCell::new(None) };
-
-    /// Set for pool worker threads only: the worker's pool + own deque,
-    /// consulted by `Shared::push` for local routing.
-    static WORKER_CTX: Cell<Option<WorkerCtx>> = const { Cell::new(None) };
 }
 
 fn current_lane(num_lanes: usize) -> usize {
@@ -344,49 +308,10 @@ fn current_lane(num_lanes: usize) -> usize {
 const SPIN_ROUNDS: u32 = 32;
 /// Consecutive `yield_now` rounds after spinning, before parking.
 const YIELD_ROUNDS: u32 = 4;
-/// `Steal::Retry` attempts per queue per scan before moving on.
-const RETRY_BUDGET: u32 = 4;
-
-/// Drives one steal source to a verdict: `Success` yields the value,
-/// `Empty` yields `None`, and `Retry` (a lost CAS race) is retried with a
-/// `spin_loop` pause up to `budget` times before giving up for this scan.
-///
-/// This is the pool's entire retry/backoff policy in one testable place —
-/// the Chase–Lev deque really does return [`Steal::Retry`] under
-/// contention, unlike the old mutex stand-in that made this path dead
-/// code.
-fn retry_loop<T>(mut attempt: impl FnMut() -> Steal<T>, budget: u32) -> Option<T> {
-    let mut retries = 0u32;
-    loop {
-        match attempt() {
-            Steal::Success(value) => return Some(value),
-            Steal::Empty => return None,
-            Steal::Retry => {
-                retries += 1;
-                if retries > budget {
-                    return None;
-                }
-                std::hint::spin_loop();
-            }
-        }
-    }
-}
-
-/// One step of xorshift64*; `state` must be nonzero.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
 
 struct Shared {
-    /// Overflow/external submission queue; the slow path.
-    injector: Injector<JobRef>,
-    /// Thief handles onto the workers' deques, indexed by `lane - 1`.
-    stealers: Vec<Stealer<JobRef>>,
+    /// The pool's one job queue, popped FIFO by every worker.
+    queue: Mutex<VecDeque<JobRef>>,
     /// Number of workers currently inside `park` — the pusher side of the
     /// Dekker handshake reads this to decide whether to notify.
     sleepers: AtomicUsize,
@@ -397,57 +322,22 @@ struct Shared {
 }
 
 impl Shared {
-    /// Queues `job`: onto the calling worker's own deque when the caller
-    /// is one of this pool's workers, else onto the shared injector.
+    /// Queues `job` and wakes a parked worker if there is one.
     fn push(&self, job: JobRef) {
-        if let Err(job) = self.try_push_local(job) {
-            self.injector.push(job);
-        }
+        self.queue.lock().push_back(job);
         self.notify_sleepers();
     }
 
-    /// Queues `job` on the shared injector unconditionally. Used for
-    /// `parallel_for` helper jobs: every idle participant must be able to
-    /// discover the region, and a nested region's helpers stranded on one
-    /// blocked worker's deque could deadlock the region's latch wait.
-    fn push_external(&self, job: JobRef) {
-        self.injector.push(job);
-        self.notify_sleepers();
-    }
-
-    /// Routes `job` to the calling worker's own deque, or hands it back.
-    fn try_push_local(&self, job: JobRef) -> Result<(), JobRef> {
-        WORKER_CTX.with(|c| match c.get() {
-            Some(ctx) if std::ptr::eq(ctx.shared, self) => {
-                // SAFETY: the deque pointer was registered by this very
-                // thread's `worker_loop` frame, which is alive beneath us
-                // (we are running on that thread), and only the owner
-                // thread ever calls `push`/`pop` on it.
-                unsafe { (*ctx.deque).push(job) };
-                Ok(())
-            }
-            _ => Err(job),
-        })
-    }
-
-    /// Pops from the calling worker's own deque, if the caller is one of
-    /// this pool's workers. Lets `help_one` drain self-spawned work.
-    fn pop_local(&self) -> Option<JobRef> {
-        WORKER_CTX.with(|c| match c.get() {
-            Some(ctx) if std::ptr::eq(ctx.shared, self) => {
-                // SAFETY: as in `try_push_local` — owner thread, live frame.
-                unsafe { (*ctx.deque).pop() }
-            }
-            _ => None,
-        })
+    fn pop(&self) -> Option<JobRef> {
+        self.queue.lock().pop_front()
     }
 
     /// The pusher side of the park handshake. The caller has already made
-    /// work visible (deque bottom store / injector push); the SeqCst fence
-    /// orders that publication before the `sleepers` read, pairing with
-    /// `park`'s increment-then-recheck. Either we observe the sleeper and
-    /// notify under the lock, or the sleeper's recheck observes our work —
-    /// a push can never slip between a worker's last scan and its wait.
+    /// work visible (queue push); the SeqCst fence orders that publication
+    /// before the `sleepers` read, pairing with `park`'s
+    /// increment-then-recheck. Either we observe the sleeper and notify
+    /// under the lock, or the sleeper's recheck observes our work — a push
+    /// can never slip between a worker's last scan and its wait.
     fn notify_sleepers(&self) {
         fence(Ordering::SeqCst);
         if self.sleepers.load(Ordering::SeqCst) > 0 {
@@ -461,129 +351,47 @@ impl Shared {
         self.sleep_cv.notify_all();
     }
 
-    /// Whether any queue in the pool has visible work.
-    fn any_work_visible(&self) -> bool {
-        !self.injector.is_empty() || self.stealers.iter().any(|s| !s.is_empty())
-    }
-
-    /// Executes `job`, accounting it to `lane` with its `source` and (for
-    /// timed jobs) its runtime, plus — when hardware-counter windows are
-    /// requested — the job's counter delta in the lane's per-source
-    /// bucket. The all-flags-off path is two relaxed loads.
-    fn execute_counted(&self, lane: usize, job: JobRef, source: WorkSource) {
-        let l = &self.counters.lanes[lane];
-        let t0 = if ninja_probe::metrics_enabled() {
-            // ORDERING: monotonic stats counters; snapshots tolerate skew
-            // and no control flow depends on them.
-            l.tasks.fetch_add(1, Ordering::Relaxed);
-            match source {
-                // ORDERING: monotonic stats counters, same contract as
-                // the `tasks` increment above.
-                WorkSource::Local => l.local_pops.fetch_add(1, Ordering::Relaxed),
-                WorkSource::Injector => l.injector_pops.fetch_add(1, Ordering::Relaxed),
-                WorkSource::Stolen => l.steals.fetch_add(1, Ordering::Relaxed),
-            };
-            job.timed.then(Instant::now)
-        } else {
-            None
-        };
-        if ninja_probe::counters_enabled() {
-            Self::execute_windowed(l, job, source);
-        } else {
+    /// Executes `job`, accounting it to `lane`: one task, plus — for a
+    /// stolen fork — one steal and the fork's runtime. `parallel_for`
+    /// helpers account their own busy time per participant. The
+    /// metrics-off path is one relaxed load.
+    fn execute_counted(&self, lane: usize, job: JobRef) {
+        if !ninja_probe::metrics_enabled() {
             // SAFETY: per the JobRef protocol the job outlives its queue
             // entry.
             unsafe { job.execute() };
+            return;
         }
-        if let Some(t0) = t0 {
-            // ORDERING: per-lane stats counter, as above. With counter
-            // windows on, busy time includes the window's ioctls — the
-            // per-job cost of asking the PMU.
+        let l = &self.counters.lanes[lane];
+        // ORDERING: monotonic stats counters; snapshots tolerate skew and
+        // no control flow depends on them.
+        l.tasks.fetch_add(1, Ordering::Relaxed);
+        let t0 = Instant::now();
+        // SAFETY: as above.
+        if unsafe { job.execute() } {
+            // ORDERING: per-lane stats counters, as above.
+            l.steals.fetch_add(1, Ordering::Relaxed);
             l.busy_ns
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
     }
 
-    /// Executes `job` inside this thread's counter window, folding the
-    /// delta into `lane`'s bucket for `source`.
-    fn execute_windowed(lane: &Lane, job: JobRef, source: WorkSource) {
-        THREAD_COUNTERS.with(|tc| match tc.try_borrow_mut() {
-            Ok(mut slot) => {
-                let counters = slot.get_or_insert_with(ninja_probe::counters::ThreadCounters::open);
-                // SAFETY: per the JobRef protocol the job outlives its
-                // queue entry.
-                let ((), delta) = counters.window(|| unsafe { job.execute() });
-                if let Some(d) = delta {
-                    match source {
-                        WorkSource::Local => lane.windows[0].accumulate(&d),
-                        WorkSource::Stolen => lane.windows[1].accumulate(&d),
-                        WorkSource::Injector => {}
-                    }
-                    if ninja_probe::tracing_enabled() {
-                        if let Some(ipc) = d.ipc() {
-                            ninja_probe::counter("worker ipc", &[("ipc", ipc)]);
-                        }
-                    }
-                }
-            }
-            // The cell is borrowed by an enclosing window on this thread
-            // (a job that nested pool work): execute plain, the outer
-            // window already counts this work.
-            // SAFETY: as above — the job outlives its queue entry.
-            Err(_) => unsafe { job.execute() },
-        });
-    }
-
-    /// Scans for one job: own deque (LIFO), then the injector, then a
-    /// randomized sweep over the other workers' deques.
-    fn find_work(
-        &self,
-        deque: &Worker<JobRef>,
-        lane: usize,
-        rng: &mut u64,
-    ) -> Option<(JobRef, WorkSource)> {
-        if let Some(job) = deque.pop() {
-            return Some((job, WorkSource::Local));
-        }
-        if let Some(job) = retry_loop(|| self.injector.steal(), RETRY_BUDGET) {
-            return Some((job, WorkSource::Injector));
-        }
-        let n = self.stealers.len();
-        if n == 0 {
-            return None;
-        }
-        let me = lane.checked_sub(1);
-        let start = (xorshift(rng) as usize) % n;
-        for k in 0..n {
-            let victim = (start + k) % n;
-            if Some(victim) == me {
-                continue;
-            }
-            if let Some(job) = retry_loop(|| self.stealers[victim].steal(), RETRY_BUDGET) {
-                return Some((job, WorkSource::Stolen));
-            }
-        }
-        None
-    }
-
     /// Blocks on the idle condvar until notified (or a 2ms backstop).
     ///
     /// The missed-wakeup fix: the sleeper announces itself in `sleepers`
-    /// *under the condvar lock*, then re-checks every work source (all
-    /// deques and the injector) and the shutdown flag before waiting. A
-    /// push between the worker's last failed scan and this wait either
-    /// sees `sleepers > 0` (and its notify cannot be lost — the sleeper
-    /// holds the lock from announce to wait) or happened early enough for
-    /// the re-check to see the work. The worker's own deque cannot hold
-    /// work here: only the owner pushes to it, and it drained it in
-    /// `find_work`.
+    /// *under the condvar lock*, then re-checks the queue and the shutdown
+    /// flag before waiting. A push between the worker's last failed scan
+    /// and this wait either sees `sleepers > 0` (and its notify cannot be
+    /// lost — the sleeper holds the lock from announce to wait) or
+    /// happened early enough for the re-check to see the work.
     fn park(&self, lane: usize) {
         let mut guard = self.sleep_lock.lock();
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
-        if !self.any_work_visible() && !self.shutdown.load(Ordering::Acquire) {
+        if self.queue.lock().is_empty() && !self.shutdown.load(Ordering::Acquire) {
             let t0 = ninja_probe::metrics_enabled().then(Instant::now);
             // Timed wait as a backstop against anything the handshake
-            // still misses (e.g. a thief re-exposing work it cannot run).
+            // still misses.
             self.sleep_cv.wait_for(&mut guard, Duration::from_millis(2));
             if let Some(t0) = t0 {
                 // ORDERING: monotonic stats counter; snapshot-read only.
@@ -596,26 +404,13 @@ impl Shared {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, deque: Worker<JobRef>, lane: usize, pin_core: Option<usize>) {
-    if let Some(core) = pin_core {
-        pin_to_core(core);
-    }
+fn worker_loop(shared: Arc<Shared>, lane: usize) {
     LANE.with(|l| l.set(lane));
-    WORKER_CTX.with(|c| {
-        c.set(Some(WorkerCtx {
-            shared: Arc::as_ptr(&shared),
-            deque: &deque,
-        }))
-    });
-    // Per-worker xorshift64* seed: lane-derived, deliberately not
-    // time-derived so victim sequences are reproducible run to run.
-    let mut rng: u64 =
-        0x9E37_79B9_7F4A_7C15 ^ ((lane as u64 + 1).wrapping_mul(0xA24B_AED4_963E_E407));
     let mut idle_rounds = 0u32;
     loop {
-        if let Some((job, source)) = shared.find_work(&deque, lane, &mut rng) {
+        if let Some(job) = shared.pop() {
             idle_rounds = 0;
-            shared.execute_counted(lane, job, source);
+            shared.execute_counted(lane, job);
             continue;
         }
         if shared.shutdown.load(Ordering::Acquire) {
@@ -637,130 +432,12 @@ fn worker_loop(shared: Arc<Shared>, deque: Worker<JobRef>, lane: usize, pin_core
     }
 }
 
-/// Best-effort pin of the calling thread to `core` via a raw
-/// `sched_setaffinity` syscall (the offline build has no libc binding).
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn pin_to_core(core: usize) {
-    const SYS_SCHED_SETAFFINITY: u64 = 203;
-    // 1024-bit CPU mask, the kernel's canonical cpu_set_t width.
-    let mut mask = [0u64; 16];
-    mask[(core / 64) % 16] = 1u64 << (core % 64);
-    let ret: i64;
-    // SAFETY: sched_setaffinity(pid=0 = self, len, mask) only reads
-    // `mask.len() * 8` bytes from `mask` and writes no userspace memory;
-    // rcx/r11 are clobbered per the syscall ABI. A failure return is
-    // ignored on purpose — affinity is a hint, the thread runs unpinned.
-    unsafe {
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") SYS_SCHED_SETAFFINITY => ret,
-            in("rdi") 0u64,
-            in("rsi") (mask.len() * 8) as u64,
-            in("rdx") mask.as_ptr(),
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-    }
-    let _ = ret;
-}
-
-/// Affinity pinning is a Linux/x86-64 fast path; a no-op elsewhere.
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-fn pin_to_core(_core: usize) {}
-
-/// Configures and builds a [`ThreadPool`].
-///
-/// ```
-/// use ninja_parallel::ThreadPoolBuilder;
-///
-/// let pool = ThreadPoolBuilder::new().num_threads(2).build();
-/// assert_eq!(pool.num_threads(), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ThreadPoolBuilder {
-    num_threads: Option<usize>,
-    affinity: bool,
-}
-
-impl ThreadPoolBuilder {
-    /// A builder with defaults: hardware-sized, no affinity.
-    pub fn new() -> Self {
-        Self {
-            num_threads: None,
-            affinity: false,
-        }
-    }
-
-    /// Total participating threads (caller + workers). Default: one per
-    /// hardware thread.
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.num_threads = Some(n);
-        self
-    }
-
-    /// Round-robin-pin each worker to a core (`lane % hardware_threads`)
-    /// via `sched_setaffinity`. Best effort: unsupported platforms and
-    /// denied syscalls silently leave workers unpinned. The calling
-    /// thread (lane 0) is never pinned. Default: off.
-    pub fn affinity(mut self, on: bool) -> Self {
-        self.affinity = on;
-        self
-    }
-
-    /// Builds the pool, spawning `num_threads - 1` workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_threads(0)` was requested.
-    pub fn build(self) -> ThreadPool {
-        let num_threads = self.num_threads.unwrap_or_else(crate::hardware_threads);
-        assert!(num_threads > 0, "a ThreadPool needs at least one thread");
-        let deques: Vec<Worker<JobRef>> = (1..num_threads).map(|_| Worker::new()).collect();
-        let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            stealers: deques.iter().map(Worker::stealer).collect(),
-            sleepers: AtomicUsize::new(0),
-            sleep_lock: Mutex::new(()),
-            sleep_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            counters: Counters::new(num_threads),
-        });
-        let hw = crate::hardware_threads().max(1);
-        let workers = deques
-            .into_iter()
-            .enumerate()
-            .map(|(i, deque)| {
-                let lane = i + 1;
-                let s = Arc::clone(&shared);
-                let pin = self.affinity.then_some(lane % hw);
-                std::thread::Builder::new()
-                    .name(format!("ninja-worker-{lane}"))
-                    .spawn(move || worker_loop(s, deque, lane, pin))
-                    .expect("failed to spawn pool worker")
-            })
-            .collect();
-        ThreadPool {
-            shared,
-            workers,
-            num_threads,
-        }
-    }
-}
-
-impl Default for ThreadPoolBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// A persistent pool of worker threads with OpenMP-style loop scheduling.
 ///
 /// The pool is the reproduction's stand-in for the paper's OpenMP runtime:
 /// kernels hand it index ranges and it distributes dynamically-sized chunks
 /// over the workers (plus the calling thread, which always participates).
-/// Task-shaped work (`join`, `scope`) schedules through per-worker
-/// work-stealing deques — see the module docs.
+/// `join` forks go through the same queue — see the module docs.
 ///
 /// Dropping the pool joins all workers.
 ///
@@ -784,7 +461,7 @@ pub struct ThreadPool {
 impl ThreadPool {
     /// Creates a pool with one thread per available hardware thread.
     pub fn new() -> Self {
-        ThreadPoolBuilder::new().build()
+        Self::with_threads(crate::hardware_threads())
     }
 
     /// Creates a pool with exactly `num_threads` participating threads
@@ -796,12 +473,29 @@ impl ThreadPool {
     ///
     /// Panics if `num_threads == 0`.
     pub fn with_threads(num_threads: usize) -> Self {
-        ThreadPoolBuilder::new().num_threads(num_threads).build()
-    }
-
-    /// A builder for pools with non-default scheduling options.
-    pub fn builder() -> ThreadPoolBuilder {
-        ThreadPoolBuilder::new()
+        assert!(num_threads > 0, "a ThreadPool needs at least one thread");
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(VecDeque::new()),
+            sleepers: AtomicUsize::new(0),
+            sleep_lock: Mutex::new(()),
+            sleep_cv: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            counters: Counters::new(num_threads),
+        });
+        let workers = (1..num_threads)
+            .map(|lane| {
+                let s = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("ninja-worker-{lane}"))
+                    .spawn(move || worker_loop(s, lane))
+                    .expect("failed to spawn pool worker")
+            })
+            .collect();
+        ThreadPool {
+            shared,
+            workers,
+            num_threads,
+        }
     }
 
     /// A process-wide pool sized to the hardware, created on first use.
@@ -916,13 +610,9 @@ impl ThreadPool {
             panic: &panic_slot,
         };
         for _ in 0..helpers {
-            // Helper jobs bypass local-deque routing (`push_external`):
-            // every idle worker must be able to discover the region, and
-            // the harness accounts its own busy time (`timed: false`).
-            self.shared.push_external(JobRef {
+            self.shared.push(JobRef {
                 data: &job as *const SharedJob<'_> as *const (),
                 exec: exec_shared,
-                timed: false,
             });
         }
 
@@ -978,38 +668,6 @@ impl ThreadPool {
         }
     }
 
-    /// Queues a type-erased heap job (used by [`crate::Scope`]). Routed to
-    /// the calling worker's own deque when possible.
-    pub(crate) fn push_heap_job(&self, data: *const (), exec: unsafe fn(*const ())) {
-        self.shared.push(JobRef {
-            data,
-            exec,
-            timed: true,
-        });
-    }
-
-    /// Pops and executes one queued job if any; returns whether it did.
-    /// Lets waiting threads contribute instead of spinning: own deque
-    /// first (if the caller is a worker), then the injector, then theft.
-    pub(crate) fn help_one(&self) -> bool {
-        let lane = current_lane(self.num_threads);
-        if let Some(job) = self.shared.pop_local() {
-            self.shared.execute_counted(lane, job, WorkSource::Local);
-            return true;
-        }
-        if let Some(job) = retry_loop(|| self.shared.injector.steal(), RETRY_BUDGET) {
-            self.shared.execute_counted(lane, job, WorkSource::Injector);
-            return true;
-        }
-        for stealer in &self.shared.stealers {
-            if let Some(job) = retry_loop(|| stealer.steal(), RETRY_BUDGET) {
-                self.shared.execute_counted(lane, job, WorkSource::Stolen);
-                return true;
-            }
-        }
-        false
-    }
-
     /// A point-in-time snapshot of the pool's instrumentation counters.
     ///
     /// Counters only advance while [`ninja_probe::set_metrics`] is on, and
@@ -1028,12 +686,8 @@ impl ThreadPool {
                 tasks: l.tasks.load(Ordering::Relaxed),
                 chunks: l.chunks.load(Ordering::Relaxed),
                 busy_ns: l.busy_ns.load(Ordering::Relaxed),
-                local_pops: l.local_pops.load(Ordering::Relaxed),
-                injector_pops: l.injector_pops.load(Ordering::Relaxed),
                 steals: l.steals.load(Ordering::Relaxed),
                 parked_ns: l.parked_ns.load(Ordering::Relaxed),
-                local_window: l.windows[0].snapshot(),
-                steal_window: l.windows[1].snapshot(),
             })
             .collect();
         ninja_probe::PoolMetrics {
@@ -1066,10 +720,9 @@ impl ThreadPool {
 
     /// Runs two closures, potentially in parallel, returning both results.
     ///
-    /// The second closure is offered to the pool (the calling worker's own
-    /// deque when possible — a thief takes it FIFO); the caller runs the
-    /// first and then claims the second back if nobody started it (the
-    /// common case on an idle pool), or waits for the thief to finish.
+    /// The second closure is offered to the pool's queue; the caller runs
+    /// the first and then claims the second back if nobody started it (the
+    /// common case on an idle pool), or waits for the worker running it.
     ///
     /// The waiter deliberately does **not** execute unrelated queued jobs:
     /// executing an arbitrary job while blocked nests that job's entire
@@ -1080,7 +733,10 @@ impl ThreadPool {
     ///
     /// # Panics
     ///
-    /// Propagates a panic from either closure.
+    /// Propagates a panic from either closure, after both have finished:
+    /// `b` may borrow the caller's frame, so a panic in `a` does not leave
+    /// `join` until `b` is claimed back or done. If both panic, `a`'s
+    /// payload wins.
     pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
     where
         A: FnOnce() -> RA + Send,
@@ -1103,27 +759,13 @@ impl ThreadPool {
         self.shared.push(JobRef {
             data: shared as *const (),
             exec: exec_once::<B, RB>,
-            timed: true,
         });
+        let fork = Fork(shared);
         let ra = a();
-        // SAFETY: we hold one reference until release below.
-        let job = unsafe { &(*shared).job };
-        // Claim b back if nobody started it; otherwise wait for the thief.
-        if !job.try_run() {
-            let mut spins = 0u32;
-            while !job.is_done() {
-                spins += 1;
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
+        match fork.settle() {
+            Ok(rb) => (ra, rb),
+            Err(payload) => resume_unwind(payload),
         }
-        let rb = job.take_result();
-        // SAFETY: releasing this frame's reference.
-        unsafe { release_shared_once::<B, RB>(shared as *const ()) };
-        (ra, rb)
     }
 }
 
@@ -1350,6 +992,17 @@ mod tests {
             .unwrap_err();
             assert_eq!(payload_message(err.as_ref()), "task b failed: code 42");
         }
+        // Both closures panic: `a`'s payload wins, as in `(a(), b())`.
+        for _ in 0..50 {
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.join(
+                    || -> i32 { panic!("task a failed first") },
+                    || -> i32 { panic!("task b failed: code 42") },
+                )
+            }))
+            .unwrap_err();
+            assert_eq!(payload_message(err.as_ref()), "task a failed first");
+        }
     }
 
     #[test]
@@ -1496,85 +1149,6 @@ mod tests {
         assert!(format!("{pool:?}").contains("num_threads"));
     }
 
-    // --- work-stealing runtime tests ---
-
-    #[test]
-    fn retry_loop_returns_success_immediately() {
-        let calls = Cell::new(0u32);
-        let got = retry_loop(
-            || {
-                calls.set(calls.get() + 1);
-                Steal::Success(7)
-            },
-            4,
-        );
-        assert_eq!(got, Some(7));
-        assert_eq!(calls.get(), 1);
-    }
-
-    #[test]
-    fn retry_loop_retries_through_lost_races_then_succeeds() {
-        // The direct unit test of the pool's retry/backoff path: a source
-        // that loses the CAS race a few times must be re-attempted, not
-        // treated as empty.
-        let calls = Cell::new(0u32);
-        let got = retry_loop(
-            || {
-                calls.set(calls.get() + 1);
-                if calls.get() <= 3 {
-                    Steal::Retry
-                } else {
-                    Steal::Success(99)
-                }
-            },
-            4,
-        );
-        assert_eq!(got, Some(99));
-        assert_eq!(calls.get(), 4, "three retries then the winning attempt");
-    }
-
-    #[test]
-    fn retry_loop_gives_up_after_budget_and_on_empty() {
-        let calls = Cell::new(0u32);
-        let got: Option<()> = retry_loop(
-            || {
-                calls.set(calls.get() + 1);
-                Steal::Retry
-            },
-            4,
-        );
-        assert_eq!(got, None, "a persistently-contended source is skipped");
-        assert_eq!(calls.get(), 5, "initial attempt + budget retries");
-
-        let got: Option<()> = retry_loop(|| Steal::Empty, 4);
-        assert_eq!(got, None);
-    }
-
-    #[test]
-    fn builder_gives_every_worker_a_stealable_deque() {
-        let pool = ThreadPoolBuilder::new().num_threads(3).build();
-        assert_eq!(pool.num_threads(), 3);
-        assert_eq!(pool.shared.stealers.len(), 2);
-    }
-
-    #[test]
-    fn affinity_pool_computes_correctly() {
-        // Pinning is best-effort; whatever the platform does with the
-        // syscall, the pool must behave identically.
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(2)
-            .affinity(true)
-            .build();
-        let total = pool.parallel_reduce(
-            0..1024,
-            16,
-            0u64,
-            |r| r.map(|i| i as u64).sum(),
-            |a, b| a + b,
-        );
-        assert_eq!(total, (0..1024u64).sum());
-    }
-
     #[test]
     fn workers_park_and_wake_across_idle_gaps() {
         // Liveness hammer for the park/notify handshake: force the workers
@@ -1596,49 +1170,9 @@ mod tests {
     }
 
     #[test]
-    fn counter_windows_attach_per_source_and_never_break_scheduling() {
-        // Counter windows ride along on the deque execution path; whether
-        // the host grants a PMU or not, scheduling must be untouched and
-        // the per-source buckets must stay internally consistent.
-        ninja_probe::set_counters(true);
-        let pool = ThreadPool::with_threads(4);
-        fn sum_range(pool: &ThreadPool, lo: u64, hi: u64) -> u64 {
-            if hi - lo <= 64 {
-                return (lo..hi).sum();
-            }
-            let mid = lo + (hi - lo) / 2;
-            let (a, b) = pool.join(|| sum_range(pool, lo, mid), || sum_range(pool, mid, hi));
-            a + b
-        }
-        assert_eq!(sum_range(&pool, 0, 50_000), (0..50_000u64).sum());
-        let m = pool.metrics();
-        ninja_probe::set_counters(false);
-        let available = ninja_probe::counters::availability().is_available();
-        for w in &m.workers {
-            if !available {
-                // Degradation contract: no fabricated counts.
-                assert!(!w.local_window.any_counted(), "{w:?}");
-                assert!(!w.steal_window.any_counted(), "{w:?}");
-            }
-            // Whatever was counted, derived ratios stay in range.
-            if let Some(rate) = w.steal_window.llc_miss_rate() {
-                assert!((0.0..=1.0).contains(&rate));
-            }
-        }
-        if available {
-            let counted: u64 = m
-                .workers
-                .iter()
-                .map(|w| w.local_window.cycles + w.steal_window.cycles)
-                .sum();
-            assert!(counted > 0, "a PMU-capable host should have counted jobs");
-        }
-    }
-
-    #[test]
     fn deep_join_tree_is_correct_under_stealing() {
-        // A deeper recursion than fib(16): exercises local push, LIFO pop,
-        // claim-back, and cross-worker theft all at once.
+        // A deeper recursion than fib(16): exercises queued forks,
+        // claim-back, and forks run by other workers all at once.
         fn sum_range(pool: &ThreadPool, lo: u64, hi: u64) -> u64 {
             if hi - lo <= 32 {
                 return (lo..hi).sum();

@@ -5,6 +5,7 @@
 //! `FLAG_LOCK` and restores the flags before releasing it.
 
 use ninja_parallel::ThreadPool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -93,6 +94,27 @@ fn counters_track_joins_and_inline_regions() {
     assert_eq!(d.joins, 1);
     assert_eq!(d.regions, 1);
     assert_eq!(d.total_chunks(), 1);
+
+    // A fork the worker starts while the caller is still in `a` is a
+    // steal — exactly one, whatever stale entries the queue still held.
+    let before = pool.metrics();
+    let started = AtomicBool::new(false);
+    pool.join(
+        || {
+            // ORDERING: a bare start signal; the join orders everything else.
+            while !started.load(Ordering::Relaxed) {
+                std::hint::spin_loop();
+            }
+        },
+        || {
+            // ORDERING: as above.
+            started.store(true, Ordering::Relaxed);
+        },
+    );
+    let d = pool.metrics().delta(&before);
+    assert_eq!(d.joins, 1);
+    assert_eq!(d.steals, 1, "{d:?}");
+    assert_eq!(d.workers[1].steals, 1, "the worker lane ran the fork");
 }
 
 #[test]

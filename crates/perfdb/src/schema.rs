@@ -109,9 +109,9 @@ pub struct CellAttribution {
     pub pool_imbalance: f64,
     /// Percent of the pool's thread-time spent idle over the window.
     pub pool_idle_pct: f64,
-    /// Stolen share of the pool jobs executed over the window (0.0 when
-    /// not collected, or when the region scheduled purely through
-    /// `parallel_for` chunk claiming).
+    /// Stolen share of the pool jobs executed over the window: `join`
+    /// forks run by a lane other than their caller (0.0 when not
+    /// collected, or when the cell never called `join`).
     #[serde(default, skip_serializing_if = "is_zero")]
     pub pool_steal_ratio: f64,
 }

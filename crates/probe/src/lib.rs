@@ -17,9 +17,9 @@
 //!   pool internals.
 //! * **Hardware counters** ([`counters`], re-exported from
 //!   `ninja-counters`, behind [`counters_enabled`]): per-thread
-//!   `perf_event_open` groups windowed around measured reps and pool
-//!   tasks, degrading to `CounterStatus::Unavailable(reason)` wherever
-//!   perf is not permitted.
+//!   `perf_event_open` groups windowed around measured reps, degrading
+//!   to `CounterStatus::Unavailable(reason)` wherever perf is not
+//!   permitted.
 //!
 //! ## Overhead contract
 //!

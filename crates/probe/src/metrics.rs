@@ -6,39 +6,25 @@
 //! region (the harness measures one variant at a time) take a snapshot
 //! before and after and call [`PoolMetrics::delta`].
 
-use ninja_counters::CounterSample;
-
 /// Cumulative counters for one pool participant. Lane 0 is the thread
 /// that calls into the pool (the harness thread); lanes `1..=N` are the
 /// pool's worker threads.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Jobs this lane executed, from any source (own deque, injector, or
-    /// theft).
+    /// Queue entries this lane executed: `parallel_for` helper jobs and
+    /// `join` forks (stale fork entries whose caller claimed the work
+    /// back included).
     pub tasks: u64,
     /// `parallel_for` chunks this participant claimed and ran.
     pub chunks: u64,
     /// Nanoseconds this participant spent inside pool work
-    /// (`parallel_for` chunk loops, executed jobs).
+    /// (`parallel_for` chunk loops, stolen forks).
     pub busy_ns: u64,
-    /// Jobs popped from this lane's own deque (the LIFO fast path).
-    pub local_pops: u64,
-    /// Jobs taken from the shared overflow injector.
-    pub injector_pops: u64,
-    /// Jobs stolen from another worker's deque.
+    /// `join` forks this lane ran for another lane's caller — the queue
+    /// entry won the fork before its caller claimed it back.
     pub steals: u64,
     /// Nanoseconds this lane spent parked on the pool's idle condvar.
     pub parked_ns: u64,
-    /// Hardware-counter totals over jobs this lane popped from its own
-    /// deque (the LIFO cache-warm path). Only the event counts are
-    /// populated — the time fields stay zero, so per-source rates come
-    /// from ratios (IPC, miss rate), not bandwidth. All-zero when
-    /// hardware counters were off or unavailable.
-    pub local_window: CounterSample,
-    /// Hardware-counter totals over jobs this lane stole from another
-    /// worker's deque (the cache-cold path). Same population rules as
-    /// [`WorkerStats::local_window`].
-    pub steal_window: CounterSample,
 }
 
 /// A point-in-time aggregation of the pool's instrumentation counters.
@@ -53,9 +39,8 @@ pub struct PoolMetrics {
     pub regions: u64,
     /// `join` calls executed.
     pub joins: u64,
-    /// Jobs taken from another worker's deque (sum of the per-lane
-    /// [`WorkerStats::steals`] — cross-worker deque thefts only, not
-    /// injector pops or join claim-backs).
+    /// `join` forks run by a lane other than their caller (sum of the
+    /// per-lane [`WorkerStats::steals`]; claim-backs are not steals).
     pub steals: u64,
     /// Per-participant counters, indexed by lane.
     pub workers: Vec<WorkerStats>,
@@ -68,9 +53,7 @@ impl PoolMetrics {
     /// **Counter-window semantics.** Every field is a *monotonic*
     /// counter over one pool's lifetime: within a single pool, a later
     /// snapshot is field-wise ≥ an earlier one, so the subtraction is
-    /// exact for any correctly-ordered bracket — including the hardware-
-    /// counter windows that bracket per-worker steal-path/local-pop
-    /// attribution around a measured variant. The counters only "reset"
+    /// exact for any correctly-ordered bracket. The counters only "reset"
     /// by belonging to a *different* pool (a rebuilt `ThreadPool` starts
     /// from zero); for that case, and for swapped operands, each field
     /// saturates to zero (`saturating_sub`, never a wrapping subtraction
@@ -89,12 +72,8 @@ impl PoolMetrics {
                     tasks: w.tasks.saturating_sub(e.tasks),
                     chunks: w.chunks.saturating_sub(e.chunks),
                     busy_ns: w.busy_ns.saturating_sub(e.busy_ns),
-                    local_pops: w.local_pops.saturating_sub(e.local_pops),
-                    injector_pops: w.injector_pops.saturating_sub(e.injector_pops),
                     steals: w.steals.saturating_sub(e.steals),
                     parked_ns: w.parked_ns.saturating_sub(e.parked_ns),
-                    local_window: w.local_window.saturating_sub(&e.local_window),
-                    steal_window: w.steal_window.saturating_sub(&e.steal_window),
                 }
             })
             .collect();
@@ -155,10 +134,9 @@ impl PoolMetrics {
         (1.0 - self.total_busy_ns() as f64 / capacity).clamp(0.0, 1.0)
     }
 
-    /// Of the jobs lanes executed, the fraction that arrived by stealing
-    /// from another worker's deque. `0.0` when no jobs ran — either the
-    /// window was pure `parallel_for` chunking (which schedules through an
-    /// atomic counter, not the deques) or the pool was idle.
+    /// Of the queue entries lanes executed, the fraction that were stolen
+    /// `join` forks. `0.0` when no entries ran — either the window was
+    /// pure inline `parallel_for` chunking or the pool was idle.
     pub fn steal_ratio(&self) -> f64 {
         let tasks = self.total_tasks();
         if tasks == 0 {
@@ -171,7 +149,7 @@ impl PoolMetrics {
     /// idle condvar. Like [`idle_fraction`](Self::idle_fraction) this is
     /// meaningful on a [`delta`](Self::delta); clamped to `[0, 1]`.
     /// Parked time is a subset of idle time — the difference is spent
-    /// spinning, yielding, and scanning for victims.
+    /// spinning, yielding, and polling the queue.
     pub fn parked_fraction(&self) -> f64 {
         let capacity = self.threads as f64 * self.at_ns as f64;
         if capacity <= 0.0 {
@@ -272,34 +250,6 @@ mod tests {
         // The derived window statistics stay in range on the empty window.
         assert_eq!(d.steal_ratio(), 0.0);
         assert_eq!(d.idle_fraction(), 0.0);
-    }
-
-    #[test]
-    fn delta_windows_per_source_counters_with_the_same_saturation() {
-        let mut before = metrics(&[100, 100], 100);
-        before.workers[1].steal_window = CounterSample {
-            cycles: 1_000,
-            instructions: 800,
-            ..Default::default()
-        };
-        let mut after = metrics(&[200, 300], 300);
-        after.workers[1].steal_window = CounterSample {
-            cycles: 5_000,
-            instructions: 3_200,
-            ..Default::default()
-        };
-        after.workers[1].local_window = CounterSample {
-            cycles: 2_000,
-            instructions: 4_000,
-            ..Default::default()
-        };
-        let d = after.delta(&before);
-        assert_eq!(d.workers[1].steal_window.cycles, 4_000);
-        assert_eq!(d.workers[1].steal_window.instructions, 2_400);
-        assert_eq!(d.workers[1].local_window.instructions, 4_000);
-        // Pool-reset bracket: the counter windows saturate empty too.
-        let swapped = before.delta(&after);
-        assert!(!swapped.workers[1].steal_window.any_counted());
     }
 
     #[test]
