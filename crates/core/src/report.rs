@@ -236,7 +236,7 @@ pub struct SuiteReport {
     /// Active SIMD backend (`ninja_simd::isa::active().name()`).
     pub simd_backend: String,
     /// Resolved ISA dispatch backend the ninja rungs ran on (`scalar`,
-    /// `sse2`, `avx2`, or `neon`); empty in reports written before the
+    /// `sse2`, or `avx2`); empty in reports written before the
     /// width-generic dispatcher existed.
     #[serde(default)]
     pub isa: String,

@@ -14,7 +14,7 @@
 //! * **Ninja**: explicit SIMD written once against the width-generic
 //!   [`Isa`] trait with the vector `exp`/`ln`/CDF from
 //!   `ninja-simd::isa::math`, instantiated per backend (SSE2, AVX2,
-//!   NEON, scalar) by the runtime dispatcher.
+//!   scalar) by the runtime dispatcher.
 
 use crate::framework::{
     Adapter, Characterization, Instance, KernelSpec, ProblemSize, Variant, VariantInfo, Work,

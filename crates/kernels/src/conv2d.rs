@@ -151,6 +151,7 @@ impl Conv2d {
 
     /// Compiler-vectorizable tier: interior/boundary split, serial.
     // ninja-lint: variant(simd)
+    // ninja-lint: expect(vec128)
     pub fn run_simd(&self) -> Vec<f32> {
         let w = self.width;
         let mut out = vec![0.0f32; w * self.height];

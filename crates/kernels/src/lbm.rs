@@ -355,6 +355,7 @@ impl Lbm {
     /// Compiler-vectorizable tier: SoA planes, interior/boundary split,
     /// serial.
     // ninja-lint: variant(simd)
+    // ninja-lint: expect(vec128)
     pub fn run_simd(&self) -> Vec<f32> {
         self.run_soa(None, &Self::collide_rows_staged)
     }

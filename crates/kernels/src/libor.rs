@@ -231,7 +231,7 @@ impl Libor {
     }
 
     /// Ninja tier: one vector group of paths per instruction with the
-    /// width-generic vector `exp` — 4 paths per step under SSE2/NEON, 8
+    /// width-generic vector `exp` — 4 paths per step under SSE2, 8
     /// under AVX2 — parallel over path blocks.
     ///
     /// # Panics

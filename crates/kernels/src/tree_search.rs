@@ -206,7 +206,7 @@ impl TreeSearch {
 
     /// Descends one vector group of queries simultaneously through the
     /// Eytzinger tree — written once against the width-generic [`Isa`]
-    /// trait, so the same descent runs 4 queries per step under SSE2/NEON
+    /// trait, so the same descent runs 4 queries per step under SSE2
     /// and 8 under AVX2. `qs` and `out` must both hold exactly one group
     /// (`LANES` queries).
     #[inline(always)]

@@ -161,6 +161,7 @@ impl VolumeRender {
     /// bounds hoisted) — the gathers and the early-exit loop still defeat
     /// auto-vectorization, mirroring the paper's finding for VR.
     // ninja-lint: variant(simd)
+    // ninja-lint: expect(vec128)
     pub fn run_simd(&self) -> Vec<f32> {
         // The restructure that *would* help a vectorizer is the same code
         // with straight-line sampling; measured, it performs like naive.

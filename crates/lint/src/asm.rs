@@ -3,13 +3,13 @@
 //!
 //! The source-token rules (NL001–NL007) can only audit what the *author*
 //! wrote; this module audits what the *compiler emitted*. It parses the
-//! textual assembly of `rustc --emit asm` (x86-64 AT&T syntax or
-//! AArch64), splits it into functions, and counts the instructions that
-//! constitute vectorization evidence: packed FP arithmetic, integer
-//! vector arithmetic, FMA, gather/scatter, and the widest vector
-//! register touched by a *classified* instruction (so `vzeroupper` and
-//! `vxorps` zeroing idioms never inflate the width). It also counts the
-//! scalar compares and float/integer conversions (`ucomiss`,
+//! textual assembly of `rustc --emit asm` (x86-64 AT&T syntax only; any
+//! other listing is refused), splits it into functions, and counts the
+//! instructions that constitute vectorization evidence: packed FP
+//! arithmetic, integer vector arithmetic, FMA, gather/scatter, and the
+//! widest vector register touched by a *classified* instruction (so
+//! `vzeroupper` and `vxorps` zeroing idioms never inflate the width). It
+//! also counts the scalar compares and float/integer conversions (`ucomiss`,
 //! `cvttss2si`, ...) that a clamp, a `floor` or a saturating `as i32`
 //! lowers to: inside a loop that is otherwise packed they mean the
 //! compiler took each vector apart lane by lane, which no arithmetic
@@ -27,14 +27,7 @@
 
 use std::collections::BTreeSet;
 
-/// Target architecture of an assembly listing.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Arch {
-    /// x86-64, AT&T syntax (`%xmm`/`%ymm`/`%zmm` registers).
-    X86_64,
-    /// AArch64 (`v0.4s`-style arrangement suffixes).
-    AArch64,
-}
+use crate::LintError;
 
 /// Vectorization-relevant instruction counts of one function.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -102,27 +95,29 @@ pub struct AsmFunction {
 /// A parsed assembly listing.
 #[derive(Clone, Debug)]
 pub struct AsmListing {
-    /// Detected architecture.
-    pub arch: Arch,
     /// Functions in listing order (label-delimited; data labels appear
     /// with zero instruction counts and are harmless).
     pub functions: Vec<AsmFunction>,
 }
 
-/// Detects the architecture of a listing: AT&T x86-64 registers carry a
-/// `%` sigil that AArch64 assembly never uses.
-pub fn detect_arch(text: &str) -> Arch {
-    if text.contains('%') {
-        Arch::X86_64
-    } else {
-        Arch::AArch64
-    }
-}
-
 /// Parses one `--emit asm` listing into labeled functions with
 /// classified instruction counts.
-pub fn parse_listing(text: &str) -> AsmListing {
-    let arch = detect_arch(text);
+///
+/// # Errors
+///
+/// Returns a [`LintError`] when the text names no `%`-sigil register:
+/// it is not an AT&T x86-64 listing, and the classifier would read it
+/// as zero counts rather than fail.
+pub fn parse_listing(text: &str) -> Result<AsmListing, LintError> {
+    if !text
+        .split('%')
+        .skip(1)
+        .any(|rest| rest.starts_with(|c: char| c.is_ascii_alphabetic()))
+    {
+        return Err(LintError(
+            "asm oracle reads x86-64 AT&T listings only (no `%` register in the listing)".into(),
+        ));
+    }
     let mut functions: Vec<AsmFunction> = Vec::new();
     let mut current: Option<AsmFunction> = None;
     let mut callees: BTreeSet<String> = BTreeSet::new();
@@ -156,14 +151,11 @@ pub fn parse_listing(text: &str) -> AsmListing {
             continue;
         };
         let (mnemonic, operands) = split_insn(trimmed);
-        match arch {
-            Arch::X86_64 => classify_x86(mnemonic, operands, &mut cur.counts),
-            Arch::AArch64 => classify_aarch64(mnemonic, operands, &mut cur.counts),
-        }
+        classify_x86(mnemonic, operands, &mut cur.counts);
         collect_symbol_refs(operands, &mut callees);
     }
     flush(&mut current, &mut callees);
-    AsmListing { arch, functions }
+    Ok(AsmListing { functions })
 }
 
 /// A column-0 `name:` label whose name is not a local (`.L...`) label.
@@ -190,12 +182,18 @@ fn split_insn(line: &str) -> (&str, &str) {
 }
 
 /// Collects mangled-symbol references (`_ZN...` legacy, `_R...` v0) from
-/// an operand string.
+/// an operand string. Mangled text inside a longer name is skipped: a
+/// local data label such as `.Lswitch.table._ZN...` is named after
+/// whichever function LLVM first emitted it for, not a reference to it.
 fn collect_symbol_refs(operands: &str, out: &mut BTreeSet<String>) {
     for needle in ["_ZN", "_R"] {
-        let mut rest = operands;
-        while let Some(at) = rest.find(needle) {
-            let tail = &rest[at..];
+        for (at, _) in operands.match_indices(needle) {
+            if operands[..at]
+                .ends_with(|c: char| c.is_ascii_alphanumeric() || matches!(c, '_' | '.'))
+            {
+                continue;
+            }
+            let tail = &operands[at..];
             let end = tail
                 .find(|c: char| !(c.is_ascii_alphanumeric() || matches!(c, '_' | '$' | '.')))
                 .unwrap_or(tail.len());
@@ -203,7 +201,6 @@ fn collect_symbol_refs(operands: &str, out: &mut BTreeSet<String>) {
             if end > needle.len() + 2 {
                 out.insert(tail[..end].to_string());
             }
-            rest = &rest[at + needle.len()..];
         }
     }
 }
@@ -328,62 +325,6 @@ fn classify_x86(mnemonic: &str, operands: &str, c: &mut InsnCounts) {
             c.vector_int_ops += 1;
             c.bump_width(width);
         }
-    }
-}
-
-// ---- AArch64 classification --------------------------------------------
-
-/// 128-bit NEON arrangement suffixes.
-const A64_ARR_128: [&str; 4] = [".2d", ".4s", ".8h", ".16b"];
-/// 64-bit NEON arrangement suffixes.
-const A64_ARR_64: [&str; 4] = [".2s", ".4h", ".8b", ".1d"];
-
-const A64_FP_MNEMONICS: [&str; 24] = [
-    "fadd", "fsub", "fmul", "fdiv", "fsqrt", "fmin", "fmax", "fminnm", "fmaxnm", "fabs", "fneg",
-    "fmla", "fmls", "fmadd", "fmsub", "fnmadd", "fnmsub", "fnmul", "frecpe", "frsqrte", "fcmeq",
-    "fcmgt", "fcmge", "fabd",
-];
-
-const A64_INT_VECTOR_MNEMONICS: [&str; 21] = [
-    "add", "sub", "mul", "mla", "mls", "smin", "smax", "umin", "umax", "smull", "umull", "cmeq",
-    "cmgt", "cmge", "cmhi", "cmhs", "shl", "sshr", "ushr", "abs", "neg",
-];
-
-/// Scalar compares and float/integer conversions; the same mnemonics
-/// with a vector arrangement are packed and not counted.
-const A64_SCALAR_CONV_MNEMONICS: [&str; 6] =
-    ["fcmp", "fcmpe", "fcvtzs", "fcvtzu", "scvtf", "ucvtf"];
-
-fn classify_aarch64(mnemonic: &str, operands: &str, c: &mut InsnCounts) {
-    let bits = if A64_ARR_128.iter().any(|a| operands.contains(a)) {
-        128
-    } else if A64_ARR_64.iter().any(|a| operands.contains(a)) {
-        64
-    } else {
-        0
-    };
-    if bits == 0 && A64_SCALAR_CONV_MNEMONICS.contains(&mnemonic) {
-        c.scalar_conv_ops += 1;
-        return;
-    }
-    if A64_FP_MNEMONICS.contains(&mnemonic) {
-        if bits > 0 {
-            c.vector_fp_ops += 1;
-            c.bump_width(bits);
-            if matches!(mnemonic, "fmla" | "fmls") {
-                c.fma = true;
-            }
-        } else {
-            c.scalar_fp_ops += 1;
-            if matches!(mnemonic, "fmadd" | "fmsub" | "fnmadd" | "fnmsub") {
-                c.fma = true;
-            }
-        }
-        return;
-    }
-    if bits > 0 && A64_INT_VECTOR_MNEMONICS.contains(&mnemonic) {
-        c.vector_int_ops += 1;
-        c.bump_width(bits);
     }
 }
 
@@ -587,37 +528,18 @@ mod tests {
     }
 
     #[test]
-    fn aarch64_classifier_reads_arrangements() {
-        let mut c = InsnCounts::default();
-        classify_aarch64("fmul", "v0.4s, v1.4s, v2.4s", &mut c);
-        classify_aarch64("fmla", "v0.4s, v1.4s, v2.4s", &mut c);
-        classify_aarch64("fadd", "s0, s1, s2", &mut c); // scalar
-        classify_aarch64("add", "v3.4s, v3.4s, v4.4s", &mut c);
-        classify_aarch64("movi", "v0.4s, #0", &mut c); // zeroing
-        classify_aarch64("fcvtzs", "w0, s0", &mut c); // scalar conversion
-        classify_aarch64("fcmp", "s0, s1", &mut c); // scalar compare
-        classify_aarch64("fcvtzs", "v0.4s, v1.4s", &mut c); // packed: not counted
-        assert_eq!(c.vector_fp_ops, 2);
-        assert_eq!(c.scalar_fp_ops, 1);
-        assert_eq!(c.vector_int_ops, 1);
-        assert_eq!(c.scalar_conv_ops, 2);
-        assert_eq!(c.max_vector_bits, 128);
-        assert!(c.fma);
-    }
-
-    #[test]
     fn parse_listing_splits_functions_and_collects_callees() {
         let asm = "\t.text\n\
                    _ZN4demo3aaa17h0000000000000000E:\n\
                    \tvmulps\t%ymm1, %ymm2, %ymm0\n\
                    \tcallq\t_ZN4demo3bbb17h1111111111111111E\n\
+                   \tleaq\t.Lswitch.table._ZN4demo3ccc17h2222222222222222E(%rip), %rax\n\
                    \tretq\n\
                    .Lfunc_end0:\n\
                    _ZN4demo3bbb17h1111111111111111E:\n\
                    \tmulss\t%xmm1, %xmm0\n\
                    \tretq\n";
-        let listing = parse_listing(asm);
-        assert_eq!(listing.arch, Arch::X86_64);
+        let listing = parse_listing(asm).unwrap();
         assert_eq!(listing.functions.len(), 2);
         let a = &listing.functions[0];
         assert_eq!(a.path, ["demo", "aaa"]);

@@ -21,8 +21,9 @@
 //! * **Assembly evidence** (NL008/NL009/NL011/NL012, `--asm` mode): the
 //!   [`asm`] and [`vecprofile`] modules parse `rustc --emit asm` output,
 //!   attribute symbols back to rungs, and hold each rung to the profile
-//!   its `expect(vecN[, fma][, sconv=0])` marker declares (an unmarked
-//!   simd/ninja rung must at least emit vector code). They flag an
+//!   its `expect(vecN[, fma][, sconv=0])` marker declares (a simd/ninja
+//!   rung with neither that marker nor an `allow(NL008, ..)` waiver is a
+//!   finding itself). They flag an
 //!   intrinsic called out of line inside the AVX2 trampoline's reach, and
 //!   report when the compiler bridged the gap on a naive rung by itself,
 //!   or vectorized a compiler rung's arithmetic while still comparing or
@@ -49,7 +50,7 @@ pub mod source;
 pub mod spans;
 pub mod vecprofile;
 
-pub use asm::{demangle, detect_arch, parse_listing, Arch, AsmFunction, AsmListing, InsnCounts};
+pub use asm::{demangle, parse_listing, AsmFunction, AsmListing, InsnCounts};
 pub use report::{FindingRecord, LintReport, RuleRecord};
 pub use rules::{measured_effort, Finding, RuleId, Severity, ALL_RULES};
 pub use source::SourceFile;

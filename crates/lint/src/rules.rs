@@ -46,7 +46,7 @@ pub const THREAD_IDENTS: [&str; 6] = [
 /// aligned buffers, or the width-generic `Isa` surface — writing a rung
 /// against the trait is hand-SIMD, whatever backend the dispatcher
 /// picks.
-pub const EXPLICIT_SIMD_IDENTS: [&str; 13] = [
+pub const EXPLICIT_SIMD_IDENTS: [&str; 12] = [
     "ninja_simd",
     "AlignedVec",
     "Isa",
@@ -59,7 +59,6 @@ pub const EXPLICIT_SIMD_IDENTS: [&str; 13] = [
     "SimdMask",
     "Sse2",
     "Avx2",
-    "Neon",
 ];
 
 /// How many lines above an `unsafe` token the SAFETY audit searches,
@@ -122,8 +121,8 @@ pub enum RuleId {
     /// NL007: a `ninja-lint` marker that does not parse or attach.
     MalformedMarker,
     /// NL008: a rung whose compiled code is below its `expect(...)`
-    /// profile, or an unmarked Simd/Ninja rung that emits no vector
-    /// arithmetic (asm evidence; see [`crate::vecprofile`]).
+    /// profile, or a Simd/Ninja rung with no such marker (asm
+    /// evidence; see [`crate::vecprofile`]).
     NinjaRungNotVectorized,
     /// NL009 (info): a Naive rung the compiler auto-vectorized.
     ScalarRungAutovectorized,
@@ -207,8 +206,8 @@ impl RuleId {
             }
             RuleId::NinjaRungNotVectorized => {
                 "a rung's compiled code must meet its expect(vecN[, fma][, sconv=0]) \
-                 marker, and an unmarked simd/ninja rung must emit vector \
-                 arithmetic; checked against --emit asm evidence in --asm mode"
+                 marker, and every simd/ninja rung must carry one; checked against \
+                 --emit asm evidence in --asm mode"
             }
             RuleId::ScalarRungAutovectorized => {
                 "info: the compiler auto-vectorized a naive rung — the paper's \
@@ -226,7 +225,8 @@ impl RuleId {
             RuleId::OutlinedIntrinsic => {
                 "a function reachable from the AVX2 #[target_feature] trampoline \
                  must not call a core_arch intrinsic: it was compiled outside the \
-                 feature frame (a missing #[inline(always)]); --asm mode"
+                 feature frame (a missing #[inline(always)]), and a default-level \
+                 listing must instantiate the trampoline; --asm mode"
             }
         }
     }

@@ -17,11 +17,11 @@
 //! referenced by each root's body pulls in the helpers that survived
 //! inlining.
 //!
-//! The one false-negative mode worth knowing: a function inlined away
-//! completely leaves no symbol, so a rung may legitimately report
-//! `matched_symbols == 0`. NL008 therefore *skips* such rungs unless an
-//! `expect(...)` marker promises evidence (DESIGN.md "Vectorization
-//! evidence" discusses this).
+//! A function inlined away completely leaves no symbol, so a rung may
+//! report `matched_symbols == 0`. That is never a silent pass: every
+//! simd/ninja rung carries an `expect(...)` marker (or an
+//! `allow(NL008, ..)` waiver), and a marked rung with no evidence misses
+//! its marker (DESIGN.md "Vectorization evidence" discusses this).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -29,7 +29,7 @@ use std::process::Command;
 
 use serde::Serialize;
 
-use crate::asm::{Arch, AsmFunction, AsmListing, InsnCounts};
+use crate::asm::{AsmFunction, AsmListing, InsnCounts};
 use crate::markers::{Expect, Rung};
 use crate::rules::{Finding, RuleId};
 use crate::source::SourceFile;
@@ -39,6 +39,10 @@ use crate::LintError;
 /// `ninja_simd::isa::dispatch` enters the AVX2 arm; NL012 walks from
 /// every instantiation of it.
 pub const AVX2_TRAMPOLINE: &str = "run_avx2";
+
+/// The source that defines [`AVX2_TRAMPOLINE`], where NL012 points when
+/// a default-level listing has no instantiation of it.
+const DISPATCH_SOURCE: &str = "crates/simd/src/isa/dispatch.rs";
 
 /// Minimum packed-FP count before NL009 reports a naive rung as
 /// auto-vectorized; the odd stray packed move-adjacent op in prologue
@@ -121,11 +125,6 @@ pub struct AsmAudit {
     pub report: crate::LintReport,
     /// Per-(kernel, rung) vectorization profiles, sorted.
     pub profiles: Vec<VecProfile>,
-    /// Instantiations of [`AVX2_TRAMPOLINE`] NL012 walked from. Zero in
-    /// a default-level listing means the walk checked nothing (an
-    /// `x86-64-v3` listing inlines the trampoline away, so zero is
-    /// expected there).
-    pub trampolines: usize,
 }
 
 /// Options for [`asm_audit`].
@@ -238,14 +237,6 @@ pub fn profile_rungs(files: &[SourceFile], listings: &[AsmListing]) -> Vec<VecPr
     profiles
 }
 
-/// The profile an unmarked simd/ninja rung is held to: any vector
-/// arithmetic at all.
-const IMPLICIT_FLOOR: Expect = Expect {
-    min_bits: 64,
-    fma: false,
-    no_scalar_conv: false,
-};
-
 /// The clauses of `e` the rung's compiled code misses.
 fn unmet_clauses(e: Expect, p: &VecProfile) -> Vec<String> {
     if p.matched_symbols == 0 {
@@ -263,20 +254,18 @@ fn unmet_clauses(e: Expect, p: &VecProfile) -> Vec<String> {
 }
 
 /// Runs the asm-evidence rules over `files` + `listings`: NL008 (a rung
-/// below its `expect(...)` profile, or an unmarked simd/ninja rung with
-/// zero vector arithmetic), NL009 (naive rung the compiler
-/// auto-vectorized; info severity), NL011 (compiler rung that is
-/// vectorized but still compares or converts lane by lane; info
-/// severity) and NL012 (an intrinsic called out of line inside the AVX2
-/// trampoline's reach). Returns the profiles alongside the findings so
-/// callers render both.
+/// below its `expect(...)` profile, or a simd/ninja rung without one),
+/// NL009 (naive rung the compiler auto-vectorized; info severity), NL011
+/// (compiler rung that is vectorized but still compares or converts lane
+/// by lane; info severity) and NL012 (an intrinsic called out of line
+/// inside the AVX2 trampoline's reach). Returns the profiles alongside
+/// the findings so callers render both.
 pub fn check_asm(files: &[SourceFile], listings: &[AsmListing]) -> (Vec<VecProfile>, Vec<Finding>) {
     let profiles = profile_rungs(files, listings);
     let by_cell: HashMap<(&str, &str), &VecProfile> = profiles
         .iter()
         .map(|p| ((p.kernel.as_str(), p.rung.as_str()), p))
         .collect();
-    let x86 = listings.iter().any(|l| l.arch == Arch::X86_64);
 
     let mut findings = Vec::new();
     for file in files {
@@ -313,29 +302,23 @@ pub fn check_asm(files: &[SourceFile], listings: &[AsmListing]) -> (Vec<VecProfi
                         ),
                     );
                 }
-                // The markers state x86-64 facts (NEON tops out at 128
-                // bits); on another listing a marked rung gets the floor.
-                let expect = span.expect.map(|e| if x86 { e } else { IMPLICIT_FLOOR });
-                // An unmarked rung whose symbols were all inlined away is
-                // the documented false-negative mode, not a finding.
-                let implicit = (matches!(rung, Rung::Simd | Rung::Ninja) && p.matched_symbols > 0)
-                    .then_some(IMPLICIT_FLOOR);
-                let unmet = expect
-                    .or(implicit)
-                    .map_or_else(Vec::new, |e| unmet_clauses(e, p));
-                if !unmet.is_empty() {
-                    let declared = match span.expect {
-                        Some(_) => "its expect(...) marker",
-                        None => "the implicit any-vector floor",
-                    };
-                    emit(
+                match span.expect.map(|e| unmet_clauses(e, p)) {
+                    Some(unmet) if !unmet.is_empty() => emit(
                         RuleId::NinjaRungNotVectorized,
                         format!(
-                            "{rung} rung of `{module}` compiles below {declared}: {} — the \
-                             compiled code does not back the rung's claim",
+                            "{rung} rung of `{module}` compiles below its expect(...) marker: \
+                             {} — the compiled code does not back the rung's claim",
                             unmet.join(", ")
                         ),
-                    );
+                    ),
+                    None if matches!(rung, Rung::Simd | Rung::Ninja) => emit(
+                        RuleId::NinjaRungNotVectorized,
+                        format!(
+                            "{rung} rung of `{module}` has no expect(...) marker — declare the \
+                             profile it compiles to, or waive it with allow(NL008, \"reason\")"
+                        ),
+                    ),
+                    _ => {}
                 }
                 if rung == Rung::Naive
                     && p.matched_symbols > 0
@@ -363,6 +346,27 @@ pub fn check_asm(files: &[SourceFile], listings: &[AsmListing]) -> (Vec<VecProfi
 
 fn is_trampoline(f: &AsmFunction) -> bool {
     f.path.iter().any(|seg| seg == AVX2_TRAMPOLINE)
+}
+
+/// NL012 at the default target-cpu, where the AVX2 arm lives behind the
+/// trampoline: a listing without one instantiation of it leaves
+/// [`outlined_intrinsics`] nothing to walk, so the trampoline was renamed
+/// or reshaped — not found clean. (`x86-64-v3` inlines it away, so there
+/// zero is right.)
+fn missing_trampoline(listings: &[AsmListing]) -> Option<Finding> {
+    let found = listings
+        .iter()
+        .flat_map(|l| &l.functions)
+        .any(is_trampoline);
+    (!found).then(|| Finding {
+        rule: RuleId::OutlinedIntrinsic,
+        file: DISPATCH_SOURCE.into(),
+        line: 1,
+        message: format!(
+            "no `{AVX2_TRAMPOLINE}` instantiation in the default-level listing: NL012 had \
+             nothing to walk — the AVX2 trampoline was renamed or reshaped"
+        ),
+    })
 }
 
 /// NL012: a function reachable from a `run_avx2` trampoline that still
@@ -468,7 +472,13 @@ fn yn(b: bool) -> &'static str {
 /// `opts.asm_files`, or by compiling `crates/kernels` with
 /// `--emit asm`), lint the kernel sources against them, and wrap the
 /// result in a [`crate::LintReport`] with profiles attached.
+///
+/// # Errors
+///
+/// Returns a [`LintError`] when cargo fails, a file cannot be read, or a
+/// listing is not x86-64 AT&T assembly.
 pub fn asm_audit(root: &Path, opts: &AsmOptions) -> Result<AsmAudit, LintError> {
+    let default_level = opts.asm_files.is_empty() && opts.target_cpu.is_none();
     let listings = if opts.asm_files.is_empty() {
         vec![emit_kernel_asm(root, opts.target_cpu.as_deref())?]
     } else {
@@ -476,7 +486,10 @@ pub fn asm_audit(root: &Path, opts: &AsmOptions) -> Result<AsmAudit, LintError> 
         for path in &opts.asm_files {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| LintError(format!("cannot read asm file {}: {e}", path.display())))?;
-            v.push(crate::asm::parse_listing(&text));
+            v.push(
+                crate::asm::parse_listing(&text)
+                    .map_err(|e| LintError(format!("{}: {e}", path.display())))?,
+            );
         }
         v
     };
@@ -497,18 +510,12 @@ pub fn asm_audit(root: &Path, opts: &AsmOptions) -> Result<AsmAudit, LintError> 
         files.push(SourceFile::from_source(rel, src));
     }
 
-    let (profiles, findings) = check_asm(&files, &listings);
+    let (profiles, mut findings) = check_asm(&files, &listings);
+    if default_level {
+        findings.extend(missing_trampoline(&listings));
+    }
     let report = crate::LintReport::new(root.to_string_lossy().into_owned(), files.len(), findings);
-    let trampolines = listings
-        .iter()
-        .flat_map(|l| &l.functions)
-        .filter(|f| is_trampoline(f))
-        .count();
-    Ok(AsmAudit {
-        report,
-        profiles,
-        trampolines,
-    })
+    Ok(AsmAudit { report, profiles })
 }
 
 /// Compiles `crates/kernels` to assembly at the requested
@@ -569,7 +576,7 @@ fn emit_kernel_asm(root: &Path, target_cpu: Option<&str>) -> Result<AsmListing, 
         .ok_or_else(|| LintError(format!("no ninja_kernels-*.s under {}", deps.display())))?;
     let text = std::fs::read_to_string(&path)
         .map_err(|e| LintError(format!("cannot read {}: {e}", path.display())))?;
-    Ok(crate::asm::parse_listing(&text))
+    crate::asm::parse_listing(&text).map_err(|e| LintError(format!("{}: {e}", path.display())))
 }
 
 #[cfg(test)]
@@ -606,7 +613,7 @@ _ZN4demo6helper17h2222222222222222E:
 \tretq
 ";
         let files = [file("demo.rs", DEMO_SRC)];
-        let listings = [parse_listing(asm)];
+        let listings = [parse_listing(asm).unwrap()];
         let profiles = profile_rungs(&files, &listings);
         assert_eq!(profiles.len(), 2);
         let naive = profiles.iter().find(|p| p.rung == "naive").unwrap();
@@ -622,13 +629,33 @@ _ZN4demo6helper17h2222222222222222E:
     }
 
     #[test]
-    fn inlined_away_rungs_report_no_evidence_and_stay_silent() {
-        let asm = "_ZN5other4func17h0000000000000000E:\n\tretq\n";
+    fn an_unmarked_simd_rung_is_a_finding_even_when_inlined_away() {
+        let asm = "_ZN5other4func17h0000000000000000E:\n\tmovq\t%rdi, %rax\n\tretq\n";
         let files = [file("demo.rs", DEMO_SRC)];
-        let listings = [parse_listing(asm)];
+        let listings = [parse_listing(asm).unwrap()];
         let (profiles, findings) = check_asm(&files, &listings);
         assert!(profiles.iter().all(|p| p.classification == "no-evidence"));
-        assert!(findings.is_empty(), "{findings:?}");
+        // The naive rung needs no marker; the simd rung does.
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, RuleId::NinjaRungNotVectorized);
+        assert!(
+            findings[0].message.contains("no expect(...) marker"),
+            "{}",
+            findings[0].message
+        );
+    }
+
+    #[test]
+    fn a_listing_without_the_trampoline_is_an_nl012_finding() {
+        let asm = "_ZN10ninja_simd3isa8dispatch8run_avx217h0000000000000000E:\n\
+                   \tvmovups\t%ymm0, (%rdi)\n\tretq\n";
+        assert!(missing_trampoline(&[parse_listing(asm).unwrap()]).is_none());
+        let renamed = parse_listing(&asm.replace("run_avx2", "run_wide")).unwrap();
+        let f = missing_trampoline(&[renamed]).expect("nothing to walk is a finding");
+        assert_eq!(
+            (f.rule, f.file.as_str()),
+            (RuleId::OutlinedIntrinsic, DISPATCH_SOURCE)
+        );
     }
 
     #[test]
@@ -640,7 +667,7 @@ _ZN48_$LT$demo..Demo$u20$as$u20$framework..Kernel$GT$8run_simd17h000000000000000
 ";
         let src = "// ninja-lint: variant(simd)\npub fn run_simd(x: &mut [f32]) {}\n";
         let files = [file("demo.rs", src)];
-        let listings = [parse_listing(asm)];
+        let listings = [parse_listing(asm).unwrap()];
         let profiles = profile_rungs(&files, &listings);
         assert_eq!(profiles.len(), 1);
         assert_eq!(profiles[0].classification, "vec512");
@@ -677,9 +704,10 @@ _ZN4demo8run_simd17h0000000000000000E:
 \tvpcmpgtd\t%xmm1, %xmm2, %xmm0
 \tretq
 ";
-        let src = "// ninja-lint: variant(simd)\npub fn run_simd(x: &mut [i32]) {}\n";
+        let src = "// ninja-lint: variant(simd)\n// ninja-lint: expect(vec128)\n\
+                   pub fn run_simd(x: &mut [i32]) {}\n";
         let files = [file("demo.rs", src)];
-        let (profiles, findings) = check_asm(&files, &[parse_listing(asm)]);
+        let (profiles, findings) = check_asm(&files, &[parse_listing(asm).unwrap()]);
         assert_eq!(profiles[0].classification, "vec128");
         assert!(findings.is_empty(), "{findings:?}");
     }

@@ -136,7 +136,7 @@ pub fn measure_host() -> HostCalibration {
 /// vector/scalar ratio, machine bandwidth from the single-core number
 /// with the mild per-core scaling typical of client parts, and hardware
 /// gather from the probed backend: only AVX2 has a gather instruction
-/// (`vgatherdps`); SSE2, NEON and Scalar assemble lanes one by one.
+/// (`vgatherdps`); SSE2 and Scalar assemble lanes one by one.
 pub fn machine_from(cal: HostCalibration, threads: usize) -> Machine {
     let lanes = cal.effective_lanes().round().clamp(1.0, 16.0) as u32;
     Machine {

@@ -376,7 +376,7 @@ pub struct RunRecord {
     /// Recorded cells, suite order.
     pub cells: Vec<CellRecord>,
     /// Resolved ISA dispatch backend the ninja rungs ran on (`scalar`,
-    /// `sse2`, `avx2`, `neon`); empty for records written before the
+    /// `sse2`, `avx2`); empty for records written before the
     /// width-generic dispatcher existed.
     #[serde(default, skip_serializing_if = "String::is_empty")]
     pub isa: String,

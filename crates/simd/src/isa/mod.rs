@@ -4,7 +4,7 @@
 //! Ninja paper warns about: code tuned for one processor generation
 //! cannot ride the next one's wider registers. This module abstracts the
 //! *ISA* behind a trait so a kernel written once against [`Isa`] measures
-//! at 128-bit (SSE2/NEON) and 256-bit (AVX2) widths from the same source.
+//! at 128-bit (SSE2) and 256-bit (AVX2) widths from the same source.
 //!
 //! # Architecture
 //!
@@ -16,11 +16,12 @@
 //!   fused multiply-add, and (for `f32`) a bounds-checked gather, a
 //!   Newton-refined reciprocal square root and the two lane permutes
 //!   (`interleave`, `reverse`) a bitonic merge network needs.
-//! * Four backends implement [`Isa`], each owning its intrinsics:
+//! * Three backends implement [`Isa`], each owning its intrinsics:
 //!   [`Scalar`] (one lane, pure safe Rust — the conformance reference
-//!   and the portable fallback), `Sse2` (128-bit, x86_64 baseline),
-//!   `Avx2` (256-bit, x86_64 with AVX2+FMA) and `Neon` (128-bit,
-//!   aarch64). A backend exists only on the architecture it targets.
+//!   and the portable fallback), `Sse2` (128-bit, x86_64 baseline) and
+//!   `Avx2` (256-bit, x86_64 with AVX2+FMA). The vector backends are
+//!   x86-64 only; other targets fall back to Scalar. The trait is
+//!   width-generic, so a wider backend is one more file.
 //! * [`dispatch`] selects a backend at runtime: CPUID-based detection
 //!   (best available wins) with a `NINJA_ISA` environment override for
 //!   forced-backend testing, and an [`IsaOp`] visitor so the selected
@@ -35,7 +36,7 @@
 //!   and infinity propagation. `min`/`max` use the SSE convention
 //!   (`a < b ? a : b`, so the *second* operand wins when a lane is NaN);
 //!   every backend reproduces it.
-//! * `mul_add` may round once (fused, AVX2/NEON) or twice (unfused,
+//! * `mul_add` may round once (fused, AVX2) or twice (unfused,
 //!   Scalar/SSE2). Differential tests accept a result within 2 ULP of
 //!   *either* reference.
 //! * `rsqrt` is a hardware estimate plus one refinement step (Scalar
@@ -73,8 +74,6 @@ use core::ops::{Add, BitAnd, BitOr, Div, Mul, Neg, Shl, Shr, Sub};
 mod avx2;
 mod dispatch;
 pub mod math;
-#[cfg(target_arch = "aarch64")]
-mod neon;
 mod scalar;
 #[cfg(target_arch = "x86_64")]
 mod sse2;
@@ -85,8 +84,6 @@ pub use dispatch::{
     active, available_kinds, detect_best, dispatch, dispatch_on, force_for_test, resolve,
     resolve_from_env, with_active_features, with_features_on, IsaKind, IsaOp, NINJA_ISA_ENV,
 };
-#[cfg(target_arch = "aarch64")]
-pub use neon::{Neon, NeonF32, NeonF64, NeonI32, NeonM32, NeonM64};
 pub use scalar::{Scalar, ScalarF32, ScalarF64, ScalarI32, ScalarMask};
 #[cfg(target_arch = "x86_64")]
 pub use sse2::{Sse2, SseF32, SseF64, SseI32, SseM32, SseM64};
@@ -238,8 +235,8 @@ pub trait SimdF32:
     /// Panics if `i >= LANES`.
     fn lane(self, i: usize) -> f32;
 
-    /// `self * m + a` — fused on backends with FMA hardware (AVX2,
-    /// NEON), two roundings elsewhere. See the module numeric contract.
+    /// `self * m + a` — fused on backends with FMA hardware (AVX2),
+    /// two roundings elsewhere. See the module numeric contract.
     fn mul_add(self, m: Self, a: Self) -> Self;
 
     /// Lane-wise minimum with SSE semantics: `a < b ? a : b`, so the
@@ -523,7 +520,7 @@ pub trait SimdI32:
 /// domains without conversion.
 pub trait Isa: Copy + Default + Send + Sync + 'static {
     /// Backend name as recorded in reports and perfdb (`scalar`,
-    /// `sse2`, `avx2`, `neon`).
+    /// `sse2`, `avx2`).
     const NAME: &'static str;
     /// `f32` vector width in bits (32 for Scalar).
     const WIDTH_BITS: usize;

@@ -22,8 +22,9 @@
 //!
 //! `Scalar` (one lane, pure safe Rust: the conformance reference and the
 //! fallback on any architecture), `Sse2` (128-bit, the paper's Westmere
-//! width), `Avx2` (256-bit with FMA, behind a CPUID check) and `Neon`
-//! (128-bit, aarch64). The `NINJA_ISA` environment variable forces one.
+//! width) and `Avx2` (256-bit with FMA, behind a CPUID check). The
+//! vector backends are x86-64 only; other targets fall back to `Scalar`.
+//! The `NINJA_ISA` environment variable forces one.
 //! Every backend is held to the `Scalar` semantics by the differential
 //! suites in `tests/`.
 //!
