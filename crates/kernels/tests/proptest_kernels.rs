@@ -1,6 +1,8 @@
 //! Property tests over kernel building blocks and whole-kernel invariants.
 
-use ninja_kernels::merge_sort::{bottom_up_sort_with_cutoff, merge_scalar, merge_simd};
+use ninja_kernels::merge_sort::{
+    bottom_up_sort_with_cutoff, merge_branchless, merge_scalar, merge_simd, MergeFn,
+};
 use ninja_kernels::{conv1d::Conv1d, lbm::Lbm, tree_search::TreeSearch, ProblemSize};
 use ninja_parallel::ThreadPool;
 use proptest::prelude::*;
@@ -12,26 +14,54 @@ fn sorted_vec(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
     })
 }
 
+/// Sorted runs over seven integer values, so ties are dense; about half
+/// the draws are empty.
+fn tied_sorted_vec(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
+    prop::collection::vec(-3i32..4, 0..2 * max_len).prop_map(move |mut v| {
+        v.truncate(v.len().saturating_sub(max_len));
+        v.sort();
+        v.into_iter().map(|x| x as f32).collect()
+    })
+}
+
+fn merged_by(merge: MergeFn<'_>, a: &[f32], b: &[f32]) -> Vec<f32> {
+    let mut out = vec![0.0f32; a.len() + b.len()];
+    merge(a, b, &mut out);
+    out
+}
+
 proptest! {
     #[test]
+    fn branchless_merge_equals_scalar_merge(
+        a in sorted_vec(200),
+        b in sorted_vec(200),
+        tied_a in tied_sorted_vec(200),
+        tied_b in tied_sorted_vec(200),
+    ) {
+        for (a, b) in [(&a, &b), (&tied_a, &tied_b)] {
+            prop_assert_eq!(merged_by(&merge_branchless, a, b), merged_by(&merge_scalar, a, b));
+        }
+    }
+
+    #[test]
     fn simd_merge_equals_scalar_merge(a in sorted_vec(200), b in sorted_vec(200)) {
-        let mut got = vec![0.0f32; a.len() + b.len()];
-        let mut want = vec![0.0f32; a.len() + b.len()];
-        merge_simd(&a, &b, &mut got);
-        merge_scalar(&a, &b, &mut want);
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(merged_by(&merge_simd, &a, &b), merged_by(&merge_scalar, &a, &b));
     }
 
     #[test]
     fn bottom_up_sort_sorts_for_any_cutoff(
-        mut data in prop::collection::vec(-1e5f32..1e5, 0..500),
+        data in prop::collection::vec(-1e5f32..1e5, 0..500),
         cutoff in 1usize..64,
     ) {
         let mut want = data.clone();
         want.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mut tmp = vec![0.0f32; data.len()];
-        bottom_up_sort_with_cutoff(&mut data, &mut tmp, &merge_scalar, cutoff);
-        prop_assert_eq!(data, want);
+        let merges: [MergeFn<'_>; 2] = [&merge_scalar, &merge_branchless];
+        for merge in merges {
+            let mut got = data.clone();
+            let mut tmp = vec![0.0f32; got.len()];
+            bottom_up_sort_with_cutoff(&mut got, &mut tmp, merge, cutoff);
+            prop_assert_eq!(&got, &want);
+        }
     }
 }
 
