@@ -160,7 +160,10 @@ pub fn fig_breakdown(m: &Machine) -> String {
 /// F4: residual gap after low-effort changes — **measured on this host**
 /// next to the Westmere model projection.
 ///
-/// The paper's headline: the residual averages ~1.3X.
+/// The paper's headline: the residual averages ~1.3X. A kernel whose
+/// algorithmic cell beat its ninja cell beyond noise is marked "ninja
+/// rung is not the ceiling" (see
+/// [`crate::KernelReport::ninja_is_not_the_ceiling`]).
 pub fn fig4_residual(suite: &SuiteReport) -> String {
     let wm = machines::westmere();
     let specs = registry();
@@ -170,13 +173,17 @@ pub fn fig4_residual(suite: &SuiteReport) -> String {
     for s in &specs {
         let model_r = predicted_residual(&s.character, &wm);
         projected.push(model_r);
-        let (m_str, bar) = match suite.kernel(s.name).and_then(|k| k.measured_residual()) {
+        let kernel = suite.kernel(s.name);
+        let (m_str, mut bar) = match kernel.and_then(|k| k.measured_residual()) {
             Some(r) => {
                 measured.push(r);
                 (format!("{r:.2}X"), log_bar(r, 4.0, 24))
             }
             None => ("-".into(), String::new()),
         };
+        if kernel.is_some_and(|k| k.ninja_is_not_the_ceiling()) {
+            bar.push_str(" ninja rung is not the ceiling");
+        }
         rows.push(vec![
             s.name.to_owned(),
             m_str,
@@ -429,6 +436,65 @@ mod tests {
         assert!(f.contains("backprojection"));
         // Evolution sweep covers every kernel, including non-gather ones.
         assert!(f.contains("+FMA") && f.contains("conv1d"));
+    }
+
+    #[test]
+    fn fig4_marks_a_kernel_whose_ninja_rung_is_not_the_ceiling() {
+        use crate::{KernelReport, Measurement, VariantOutcome, VariantResult};
+        // (min_s, median_s, max_s) of the two cells the mark compares.
+        let cell = |variant: Variant, (min_s, median_s, max_s): (f64, f64, f64)| VariantResult {
+            variant: variant.name().into(),
+            timing: Some(Measurement {
+                median_s,
+                mean_s: median_s,
+                stddev_s: 0.0,
+                min_s,
+                max_s,
+                runs: 3,
+                samples: Vec::new(),
+            }),
+            checksum: 1.0,
+            gflops: 1.0,
+            gbs: 1.0,
+            validated: true,
+            outcome: VariantOutcome::Ok,
+            attribution: None,
+        };
+        let kernel = |name: &str, algorithmic, ninja| KernelReport {
+            kernel: name.into(),
+            bound: "compute".into(),
+            variants: vec![
+                cell(Variant::Algorithmic, algorithmic),
+                cell(Variant::Ninja, ninja),
+            ],
+        };
+        let suite = SuiteReport {
+            size: "quick".into(),
+            seed: 1,
+            threads: 2,
+            simd_backend: "avx2".into(),
+            isa: "avx2".into(),
+            kernels: vec![
+                // Every algorithmic repetition beat every ninja one.
+                kernel("treesearch", (0.9, 1.0, 1.1), (1.2, 1.3, 1.5)),
+                // A median under 1X, but the cells overlap: noise.
+                kernel("volumerender", (0.8, 0.9, 1.25), (1.2, 1.3, 1.5)),
+            ],
+            vec_profiles: Vec::new(),
+        };
+        assert!(suite.kernels[0].ninja_is_not_the_ceiling());
+        assert!(!suite.kernels[1].ninja_is_not_the_ceiling());
+        let f4 = fig4_residual(&suite);
+        let row = |name: &str| f4.lines().find(|l| l.starts_with(name)).expect(name);
+        assert!(
+            row("treesearch").ends_with("ninja rung is not the ceiling"),
+            "{f4}"
+        );
+        assert!(!row("volumerender").contains("ceiling"), "{f4}");
+        assert!(
+            !row("nbody").contains("ceiling"),
+            "a kernel that did not run: {f4}"
+        );
     }
 
     #[test]

@@ -184,11 +184,16 @@ pub struct KernelReport {
 }
 
 impl KernelReport {
-    fn time_of(&self, v: Variant) -> Option<f64> {
+    fn timing_of(&self, v: Variant) -> Option<&Measurement> {
         self.variants
             .iter()
             .find(|r| r.variant == v.name())
-            .and_then(VariantResult::median_s)
+            .filter(|r| r.is_ok())
+            .and_then(|r| r.timing.as_ref())
+    }
+
+    fn time_of(&self, v: Variant) -> Option<f64> {
+        self.timing_of(v).map(|t| t.median_s)
     }
 
     /// Measured Ninja gap on this host: `time(Naive) / time(Ninja)`.
@@ -203,6 +208,20 @@ impl KernelReport {
     /// Measured residual: `time(Algorithmic) / time(Ninja)`.
     pub fn measured_residual(&self) -> Option<f64> {
         Some(self.time_of(Variant::Algorithmic)? / self.time_of(Variant::Ninja)?)
+    }
+
+    /// Whether the algorithmic cell beat the ninja cell beyond noise: its
+    /// slowest repetition ran faster than the ninja cell's fastest. The
+    /// ninja rung is meant to be the ceiling; a residual under 1 that
+    /// overlapping cells could explain is not flagged.
+    pub fn ninja_is_not_the_ceiling(&self) -> bool {
+        match (
+            self.timing_of(Variant::Algorithmic),
+            self.timing_of(Variant::Ninja),
+        ) {
+            (Some(algorithmic), Some(ninja)) => algorithmic.max_s < ninja.min_s,
+            _ => false,
+        }
     }
 
     /// Measured speedup of any variant over naive.

@@ -26,7 +26,8 @@
 //!   the same reference). `exp_poly` propagates NaN and clamps `±inf`
 //!   to the ends of its range.
 //! * [`floor_f32`] is **exact** for `|x| < 2^22`; it returns `+0.0`
-//!   where `f32::floor` returns `-0.0`.
+//!   where `f32::floor` returns `-0.0`. [`int_of_integral`] is exact on
+//!   the integers of the same range.
 //! * [`rsqrt_fast`] is within **2 ULP** of `1/sqrt(x)` rounded from
 //!   `f64` for every normal `x >= 2^-125`, and within 3 ULP in the lowest
 //!   normal binade (every positive normal `f32` is tested).
@@ -58,6 +59,18 @@ pub fn floor_f32(x: f32) -> f32 {
     select_f32(t > x, t - 1.0, t)
 }
 
+/// The `i32` value of an integral `x` with `|x| < 2^22` (a [`floor_f32`]
+/// result, say): the magic-number sum carries the integer in its low
+/// mantissa bits, so it falls out of a bit subtraction. An add and an
+/// integer subtract, where `x as i32` or `x as usize` is a scalar
+/// saturating conversion per lane. A non-integral `x` rounds to nearest.
+#[inline(always)]
+pub fn int_of_integral(x: f32) -> i32 {
+    (x + ROUND_MAGIC)
+        .to_bits()
+        .wrapping_sub(ROUND_MAGIC.to_bits()) as i32
+}
+
 /// Scalar mirror of [`ninja_simd::isa::math::exp`]'s polynomial.
 #[inline(always)]
 pub fn exp_poly(x: f32) -> f32 {
@@ -73,11 +86,8 @@ pub fn exp_poly(x: f32) -> f32 {
     p = p * r + 1.666_666_6e-1;
     p = p * r + 0.5;
     let y = p * (r * r) + (r + 1.0);
-    // `fx` is an integer in [-126, 128]: its magic-number sum carries it
-    // in the mantissa, so the integer falls out of a bit subtraction.
-    let n = (fx + ROUND_MAGIC)
-        .to_bits()
-        .wrapping_sub(ROUND_MAGIC.to_bits());
+    // `fx` is an integer in [-126, 128].
+    let n = int_of_integral(fx) as u32;
     let pow2n = f32::from_bits(n.wrapping_add(127) << 23);
     y * pow2n
 }
@@ -226,6 +236,18 @@ mod tests {
         for i in -130_000..=130_000 {
             let x = i as f32 * 0.001;
             assert_eq!(floor_f32(x), x.floor(), "{x}");
+        }
+    }
+
+    #[test]
+    fn int_of_integral_is_exact_below_two_to_the_22() {
+        let edge = 4_194_303i32;
+        for i in (-edge..=edge).step_by(997).chain([-edge, -1, 0, 1, edge]) {
+            assert_eq!(int_of_integral(i as f32), i, "{i}");
+        }
+        // Through floor_f32, as the gather kernels use it.
+        for (x, want) in [(0.0f32, 0), (0.75, 0), (5.5, 5), (382.999, 382), (-0.5, -1)] {
+            assert_eq!(int_of_integral(floor_f32(x)), want, "{x}");
         }
     }
 

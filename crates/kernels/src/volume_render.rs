@@ -8,6 +8,12 @@
 //! and why its SIMD efficiency is below 1 (the paper's divergence
 //! discussion).
 //!
+//! The compiler tier's packet is a lockstep group: 16 adjacent rays
+//! as plain `f32` arrays, compositing by select and stopping when every
+//! ray has terminated. The compiler vectorizes the coordinate, lerp and
+//! compositing math across the group; only the eight tap loads per ray
+//! and step stay scalar.
+//!
 //! All tiers perform the identical arithmetic per step so outputs agree to
 //! rounding (termination decisions are bit-reproducible).
 
@@ -15,6 +21,7 @@ use crate::framework::{
     lane_ramp, Adapter, Characterization, Instance, KernelSpec, ProblemSize, Variant, VariantInfo,
     Work,
 };
+use crate::scalar_math::{floor_f32, int_of_integral, select_f32};
 use ninja_parallel::{par_chunks_mut, ThreadPool};
 use ninja_simd::isa::{self, dispatch_on, Isa, IsaKind, IsaOp, SimdF32, SimdI32, SimdMask};
 use rand::rngs::SmallRng;
@@ -28,6 +35,8 @@ const DIR_Y: f32 = 0.15;
 const ALPHA_SCALE: f32 = 0.08;
 /// Early-termination threshold on accumulated opacity.
 const TERMINATE: f32 = 0.98;
+/// Rays per lockstep group in the algorithmic rung: two 256-bit vectors.
+const GROUP: usize = 16;
 
 /// A volume-rendering problem instance (one `D³` scalar field).
 pub struct VolumeRender {
@@ -157,33 +166,101 @@ impl VolumeRender {
         out
     }
 
-    /// Compiler tier: restructured scalar code (sampling inlined, loop
-    /// bounds hoisted) — the gathers and the early-exit loop still defeat
-    /// auto-vectorization, mirroring the paper's finding for VR.
+    /// Compiler tier: the naive march. One ray is a chain of dependent
+    /// samples with an early exit, which the auto-vectorizer leaves
+    /// scalar, mirroring the paper's finding for VR; straight-line
+    /// sampling alone measured like naive. What vectorizes is marching
+    /// several rays in lockstep, and that regrouping is the algorithmic
+    /// rung's change.
     // ninja-lint: variant(simd)
     // ninja-lint: expect(vec128)
     pub fn run_simd(&self) -> Vec<f32> {
-        // The restructure that *would* help a vectorizer is the same code
-        // with straight-line sampling; measured, it performs like naive.
         self.run_naive()
     }
 
-    /// Low-effort endpoint: 2×2 pixel tiles for sample locality plus row
-    /// parallelism (the paper's blocking change for VR).
+    /// Marches the `GROUP` adjacent rays `px0..px0 + GROUP` of row `py` in
+    /// lockstep, writing their colors to `out`. The rays share `py` and the
+    /// step, so `y`, `z` and the plane offset are scalar; `x` and the eight
+    /// taps are per-lane arrays, and a lane's compositing is a select on
+    /// its own `opacity < TERMINATE`. Each step's arithmetic is
+    /// [`Self::trace`]'s, in its order, so termination decisions agree with
+    /// every other rung. `inline(always)` so it compiles inside the
+    /// caller's feature frame (see `isa::with_active_features`).
+    #[inline(always)]
+    // ninja-lint: effort(algorithmic)
+    fn trace_group(&self, px0: usize, py: usize, out: &mut [f32]) {
+        let d = self.dim;
+        let max = (d - 2) as f32;
+        let y0 = py as f32 + 0.5;
+        let x0 = px0 as f32 + 0.5;
+        let taps = [0, 1, d, d + 1, d * d, d * d + 1, d * d + d, d * d + d + 1];
+        let mut color = [0.0f32; GROUP];
+        let mut opacity = [0.0f32; GROUP];
+        let mut tf = 0.0f32;
+        for _ in 0..d - 1 {
+            if opacity.iter().all(|&o| o >= TERMINATE) {
+                break;
+            }
+            let cy = (y0 + tf * DIR_Y).min(max).max(0.0);
+            let cz = (0.5 + tf).min(max).max(0.0);
+            let (iy, iz) = (floor_f32(cy), floor_f32(cz));
+            let (fy, fz) = (cy - iy, cz - iz);
+            let plane = (int_of_integral(iz) as usize * d + int_of_integral(iy) as usize) * d;
+            let mut fx = [0.0f32; GROUP];
+            let mut base = [0usize; GROUP];
+            for l in 0..GROUP {
+                let cx = (x0 + l as f32 + tf * DIR_X).min(max).max(0.0);
+                let ix = floor_f32(cx);
+                fx[l] = cx - ix;
+                base[l] = plane + int_of_integral(ix) as usize;
+            }
+            let mut c = [[0.0f32; GROUP]; 8];
+            for l in 0..GROUP {
+                for (k, &off) in taps.iter().enumerate() {
+                    c[k][l] = self.voxels[base[l] + off];
+                }
+            }
+            for l in 0..GROUP {
+                let x00 = c[0][l] + (c[1][l] - c[0][l]) * fx[l];
+                let x10 = c[2][l] + (c[3][l] - c[2][l]) * fx[l];
+                let x01 = c[4][l] + (c[5][l] - c[4][l]) * fx[l];
+                let x11 = c[6][l] + (c[7][l] - c[6][l]) * fx[l];
+                let y0 = x00 + (x10 - x00) * fy;
+                let y1 = x01 + (x11 - x01) * fy;
+                let s = y0 + (y1 - y0) * fz;
+                let alpha = s * ALPHA_SCALE;
+                let w = 1.0 - opacity[l];
+                let live = opacity[l] < TERMINATE;
+                color[l] = select_f32(live, color[l] + w * (alpha * s), color[l]);
+                opacity[l] = select_f32(live, opacity[l] + w * alpha, opacity[l]);
+            }
+            tf += 1.0;
+        }
+        out.copy_from_slice(&color);
+    }
+
+    /// Low-effort endpoint: `GROUP` adjacent rays marched in lockstep, so
+    /// the compiler vectorizes the per-step coordinate, lerp and
+    /// compositing math across rays, plus row parallelism.
     // ninja-lint: variant(algorithmic)
+    // ninja-lint: expect(vec256)
     pub fn run_algorithmic(&self, pool: &ThreadPool) -> Vec<f32> {
         let d = self.dim;
         let mut out = vec![0.0f32; d * d];
-        // Process two adjacent rows per task so neighbouring rays share
-        // voxel neighbourhoods in cache.
-        par_chunks_mut(pool, &mut out, 2 * d, |tile, rows| {
-            let py0 = tile * 2;
-            for (r, row) in rows.chunks_mut(d).enumerate() {
-                let py = py0 + r;
-                for (px, o) in row.iter_mut().enumerate() {
-                    *o = self.trace(px, py);
-                }
-            }
+        par_chunks_mut(pool, &mut out, d, |py, row| {
+            isa::with_active_features(
+                #[inline(always)]
+                || {
+                    let mut groups = row.chunks_exact_mut(GROUP);
+                    for (g, out) in (&mut groups).enumerate() {
+                        self.trace_group(g * GROUP, py, out);
+                    }
+                    let grouped = d - groups.into_remainder().len();
+                    for (px, o) in row.iter_mut().enumerate().skip(grouped) {
+                        *o = self.trace(px, py);
+                    }
+                },
+            );
         });
         out
     }
@@ -352,8 +429,8 @@ pub fn spec() -> KernelSpec {
             },
             VariantInfo {
                 variant: Variant::Algorithmic,
-                effort_loc: 8,
-                what_changed: "2-row ray tiles for sample locality + threads",
+                effort_loc: 49,
+                what_changed: "16-ray lockstep groups vectorized in the ISA frame + threads",
             },
             VariantInfo {
                 variant: Variant::Ninja,
@@ -470,6 +547,72 @@ mod tests {
             VolumeRender::run_naive,
             VolumeRender::run_ninja_on,
         );
+    }
+
+    fn assert_algorithmic_matches_naive(k: &VolumeRender, pool: &ThreadPool, what: &str) {
+        let reference = k.run_naive();
+        let out = k.run_algorithmic(pool);
+        assert_eq!(out.len(), reference.len(), "{what}");
+        for (i, (&a, &b)) in out.iter().zip(reference.iter()).enumerate() {
+            let err = (a - b).abs() / b.abs().max(1.0);
+            assert!(err < 1e-4, "{what} [{i}]: {a} vs {b}");
+        }
+    }
+
+    /// Image widths from under one group to past two: zero, one and two
+    /// lockstep groups per row, each followed by `trace` remainders of
+    /// many lengths, including none.
+    #[test]
+    fn grouped_rung_conforms_at_every_group_residue() {
+        let pool = ThreadPool::with_threads(2);
+        for dim in 12..=12 + 2 * GROUP + 1 {
+            let k = VolumeRender::with_dim(dim, 11);
+            assert_algorithmic_matches_naive(&k, &pool, &format!("dim {dim}"));
+        }
+    }
+
+    /// Rays that terminate inside the volume: all lanes of a group at
+    /// once (dense), never (empty), and at depths that differ between
+    /// neighbouring lanes (mixed). Densities go above 1 because
+    /// `alpha = ALPHA_SCALE * s`: at density 1 a ray needs 47 steps to
+    /// reach `TERMINATE`, more than these volumes are deep. Every rung
+    /// that marches rays side by side runs: the lockstep group and the
+    /// ninja packet on every backend.
+    #[test]
+    fn lockstep_rungs_conform_where_rays_terminate() {
+        let pool = ThreadPool::with_threads(2);
+        let dim = 2 * GROUP + 5;
+        let volumes = [
+            ("dense", (|_| 4.0) as fn(usize) -> f32),
+            ("empty", |_| 0.0),
+            ("mixed depth", |x| 1.0 + (x % 7) as f32),
+        ];
+        for (what, density) in volumes {
+            let make = |dim: usize| VolumeRender {
+                dim,
+                voxels: (0..dim * dim * dim).map(|i| density(i % dim)).collect(),
+            };
+            assert_algorithmic_matches_naive(&make(dim), &pool, what);
+            crate::framework::assert_conforms_on_every_backend(
+                [dim],
+                1e-4,
+                make,
+                VolumeRender::run_naive,
+                VolumeRender::run_ninja_on,
+            );
+        }
+        // Constant density 4 composites to `4 * opacity`: every ray
+        // stopped at or past `TERMINATE`.
+        let dense = VolumeRender {
+            dim,
+            voxels: vec![4.0; dim * dim * dim],
+        };
+        for c in dense.run_naive() {
+            assert!(
+                c >= 4.0 * TERMINATE - 1e-4,
+                "dense ray did not terminate: {c}"
+            );
+        }
     }
 
     #[test]

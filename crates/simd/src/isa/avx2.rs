@@ -432,15 +432,22 @@ impl SimdF32 for AvxF32 {
 
     #[inline(always)]
     fn gather(table: &[f32], idx: Self::I32) -> Self {
-        let i = idx.to_array();
-        for &lane in &i {
-            assert!(
-                (lane as usize) < table.len() && lane >= 0,
-                "gather index out of bounds"
-            );
-        }
-        // SAFETY: every lane index was just bounds-checked against
-        // `table`, so the hardware gather reads only in-bounds elements.
+        // One unsigned compare `idx < limit` for all lanes: flipping the
+        // sign bit of both sides turns it into a signed `cmpgt`. A negative
+        // lane reads as 2^31 or more, so it fails against every limit; a
+        // table longer than `i32::MAX` admits every non-negative lane.
+        let limit = table.len().min(1 << 31) as u32;
+        let flip = avx!(_mm256_set1_epi32(i32::MIN));
+        let bound = avx!(_mm256_set1_epi32((limit ^ (1 << 31)) as i32));
+        let lanes = avx!(_mm256_xor_si256(idx.0, flip));
+        let in_bounds = avx!(_mm256_cmpgt_epi32(bound, lanes));
+        assert!(
+            avx!(_mm256_movemask_ps(_mm256_castsi256_ps(in_bounds))) == 0xff,
+            "gather index out of bounds"
+        );
+        // SAFETY: every lane index was just checked to lie in
+        // `0..table.len()`, so the hardware gather reads only in-bounds
+        // elements.
         Self(unsafe { _mm256_i32gather_ps::<4>(table.as_ptr(), idx.0) })
     }
 

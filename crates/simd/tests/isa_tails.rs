@@ -222,6 +222,52 @@ fn gather_panics_on_any_out_of_bounds_or_negative_lane() {
     }
 }
 
+/// Gathers with every lane at `index` from a table of `len` distinct values.
+struct GatherEveryLaneAt {
+    len: usize,
+    index: i32,
+}
+
+impl IsaOp for GatherEveryLaneAt {
+    type Output = Vec<f32>;
+    fn run<I: Isa>(self) -> Vec<f32> {
+        let table: Vec<f32> = (0..self.len).map(|i| 10.0 + i as f32).collect();
+        let mut out = vec![0.0f32; <I::F32 as SimdF32>::LANES];
+        I::F32::gather(&table, I::I32::splat(self.index)).store(&mut out);
+        out
+    }
+}
+
+#[test]
+fn gather_reads_the_last_element_in_every_lane() {
+    // The bound is exclusive: `len - 1` is the largest index that passes.
+    for kind in available_kinds() {
+        for len in [1usize, 2, 7, 8, 9, 1000] {
+            let got = dispatch_on(
+                kind,
+                GatherEveryLaneAt {
+                    len,
+                    index: len as i32 - 1,
+                },
+            );
+            let want = 10.0 + (len - 1) as f32;
+            assert!(
+                got.iter().all(|&v| v == want),
+                "{kind}: len {len}: {got:?}, want {want} in every lane"
+            );
+        }
+    }
+}
+
+#[test]
+fn gather_on_an_empty_table_panics_for_index_zero() {
+    for kind in available_kinds() {
+        let r =
+            std::panic::catch_unwind(|| dispatch_on(kind, GatherEveryLaneAt { len: 0, index: 0 }));
+        assert!(r.is_err(), "{kind}: index 0 into an empty table must panic");
+    }
+}
+
 /// A full-width load or store on a slice one element short.
 struct ShortSlice {
     store: bool,
