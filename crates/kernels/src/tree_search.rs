@@ -4,12 +4,19 @@
 //! millions of independent lookups against a large search tree. The naive
 //! version chases heap pointers; the **algorithmic changes** are exactly the
 //! paper's — a *linearized* (breadth-first / Eytzinger) array layout that
-//! removes pointers and improves locality, and *SIMD blocking* that descends
-//! one vector of queries per instruction using gathers.
+//! removes pointers and improves locality, and *query blocking*: a group of
+//! independent lookups descends in lockstep, so each level issues all of
+//! the group's loads before any of its compares waits on one. The
+//! algorithmic rung blocks `EYT_GROUP` scalar cursors; the ninja rung
+//! blocks `VECTOR_GROUPS` vectors of queries (8 lanes each on AVX2, 4 on
+//! SSE2) with gathered key loads, FAST's several query groups in flight.
 //!
 //! Every variant returns, for each query, the rank (position in sorted
 //! order) of the first key `>=` the query, or `n` when no such key exists —
-//! so outputs are exactly comparable across tiers.
+//! so outputs are exactly comparable across tiers. A NaN query compares
+//! `>=` nothing and `<` nothing; every descent goes right only on
+//! `key < q`, so every tier answers it with rank 0, as
+//! `partition_point(|k| k < q)` does.
 
 use crate::framework::{
     Adapter, Characterization, Instance, KernelSpec, ProblemSize, Variant, VariantInfo, Work,
@@ -18,6 +25,14 @@ use ninja_parallel::{par_chunks_mut, ThreadPool};
 use ninja_simd::isa::{self, dispatch_on, Isa, IsaKind, IsaOp, SimdF32, SimdI32, SimdMask};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+/// Queries per lockstep group of the pointer-BST batch (the serving
+/// layer's scalar reference).
+const BST_GROUP: usize = 8;
+/// Cursors per lockstep group of the algorithmic rung's Eytzinger descent.
+const EYT_GROUP: usize = 16;
+/// Vector groups the ninja descent keeps in flight.
+const VECTOR_GROUPS: usize = 4;
 
 /// A pointer-based BST node (the naive representation).
 struct Node {
@@ -61,8 +76,12 @@ impl TreeSearch {
     /// Generates a deterministic instance: sorted random keys, random
     /// queries covering hits, misses, and out-of-range probes.
     pub fn generate(size: ProblemSize, seed: u64) -> Self {
-        let n = Self::keys_for(size);
-        let m = Self::queries_for(size);
+        Self::with_keys(Self::keys_for(size), Self::queries_for(size), seed)
+    }
+
+    /// An instance with `n` keys (at least one) and `m` queries; the
+    /// presets build perfect trees, this any shape.
+    fn with_keys(n: usize, m: usize, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         // Strictly increasing keys via a positive random walk.
         let mut keys = Vec::with_capacity(n);
@@ -113,11 +132,11 @@ impl TreeSearch {
         let mut best = self.keys.len() as u32;
         let mut node = self.root.as_deref();
         while let Some(n) = node {
-            if n.key >= q {
+            if n.key < q {
+                node = n.right.as_deref();
+            } else {
                 best = n.rank;
                 node = n.left.as_deref();
-            } else {
-                node = n.right.as_deref();
             }
         }
         best
@@ -151,13 +170,51 @@ impl TreeSearch {
             // Branch-free descent: left when key >= q, right otherwise.
             k = 2 * k + usize::from(self.eyt[k] < q);
         }
-        // Undo the final descents that ran off the tree: strip trailing
-        // ones plus the bit above them.
-        k >>= (k.trailing_ones() + 1).min(63);
+        self.rank_at(k)
+    }
+
+    /// The lower bound a descent that ran off the tree at slot `k` found:
+    /// undo the final descents, stripping the trailing right turns plus
+    /// the left turn above them (none left: every key is `< q`).
+    #[inline(always)]
+    // ninja-lint: effort(algorithmic, ninja)
+    fn rank_at(&self, k: usize) -> u32 {
+        let k = k >> (k.trailing_ones() + 1).min(63);
         if k == 0 {
-            n as u32
+            self.keys.len() as u32
         } else {
             self.eyt_rank[k]
+        }
+    }
+
+    /// `search_eytzinger` for every query in `qs`, `EYT_GROUP` cursors in
+    /// lockstep. Every descent completes the tree's full levels, so those
+    /// steps need no bounds test; only the last, partial level asks which
+    /// cursors are still inside. A remainder under `EYT_GROUP` takes
+    /// `search_eytzinger`.
+    // ninja-lint: effort(algorithmic)
+    fn search_eytzinger_lockstep(&self, qs: &[f32], out: &mut [u32]) {
+        let n = self.keys.len();
+        let full_levels = (n + 1).ilog2();
+        let mut q_groups = qs.chunks_exact(EYT_GROUP);
+        let mut o_groups = out.chunks_exact_mut(EYT_GROUP);
+        for (q, o) in (&mut q_groups).zip(&mut o_groups) {
+            let mut k = [1usize; EYT_GROUP];
+            for _ in 0..full_levels {
+                for l in 0..EYT_GROUP {
+                    k[l] = 2 * k[l] + usize::from(self.eyt[k[l]] < q[l]);
+                }
+            }
+            for l in 0..EYT_GROUP {
+                if k[l] <= n {
+                    k[l] = 2 * k[l] + usize::from(self.eyt[k[l]] < q[l]);
+                }
+                o[l] = self.rank_at(k[l]);
+            }
+        }
+        let q_rest = q_groups.remainder();
+        for (&q, o) in q_rest.iter().zip(o_groups.into_remainder()) {
+            *o = self.search_eytzinger(q);
         }
     }
 
@@ -175,14 +232,14 @@ impl TreeSearch {
                 let mut best = self.keys.len() as u32;
                 let mut node = self.root.as_deref();
                 while let Some(n) = node {
-                    let ge = n.key >= q;
-                    if ge {
+                    let right = n.key < q;
+                    if !right {
                         best = n.rank;
                     }
-                    node = if ge {
-                        n.left.as_deref()
-                    } else {
+                    node = if right {
                         n.right.as_deref()
+                    } else {
+                        n.left.as_deref()
                     };
                 }
                 best
@@ -190,82 +247,122 @@ impl TreeSearch {
             .collect()
     }
 
-    /// Low-effort endpoint: linearized (Eytzinger) layout plus query
-    /// parallelism — the paper's "restructure the data, keep scalar code".
+    /// Low-effort endpoint: linearized (Eytzinger) layout, query blocking
+    /// (a lockstep group of scalar cursors) and query parallelism — the
+    /// paper's "restructure the data, keep scalar code".
     // ninja-lint: variant(algorithmic)
+    // ninja-lint: allow(NL008, "the lockstep descent is scalar loads and compares, one per cursor per level; its only xmm code is the cursor array's set-up and the last level's bound test")
     pub fn run_algorithmic(&self, pool: &ThreadPool) -> Vec<u32> {
         let mut out = vec![0u32; self.queries.len()];
         par_chunks_mut(pool, &mut out, 4096, |chunk_idx, chunk| {
             let base = chunk_idx * 4096;
-            for (j, o) in chunk.iter_mut().enumerate() {
-                *o = self.search_eytzinger(self.queries[base + j]);
-            }
+            self.search_eytzinger_lockstep(&self.queries[base..base + chunk.len()], chunk);
         });
         out
     }
 
-    /// Descends one vector group of queries simultaneously through the
+    /// Descends `G` vector groups of queries in lockstep through the
     /// Eytzinger tree — written once against the width-generic [`Isa`]
-    /// trait, so the same descent runs 4 queries per step under SSE2
-    /// and 8 under AVX2. `qs` and `out` must both hold exactly one group
-    /// (`LANES` queries).
+    /// trait, so each group is 4 queries under SSE2 and 8 under AVX2, and
+    /// each level issues `G` independent gathers. As in
+    /// `search_eytzinger_lockstep`, the full levels need no mask; the
+    /// last, partial one steps only the lanes still inside the tree. `qs`
+    /// and `out` must both hold exactly `G` groups (`G * LANES` queries).
     #[inline(always)]
     // ninja-lint: effort(ninja)
-    fn search_group<I: Isa>(&self, qs: &[f32], out: &mut [u32]) {
+    fn search_groups<I: Isa, const G: usize>(&self, qs: &[f32], out: &mut [u32]) {
         let lanes = <I::F32 as SimdF32>::LANES;
-        debug_assert_eq!(qs.len(), lanes);
-        debug_assert_eq!(out.len(), lanes);
-        let n = self.keys.len() as i32;
-        let q = I::F32::load(qs);
-        let mut k = I::I32::splat(1);
-        let n_vec = I::I32::splat(n);
+        debug_assert_eq!(qs.len(), G * lanes);
+        debug_assert_eq!(out.len(), G * lanes);
+        let n = self.keys.len();
+        let q: [I::F32; G] = std::array::from_fn(|g| I::F32::load(&qs[g * lanes..]));
+        let mut k = [I::I32::splat(1); G];
         let one = I::I32::splat(1);
         let zero = I::I32::zero();
-        loop {
-            let active = n_vec.simd_gt(k).or(n_vec.simd_eq(k)); // k <= n
-            if !active.any() {
-                break;
+        for _ in 0..(n + 1).ilog2() {
+            for g in 0..G {
+                let go_right = I::F32::gather(&self.eyt, k[g]).simd_lt(q[g]);
+                k[g] = (k[g] << 1) + I::I32::select(go_right, one, zero);
             }
-            // Clamp inactive lanes to a safe gather index (slot 0 unused).
-            let idx = I::I32::select(active, k, zero);
-            let keys = I::F32::gather(&self.eyt, idx);
-            let go_right = keys.simd_lt(q);
-            let step = I::I32::select(go_right, one, zero);
-            let next = (k << 1) + step;
-            k = I::I32::select(active, next, k);
         }
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut kk = k.lane(i) as u32;
-            kk >>= (kk.trailing_ones() + 1).min(31);
-            *o = if kk == 0 {
-                n as u32
-            } else {
-                self.eyt_rank[kk as usize]
-            };
+        let n_vec = I::I32::splat(n as i32);
+        for g in 0..G {
+            let inside = k[g].simd_gt(n_vec).not();
+            if inside.any() {
+                // Clamp finished lanes to a safe gather index (slot 0 unused).
+                let idx = I::I32::select(inside, k[g], zero);
+                let go_right = I::F32::gather(&self.eyt, idx).simd_lt(q[g]);
+                let next = (k[g] << 1) + I::I32::select(go_right, one, zero);
+                k[g] = I::I32::select(inside, next, k[g]);
+            }
+            for (i, o) in out[g * lanes..(g + 1) * lanes].iter_mut().enumerate() {
+                *o = self.rank_at(k[g].lane(i) as usize);
+            }
         }
     }
 
     // --- Serving surface -------------------------------------------------
     //
-    // Per-query entry points for `ninja-serve`, which batches arbitrary
+    // Batch entry points for `ninja-serve`, which batches arbitrary
     // client queries against a server-resident tree. Each delegates to
     // the math of one degradation-ladder rung.
 
-    /// Serving-layer scalar floor: pointer-chasing BST lower bound.
+    /// Serving-layer scalar floor for one query: pointer-chasing BST
+    /// lower bound.
     pub fn lower_bound_bst(&self, q: f32) -> u32 {
         self.search_bst(q)
     }
 
-    /// Serving-layer restructured rung: linearized (Eytzinger) lower
-    /// bound.
-    pub fn lower_bound_linearized(&self, q: f32) -> u32 {
-        self.search_eytzinger(q)
+    /// Serving-layer scalar floor for a batch: [`Self::lower_bound_bst`]
+    /// for every query in `qs`, `BST_GROUP` queries in lockstep. Each
+    /// level loads every live cursor's node before any compare, so the
+    /// group's cache misses overlap. Lanes finish at different depths on a
+    /// tree that is not perfect; a finished lane holds `None`. A remainder
+    /// under `BST_GROUP` takes the one-query descent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != qs.len()`.
+    pub fn lower_bound_bst_batch(&self, qs: &[f32], out: &mut [u32]) {
+        assert_eq!(qs.len(), out.len(), "one rank per query");
+        let mut q_groups = qs.chunks_exact(BST_GROUP);
+        let mut o_groups = out.chunks_exact_mut(BST_GROUP);
+        for (q, o) in (&mut q_groups).zip(&mut o_groups) {
+            let mut best = [self.keys.len() as u32; BST_GROUP];
+            let mut node = [self.root.as_deref(); BST_GROUP];
+            while node.iter().any(Option::is_some) {
+                for l in 0..BST_GROUP {
+                    if let Some(n) = node[l] {
+                        let right = n.key < q[l];
+                        best[l] = if right { best[l] } else { n.rank };
+                        node[l] = [n.left.as_deref(), n.right.as_deref()][right as usize];
+                    }
+                }
+            }
+            o.copy_from_slice(&best);
+        }
+        let q_rest = q_groups.remainder();
+        for (&q, o) in q_rest.iter().zip(o_groups.into_remainder()) {
+            *o = self.search_bst(q);
+        }
+    }
+
+    /// Serving-layer restructured rung: the lower bound of every query in
+    /// `qs` through the algorithmic rung's lockstep Eytzinger descent (a
+    /// trailing partial group takes the one-query Eytzinger search).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != qs.len()`.
+    pub fn lower_bound_linearized_batch(&self, qs: &[f32], out: &mut [u32]) {
+        assert_eq!(qs.len(), out.len(), "one rank per query");
+        self.search_eytzinger_lockstep(qs, out);
     }
 
     /// Serving-layer ninja rung: the lower bound of every query in `qs`,
-    /// one vector group of queries per SIMD descent on the active ISA
-    /// backend (a trailing partial group takes the linearized scalar
-    /// search).
+    /// the ninja rung's lockstep vector groups on the active ISA backend
+    /// (leftover whole groups descend one at a time, and a trailing
+    /// partial group takes the linearized scalar search).
     ///
     /// # Panics
     ///
@@ -279,8 +376,9 @@ impl TreeSearch {
         });
     }
 
-    /// Ninja tier: SIMD-blocked search — one vector group of queries per
-    /// descent step with gathered key loads — plus query parallelism.
+    /// Ninja tier: SIMD-blocked search — `VECTOR_GROUPS` vector groups of
+    /// queries descending in lockstep with gathered key loads — plus
+    /// query parallelism.
     // ninja-lint: variant(ninja)
     // ninja-lint: expect(vec256)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<u32> {
@@ -309,9 +407,9 @@ impl TreeSearch {
     }
 }
 
-/// One chunk of queries through the ninja rung: whole vector groups
-/// through the SIMD descent, the sub-group remainder through the scalar
-/// Eytzinger search.
+/// One chunk of queries through the ninja rung: lockstep spans of
+/// `VECTOR_GROUPS` vector groups, then leftover whole groups one at a
+/// time, then the sub-group remainder through the scalar Eytzinger search.
 struct SearchChunk<'a> {
     kernel: &'a TreeSearch,
     queries: &'a [f32],
@@ -324,14 +422,20 @@ impl IsaOp for SearchChunk<'_> {
     fn run<I: Isa>(self) {
         let lanes = <I::F32 as SimdF32>::LANES;
         let k = self.kernel;
-        let whole = self.queries.len() / lanes * lanes;
-        for (qs, out) in self.queries[..whole]
-            .chunks_exact(lanes)
-            .zip(self.out.chunks_exact_mut(lanes))
-        {
-            k.search_group::<I>(qs, out);
+        let mut q_spans = self.queries.chunks_exact(VECTOR_GROUPS * lanes);
+        let mut o_spans = self.out.chunks_exact_mut(VECTOR_GROUPS * lanes);
+        for (qs, out) in (&mut q_spans).zip(&mut o_spans) {
+            k.search_groups::<I, VECTOR_GROUPS>(qs, out);
         }
-        for (q, o) in self.queries[whole..].iter().zip(&mut self.out[whole..]) {
+        let (q_rest, o_rest) = (q_spans.remainder(), o_spans.into_remainder());
+        let whole = q_rest.len() / lanes * lanes;
+        for (qs, out) in q_rest[..whole]
+            .chunks_exact(lanes)
+            .zip(o_rest.chunks_exact_mut(lanes))
+        {
+            k.search_groups::<I, 1>(qs, out);
+        }
+        for (q, o) in q_rest[whole..].iter().zip(&mut o_rest[whole..]) {
             *o = k.search_eytzinger(*q);
         }
     }
@@ -406,13 +510,14 @@ pub fn spec() -> KernelSpec {
             },
             VariantInfo {
                 variant: Variant::Algorithmic,
-                effort_loc: 17,
-                what_changed: "linearized Eytzinger layout + parallel queries",
+                effort_loc: 32,
+                what_changed:
+                    "linearized Eytzinger layout + lockstep query groups + parallel queries",
             },
             VariantInfo {
                 variant: Variant::Ninja,
-                effort_loc: 51,
-                what_changed: "SIMD-blocked 4-query descent with gathers",
+                effort_loc: 48,
+                what_changed: "lockstep vector query groups (8 lanes on AVX2) with gathers",
             },
         ],
         character: Characterization {
@@ -498,6 +603,88 @@ mod tests {
         );
     }
 
+    /// `m` queries against an `n`-key tree, every fifth one replaced by a
+    /// probe below, above or incomparable with every key.
+    fn shaped(n: usize, m: usize) -> TreeSearch {
+        let mut k = TreeSearch::with_keys(n, m, (n * 131 + m) as u64);
+        let probes = [f32::NEG_INFINITY, f32::INFINITY, f32::NAN, -1.0, f32::MAX];
+        for (q, &p) in k
+            .queries
+            .iter_mut()
+            .skip(2)
+            .step_by(5)
+            .zip(probes.iter().cycle())
+        {
+            *q = p;
+        }
+        k
+    }
+
+    /// Every lockstep descent equals its one-query form at every query
+    /// count up to two lockstep spans plus one. The trees include shapes
+    /// whose last level is partly filled (1000 keys), where lanes of one
+    /// group finish at different depths, and perfect ones (`2^k - 1`).
+    #[test]
+    fn lockstep_descents_match_their_one_query_forms() {
+        use crate::framework::assert_conforms_on_every_backend;
+        let span = [
+            BST_GROUP,
+            EYT_GROUP,
+            VECTOR_GROUPS * ninja_simd::isa::MAX_ISA_F32_LANES,
+        ]
+        .into_iter()
+        .max()
+        .unwrap();
+        let bst =
+            |k: &TreeSearch| -> Vec<u32> { k.queries.iter().map(|&q| k.search_bst(q)).collect() };
+        let eytzinger = |k: &TreeSearch| -> Vec<u32> {
+            k.queries.iter().map(|&q| k.search_eytzinger(q)).collect()
+        };
+        for n in [1, 2, 1000, 7, 1023] {
+            let make = |m| shaped(n, m);
+            assert_conforms_on_every_backend(0..=2 * span + 1, 0.0, make, bst, |k, _, _| {
+                let mut out = vec![0; k.queries.len()];
+                k.lower_bound_bst_batch(&k.queries, &mut out);
+                out
+            });
+            assert_conforms_on_every_backend(
+                0..=2 * span + 1,
+                0.0,
+                make,
+                eytzinger,
+                |k, _, pool| k.run_algorithmic(pool),
+            );
+            assert_conforms_on_every_backend(
+                0..=2 * span + 1,
+                0.0,
+                make,
+                eytzinger,
+                TreeSearch::run_ninja_on,
+            );
+        }
+    }
+
+    /// A NaN query is `>=` no key and `<` none: every tier and serving
+    /// entry point ranks it 0, as `partition_point` does.
+    #[test]
+    fn nan_query_ranks_zero_everywhere() {
+        let mut k = TreeSearch::generate(ProblemSize::Test, 14);
+        k.queries.iter_mut().step_by(3).for_each(|q| *q = f32::NAN);
+        let want: Vec<u32> = k.queries.iter().map(|&q| lower_bound(&k.keys, q)).collect();
+        assert_eq!(want[0], 0);
+        let pool = ThreadPool::with_threads(2);
+        for v in Variant::ALL {
+            assert_eq!(run(&k, v, &pool), want, "{v}");
+        }
+        let mut got = vec![0u32; k.queries.len()];
+        k.lower_bound_bst_batch(&k.queries, &mut got);
+        assert_eq!(got, want, "lower_bound_bst_batch");
+        k.lower_bound_linearized_batch(&k.queries, &mut got);
+        assert_eq!(got, want, "lower_bound_linearized_batch");
+        assert_eq!(k.lower_bound_bst(f32::NAN), 0);
+        assert_eq!(k.search_eytzinger(f32::NAN), 0);
+    }
+
     #[test]
     fn exact_hits_return_their_rank() {
         let k = TreeSearch::generate(ProblemSize::Test, 4);
@@ -543,11 +730,17 @@ mod tests {
         let qs = &k.queries[..203];
         let mut batch = vec![0u32; qs.len()];
         k.lower_bound_batch(qs, &mut batch);
-        for (&q, &got) in qs.iter().zip(&batch) {
+        let mut bst_batch = vec![0u32; qs.len()];
+        k.lower_bound_bst_batch(qs, &mut bst_batch);
+        let mut linearized_batch = vec![0u32; qs.len()];
+        k.lower_bound_linearized_batch(qs, &mut linearized_batch);
+        for (i, &q) in qs.iter().enumerate() {
             let want = lower_bound(&k.keys, q);
             assert_eq!(k.lower_bound_bst(q), want);
-            assert_eq!(k.lower_bound_linearized(q), want);
-            assert_eq!(got, want);
+            assert_eq!(k.search_eytzinger(q), want);
+            assert_eq!(batch[i], want);
+            assert_eq!(bst_batch[i], want);
+            assert_eq!(linearized_batch[i], want);
         }
     }
 

@@ -203,6 +203,11 @@ pub struct ComparisonReport {
     /// Cells present in only one record or without a clean measurement,
     /// as `kernel/variant: reason` lines.
     pub skipped: Vec<String>,
+    /// Kernels whose candidate algorithmic cell beat its ninja cell beyond
+    /// noise: the slowest algorithmic repetition ran faster than the
+    /// fastest ninja one. Candidate order.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    pub ninja_not_the_ceiling: Vec<String>,
 }
 
 impl ComparisonReport {
@@ -263,6 +268,9 @@ impl ComparisonReport {
                     None => String::new(),
                 }
             ));
+        }
+        for kernel in &self.ninja_not_the_ceiling {
+            out.push_str(&format!("{kernel}: ninja rung is not the ceiling\n"));
         }
         let (mut reg, mut imp, mut noise) = (0usize, 0usize, 0usize);
         for c in &self.cells {
@@ -613,6 +621,32 @@ pub fn compare_records(
         candidate_id: candidate.id.clone(),
         cells,
         skipped,
+        ninja_not_the_ceiling: candidate
+            .cells
+            .iter()
+            .filter(|c| {
+                c.variant == "algorithmic" && ninja_is_not_the_ceiling(candidate, &c.kernel)
+            })
+            .map(|c| c.kernel.clone())
+            .collect(),
+    }
+}
+
+/// Whether `kernel`'s algorithmic cell in `record` beat its ninja cell
+/// beyond noise: its slowest repetition ran faster than the ninja cell's
+/// fastest. The rule of the suite's F4 mark
+/// (`ninja_core::KernelReport::ninja_is_not_the_ceiling`); a kernel
+/// without two clean cells is never flagged.
+fn ninja_is_not_the_ceiling(record: &RunRecord, kernel: &str) -> bool {
+    let sample = |variant| {
+        record
+            .cell(kernel, variant)
+            .filter(|c| c.is_ok())
+            .and_then(|c| c.sample)
+    };
+    match (sample("algorithmic"), sample("ninja")) {
+        (Some(algorithmic), Some(ninja)) => algorithmic.max_s < ninja.min_s,
+        _ => false,
     }
 }
 
@@ -841,6 +875,37 @@ mod tests {
         assert!(text.contains("0.50X"), "{text}");
         let back: ComparisonReport = serde_json::from_str(&r.to_json()).unwrap();
         assert_eq!(r, back);
+    }
+
+    #[test]
+    fn ninja_cell_slower_than_algorithmic_is_flagged() {
+        // Algorithmic 1.0 +- 2.5%, ninja 2.0 +- 2.5%: the slowest
+        // algorithmic repetition beats the fastest ninja one.
+        let cells = |ninja| {
+            vec![
+                ("k", "algorithmic", Some(sample(1.0, 0.05))),
+                ("k", "ninja", Some(sample(ninja, 0.05))),
+            ]
+        };
+        let base = record("base", cells(0.5));
+        let cand = record("cand", cells(2.0));
+        let r = compare_records(&base, &cand, &CompareConfig::default());
+        assert_eq!(r.ninja_not_the_ceiling, vec!["k".to_string()]);
+        let text = r.render_text();
+        assert!(
+            text.contains("\nk: ninja rung is not the ceiling\n"),
+            "{text}"
+        );
+        let back: ComparisonReport = serde_json::from_str(&r.to_json()).unwrap();
+        assert_eq!(r, back);
+        // Overlapping cells, and the healthy order, stay silent.
+        let overlap = record("overlap", cells(1.02));
+        for cand in [&base, &overlap] {
+            let r = compare_records(&base, cand, &CompareConfig::default());
+            assert!(r.ninja_not_the_ceiling.is_empty());
+            assert!(!r.render_text().contains("not the ceiling"));
+            assert!(!r.to_json().contains("ninja_not_the_ceiling"));
+        }
     }
 
     fn attribution(

@@ -25,6 +25,11 @@ use crate::{BatchKernel, Rung};
 
 /// Requests per parallel chunk on the ninja rung.
 const NINJA_CHUNK: usize = 16;
+/// Requests per parallel chunk on treesearch's ninja rung: a multiple of
+/// the lockstep span on every backend, so only a batch's last chunk
+/// descends leftover groups one at a time, and one default `max_batch`,
+/// so a full batch is one chunk.
+const TREESEARCH_CHUNK: usize = 64;
 
 fn rel_close(got: f32, reference: f32, tol: f32) -> bool {
     // NaN/inf fail every comparison here, so corrupted values can never
@@ -151,22 +156,19 @@ impl BatchKernel for TreeSearchServe {
     }
 
     fn run(&self, rung: Rung, reqs: &[f32]) -> Vec<u32> {
+        let mut out = vec![0u32; reqs.len()];
         match rung {
-            Rung::Scalar => reqs.iter().map(|&q| self.tree.lower_bound_bst(q)).collect(),
-            Rung::Simd => reqs
-                .iter()
-                .map(|&q| self.tree.lower_bound_linearized(q))
-                .collect(),
+            Rung::Scalar => self.tree.lower_bound_bst_batch(reqs, &mut out),
+            Rung::Simd => self.tree.lower_bound_linearized_batch(reqs, &mut out),
             Rung::Ninja => {
-                let mut out = vec![0u32; reqs.len()];
-                par_chunks_mut(&self.pool, &mut out, NINJA_CHUNK, |ci, chunk| {
-                    let base = ci * NINJA_CHUNK;
+                par_chunks_mut(&self.pool, &mut out, TREESEARCH_CHUNK, |ci, chunk| {
+                    let base = ci * TREESEARCH_CHUNK;
                     self.tree
                         .lower_bound_batch(&reqs[base..base + chunk.len()], chunk);
                 });
-                out
             }
         }
+        out
     }
 
     fn matches(&self, got: &u32, reference: &u32) -> bool {
@@ -254,6 +256,8 @@ impl BatchKernel for LiborServe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Engine, Response, ServeConfig};
+    use std::time::Duration;
 
     fn pool() -> Arc<ThreadPool> {
         Arc::new(ThreadPool::with_threads(2))
@@ -292,6 +296,40 @@ mod tests {
         let mut bad = reference[0];
         k.corrupt(&mut bad, FailureMode::WrongOutput);
         assert!(!k.matches(&bad, &reference[0]));
+    }
+
+    /// A NaN query ranks 0 on every rung, the scalar reference included,
+    /// so a batch holding one serves on the ninja rung with no validation
+    /// failure and no breaker trip.
+    #[test]
+    fn treesearch_nan_request_serves_ok_on_ninja() {
+        let k = TreeSearchServe::new(ProblemSize::Test, 3, pool());
+        let reqs = [
+            1.0,
+            f32::NAN,
+            500.0,
+            -3.0,
+            f32::NAN,
+            2000.0,
+            7.5,
+            f32::NAN,
+            40.0,
+        ];
+        assert_eq!(k.run(Rung::Scalar, &reqs), k.run(Rung::Ninja, &reqs));
+        let engine = Engine::new(k, ServeConfig::default(), None);
+        let tickets: Vec<_> = reqs.iter().map(|&q| engine.submit(q)).collect();
+        for (ticket, q) in tickets.iter().zip(reqs) {
+            match ticket.wait(Duration::from_secs(10)) {
+                Some(Response::Ok { value, rung, .. }) => {
+                    assert_eq!(rung, Rung::Ninja, "q={q}");
+                    assert_eq!(value, engine.kernel().tree().lower_bound_bst(q), "q={q}");
+                }
+                other => panic!("q={q}: {other:?}"),
+            }
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.validation_failures, 0);
+        assert_eq!(stats.trips, 0);
     }
 
     #[test]
