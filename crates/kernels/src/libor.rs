@@ -17,7 +17,7 @@
 use crate::framework::{
     Adapter, Characterization, Instance, KernelSpec, ProblemSize, Variant, VariantInfo, Work,
 };
-use crate::scalar_math::exp_poly;
+use crate::scalar_math::{exp_f64, exp_poly};
 use ninja_parallel::{par_chunks_mut, ThreadPool};
 use ninja_simd::isa::{
     self, dispatch_on, math as vmath, Isa, IsaKind, IsaOp, SimdF32, MAX_ISA_F32_LANES,
@@ -35,6 +35,10 @@ const DELTA: f32 = 0.25;
 const STRIKE: f32 = 0.05;
 /// Path-group width for the lane-parallel tiers.
 const GROUP: usize = 8;
+/// Paths per lockstep group of the served `f64` reference,
+/// [`price_paths_f64`]: four AVX2 vectors of `f64` per row (DESIGN.md,
+/// "Serving layer", has the group sizes it beat).
+const F64_GROUP: usize = 16;
 
 /// A LIBOR Monte-Carlo pricing instance.
 pub struct Libor {
@@ -385,6 +389,112 @@ pub fn price_path_f64(init_rates: &[f32; N_RATES], vols: &[f32; NMAT], z: &[f32;
     (acc * 100.0) as f32
 }
 
+/// Prices every path in `zs` with [`price_path_f64`]'s `f64` arithmetic,
+/// `F64_GROUP` paths in lockstep — the serving layer's batch reference.
+///
+/// Each lane runs `price_path_f64`'s operations in the same order, with
+/// [`exp_f64`] (within 1 ULP of libm's `exp`, and not a call) in place of
+/// `f64::exp`, so a group compiles to packed `f64` inside the active
+/// backend's feature frame. Leftover paths take one group each of 8, 4
+/// and 2 paths as they fill one, so no lane is padding; a last lone path,
+/// and so a one-path batch, takes `price_path_f64` itself. `out` receives
+/// one value per path.
+///
+/// # Panics
+///
+/// Panics if `out.len() != zs.len()`.
+pub fn price_paths_f64(
+    init_rates: &[f32; N_RATES],
+    vols: &[f32; NMAT],
+    zs: &[[f32; NMAT]],
+    out: &mut [f32],
+) {
+    price_paths_f64_on(isa::active(), init_rates, vols, zs, out);
+}
+
+/// [`price_paths_f64`] inside a chosen backend's feature frame.
+fn price_paths_f64_on(
+    kind: IsaKind,
+    init_rates: &[f32; N_RATES],
+    vols: &[f32; NMAT],
+    zs: &[[f32; NMAT]],
+    out: &mut [f32],
+) {
+    assert_eq!(zs.len(), out.len(), "one value per path");
+    isa::with_features_on(
+        kind,
+        #[inline(always)]
+        || {
+            let (zs, out) = price_groups_f64::<F64_GROUP>(init_rates, vols, zs, out);
+            let (zs, out) = price_groups_f64::<8>(init_rates, vols, zs, out);
+            let (zs, out) = price_groups_f64::<4>(init_rates, vols, zs, out);
+            let (zs, out) = price_groups_f64::<2>(init_rates, vols, zs, out);
+            if let (Some(z), Some(o)) = (zs.first(), out.first_mut()) {
+                *o = price_path_f64(init_rates, vols, z);
+            }
+        },
+    );
+}
+
+/// Prices the whole groups of `G` paths at the front of `zs` into `out`
+/// and returns the paths left over.
+#[inline(always)]
+fn price_groups_f64<'a, 'b, const G: usize>(
+    init_rates: &[f32; N_RATES],
+    vols: &[f32; NMAT],
+    zs: &'a [[f32; NMAT]],
+    out: &'b mut [f32],
+) -> (&'a [[f32; NMAT]], &'b mut [f32]) {
+    let whole = zs.len() / G * G;
+    let (z_groups, z_rest) = zs.split_at(whole);
+    let (o_groups, o_rest) = out.split_at_mut(whole);
+    for (z, o) in z_groups.chunks_exact(G).zip(o_groups.chunks_exact_mut(G)) {
+        price_group_f64::<G>(init_rates, vols, z, o);
+    }
+    (z_rest, o_rest)
+}
+
+/// [`price_path_f64`] on `G` paths in lockstep: `zs` and `out` hold
+/// exactly `G` paths, and lane `j` of every `[f64; G]` row is path `j`.
+#[inline(always)]
+fn price_group_f64<const G: usize>(
+    init_rates: &[f32; N_RATES],
+    vols: &[f32; NMAT],
+    zs: &[[f32; NMAT]],
+    out: &mut [f32],
+) {
+    let delta = DELTA as f64;
+    let mut l = [[0.0f64; G]; N_RATES];
+    for (row, &r0) in l.iter_mut().zip(init_rates.iter()) {
+        *row = [r0 as f64; G];
+    }
+    for n in 0..NMAT {
+        let sqez: [f64; G] = std::array::from_fn(|j| delta.sqrt() * zs[j][n] as f64);
+        let mut v = [0.0f64; G];
+        for i in n + 1..N_RATES {
+            let lam = vols[(i - n - 1).min(NMAT - 1)] as f64;
+            let con1 = delta * lam;
+            let li = &mut l[i];
+            for j in 0..G {
+                v[j] += con1 * li[j] / (1.0 + delta * li[j]);
+                let vrat = exp_f64(con1 * v[j] + lam * (sqez[j] - 0.5 * con1));
+                li[j] *= vrat;
+            }
+        }
+    }
+    let mut b = [1.0f64; G];
+    let mut acc = [0.0f64; G];
+    for row in l.iter().skip(NMAT) {
+        for j in 0..G {
+            b[j] /= 1.0 + delta * row[j];
+            acc[j] += b[j] * delta * (row[j] - STRIKE as f64).max(0.0);
+        }
+    }
+    for (o, a) in out.iter_mut().zip(acc) {
+        *o = (a * 100.0) as f32;
+    }
+}
+
 /// Prices one path in `f32` with the inlined polynomial `exp` — the
 /// restructured (SIMD) rung's arithmetic.
 pub fn price_path_poly(init_rates: &[f32; N_RATES], vols: &[f32; NMAT], z: &[f32; NMAT]) -> f32 {
@@ -703,6 +813,95 @@ mod tests {
                 for (p, (&g, &b)) in got.iter().zip(&reference[count..2 * count]).enumerate() {
                     let err = (g - b).abs() / b.abs().max(1.0);
                     assert!(err < 1e-2, "{kind} count {count} path {p}: {g} vs {b}");
+                }
+            }
+        }
+    }
+
+    /// The lockstep `f64` reference against the one-path form at every
+    /// batch length up to two full groups plus one (every remainder from
+    /// each group size of the cascade), on every backend, on the
+    /// instance's Box-Muller draws and on uniform draws in ±3. The two
+    /// forms differ only in `exp_f64` against libm's `exp`, so nearly
+    /// every path is bit-identical and none is more than 1 ULP off; the
+    /// backends differ in nothing, so they agree bit for bit.
+    #[test]
+    fn lockstep_f64_reference_matches_the_one_path_form() {
+        use ninja_simd::isa::available_kinds;
+        let k = Libor::generate(ProblemSize::Quick, 8);
+        let box_muller: Vec<[f32; NMAT]> =
+            k.z.chunks_exact(NMAT)
+                .map(|z| z.try_into().unwrap())
+                .collect();
+        let mut rng = SmallRng::seed_from_u64(46);
+        let uniform: Vec<[f32; NMAT]> = (0..box_muller.len())
+            .map(|_| std::array::from_fn(|_| rng.gen_range(-3.0f32..3.0)))
+            .collect();
+        for (label, draws) in [("box-muller", &box_muller), ("uniform", &uniform)] {
+            // Four disjoint batches of every length: 2,244 paths.
+            let (mut start, mut identical) = (0usize, 0usize);
+            for len in (0..=2 * F64_GROUP + 1).flat_map(|len| [len; 4]) {
+                let zs = &draws[start..start + len];
+                start += len;
+                let want: Vec<f32> = zs
+                    .iter()
+                    .map(|z| price_path_f64(&k.init_rates, &k.vols, z))
+                    .collect();
+                let mut first: Option<Vec<f32>> = None;
+                for kind in available_kinds() {
+                    let mut got = vec![0.0f32; len];
+                    price_paths_f64_on(kind, &k.init_rates, &k.vols, zs, &mut got);
+                    for (p, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                        let ulps = (g.to_bits() as i32).abs_diff(w.to_bits() as i32);
+                        assert!(ulps <= 1, "{label} {kind} len {len} path {p}: {g} vs {w}");
+                    }
+                    match &first {
+                        None => {
+                            identical += got.iter().zip(&want).filter(|(g, w)| g == w).count();
+                            first = Some(got);
+                        }
+                        Some(f) => {
+                            let same = f.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits());
+                            assert!(same, "{label} {kind} len {len}: backends disagree");
+                        }
+                    }
+                }
+            }
+            assert!(
+                identical * 1000 >= start * 999,
+                "{label}: {identical} of {start} paths bit-identical"
+            );
+        }
+    }
+
+    /// A draw that is NaN, infinite or far out in the tail gives the same
+    /// class of value (finite, NaN or infinite) from the lockstep
+    /// reference as from the one-path form, in a group lane, in each
+    /// group size of the cascade and as the lone last path.
+    #[test]
+    fn lockstep_f64_reference_keeps_the_class_of_extreme_paths() {
+        let k = Libor::generate(ProblemSize::Test, 9);
+        let class = |v: f32| (v.is_nan(), v.is_infinite());
+        for extreme in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 40.0, -40.0] {
+            for step in [0, NMAT / 2, NMAT - 1] {
+                let mut zs: Vec<[f32; NMAT]> = k.z[..31 * NMAT]
+                    .chunks_exact(NMAT)
+                    .map(|z| z.try_into().unwrap())
+                    .collect();
+                // Lanes of the 16-group, the 8-, 4- and 2-groups, and the
+                // last path.
+                for p in [3, 16, 24, 28, 30] {
+                    zs[p][step] = extreme;
+                }
+                let mut got = vec![0.0f32; zs.len()];
+                price_paths_f64(&k.init_rates, &k.vols, &zs, &mut got);
+                for (p, (z, &g)) in zs.iter().zip(&got).enumerate() {
+                    let want = price_path_f64(&k.init_rates, &k.vols, z);
+                    assert_eq!(
+                        class(g),
+                        class(want),
+                        "draw {extreme} at step {step}, path {p}: {g} vs {want}"
+                    );
                 }
             }
         }

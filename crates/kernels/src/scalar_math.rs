@@ -31,6 +31,11 @@
 //! * [`rsqrt_fast`] is within **2 ULP** of `1/sqrt(x)` rounded from
 //!   `f64` for every normal `x >= 2^-125`, and within 3 ULP in the lowest
 //!   normal binade (every positive normal `f32` is tested).
+//! * [`exp_f64`], the one `f64` function here (it serves Libor's `f64`
+//!   reference, not a rung), is within **1 ULP** of libm's `f64::exp`
+//!   from the underflow to the overflow threshold, subnormal results
+//!   included (4,000,001 evenly spaced points are tested); beyond them,
+//!   and for NaN, it returns what `f64::exp` does: `0.0`, `+inf`, NaN.
 
 /// Branch-free lane select: `if cond { a } else { b }`, computed with bit
 /// masks exactly like the SSE2 backend's `select`, so scalar and vector
@@ -90,6 +95,70 @@ pub fn exp_poly(x: f32) -> f32 {
     let n = int_of_integral(fx) as u32;
     let pow2n = f32::from_bits(n.wrapping_add(127) << 23);
     y * pow2n
+}
+
+/// [`select_f32`] on `f64` lanes.
+#[inline(always)]
+fn select_f64(cond: bool, a: f64, b: f64) -> f64 {
+    let mask = (cond as u64).wrapping_neg();
+    f64::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
+}
+
+/// `1.5 * 2^52`, [`ROUND_MAGIC`] for `f64`: the sum of it and an `f64`
+/// of magnitude below `2^51` is that value rounded to an integer, which
+/// also sits in the low mantissa bits.
+const ROUND_MAGIC_F64: f64 = 6_755_399_441_055_744.0;
+
+/// Largest `x` whose `exp` is finite: `ln(f64::MAX)` rounded down.
+const EXP_F64_OVERFLOW: f64 = 709.782_712_893_384;
+/// Below this `exp(x)` is under half the smallest subnormal and rounds
+/// to zero: `ln(2^-1075)`.
+const EXP_F64_UNDERFLOW: f64 = -745.133_219_101_941_1;
+
+/// `e^x` in `f64` from adds, multiplies and bit operations, so a loop
+/// calling it vectorizes where libm's `exp` (a call) does not.
+///
+/// Cody-Waite reduction `x = n ln2 + r`, `|r| <= ln2 / 2`, with `ln2`
+/// split so `n * LN2_HI` is exact; then the degree-13 Taylor polynomial
+/// of `e^r` (truncation under 0.05 ULP), its two lowest terms added last;
+/// then `2^n` applied as two normal factors, so a subnormal result is
+/// rounded once. NaN propagates; `+inf` and anything past `ln(f64::MAX)`
+/// give `+inf`, `-inf` and anything whose `exp` rounds to zero give
+/// `0.0`, as `f64::exp` does.
+#[inline(always)]
+pub fn exp_f64(x: f64) -> f64 {
+    const LN2_HI: f64 = 6.931_471_803_691_238e-1;
+    const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
+    // A clamp from selects: NaN fails both compares and passes through.
+    let xc = select_f64(x > EXP_F64_OVERFLOW, EXP_F64_OVERFLOW, x);
+    let xc = select_f64(xc < EXP_F64_UNDERFLOW, EXP_F64_UNDERFLOW, xc);
+    let t = xc * std::f64::consts::LOG2_E + ROUND_MAGIC_F64;
+    let fx = t - ROUND_MAGIC_F64;
+    // `n` is in [-1075, 1024].
+    let n = t.to_bits().wrapping_sub(ROUND_MAGIC_F64.to_bits()) as i64;
+    let r = (xc - fx * LN2_HI) - fx * LN2_LO;
+    let mut p = 1.0 / 6_227_020_800.0;
+    p = p * r + 1.0 / 479_001_600.0;
+    p = p * r + 1.0 / 39_916_800.0;
+    p = p * r + 1.0 / 3_628_800.0;
+    p = p * r + 1.0 / 362_880.0;
+    p = p * r + 1.0 / 40_320.0;
+    p = p * r + 1.0 / 5_040.0;
+    p = p * r + 1.0 / 720.0;
+    p = p * r + 1.0 / 120.0;
+    p = p * r + 1.0 / 24.0;
+    p = p * r + 1.0 / 6.0;
+    p = p * r + 0.5;
+    let y = 1.0 + (r + p * (r * r));
+    // `n = n1 + n2` with both halves in [-538, 512]; the logical shift of
+    // the biased `n` halves it without a 64-bit arithmetic shift, which
+    // AVX2 lacks. (Wrapping: a NaN's `n` is garbage, and so is `y`.)
+    let n1 = ((n.wrapping_add(1100) as u64) >> 1) as i64 - 550;
+    let n2 = n.wrapping_sub(n1);
+    let pow2 = |k: i64| f64::from_bits((k.wrapping_add(1023) as u64) << 52);
+    let y = y * pow2(n1) * pow2(n2);
+    let y = select_f64(x > EXP_F64_OVERFLOW, f64::INFINITY, y);
+    select_f64(x < EXP_F64_UNDERFLOW, 0.0, y)
 }
 
 /// Fast reciprocal square root for positive normal `x`: the exponent-
@@ -202,6 +271,52 @@ mod tests {
         assert_eq!(exp_poly(f32::NEG_INFINITY), exp_poly(-87.336_54));
         assert!(exp_poly(f32::INFINITY).is_finite());
         assert!(exp_poly(f32::NEG_INFINITY) > 0.0);
+    }
+
+    /// `exp_f64` against `f64::exp` on 4,000,001 evenly spaced points
+    /// from where `exp` underflows to zero to where it overflows (the
+    /// subnormal results below -708.4 included), and 0.001 steps near 0,
+    /// where `n = 0` and the polynomial alone answers.
+    #[test]
+    fn exp_f64_is_within_one_ulp_of_libm() {
+        let ulps = |x: f64| (exp_f64(x).to_bits() as i64).abs_diff(x.exp().to_bits() as i64);
+        let (lo, hi) = (EXP_F64_UNDERFLOW, EXP_F64_OVERFLOW);
+        let steps = 4_000_000;
+        for i in 0..=steps {
+            let x = lo + (hi - lo) * (i as f64 / steps as f64);
+            assert!(
+                ulps(x) <= 1,
+                "exp_f64({x}): {:e} vs {:e}",
+                exp_f64(x),
+                x.exp()
+            );
+        }
+        for i in -2_000..=2_000 {
+            let x = i as f64 * 0.001;
+            assert!(ulps(x) <= 1, "exp_f64({x})");
+        }
+    }
+
+    #[test]
+    fn exp_f64_handles_nan_overflow_and_underflow_as_libm_does() {
+        assert!(exp_f64(f64::NAN).is_nan());
+        assert!(exp_f64(-f64::NAN).is_nan());
+        assert_eq!(exp_f64(EXP_F64_OVERFLOW), EXP_F64_OVERFLOW.exp());
+        assert!(exp_f64(EXP_F64_OVERFLOW).is_finite());
+        let past = f64::from_bits(EXP_F64_OVERFLOW.to_bits() + 1);
+        for x in [past, 710.0, 1e300, f64::MAX, f64::INFINITY] {
+            assert_eq!(exp_f64(x), f64::INFINITY, "{x}");
+            assert_eq!(x.exp(), f64::INFINITY, "{x}");
+        }
+        // The smallest subnormal just above the threshold, zero below it.
+        assert_eq!(exp_f64(-745.13), (-745.13f64).exp());
+        assert_eq!(exp_f64(-745.13), f64::from_bits(1));
+        for x in [-745.14, -746.0, -1e300, f64::MIN, f64::NEG_INFINITY] {
+            assert_eq!(exp_f64(x).to_bits(), 0, "{x}");
+            assert_eq!(x.exp().to_bits(), 0, "{x}");
+        }
+        assert_eq!(exp_f64(0.0), 1.0);
+        assert_eq!(exp_f64(-0.0), 1.0);
     }
 
     #[test]

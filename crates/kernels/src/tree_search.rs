@@ -31,7 +31,8 @@ use rand::{Rng, SeedableRng};
 const BST_GROUP: usize = 8;
 /// Cursors per lockstep group of the algorithmic rung's Eytzinger descent.
 const EYT_GROUP: usize = 16;
-/// Vector groups the ninja descent keeps in flight.
+/// Vector groups the ninja descent keeps in flight. `SearchChunk` matches
+/// the 1-3 groups a span leaves over by count.
 const VECTOR_GROUPS: usize = 4;
 
 /// A pointer-based BST node (the naive representation).
@@ -361,7 +362,7 @@ impl TreeSearch {
 
     /// Serving-layer ninja rung: the lower bound of every query in `qs`,
     /// the ninja rung's lockstep vector groups on the active ISA backend
-    /// (leftover whole groups descend one at a time, and a trailing
+    /// (the leftover whole groups descend together, and a trailing
     /// partial group takes the linearized scalar search).
     ///
     /// # Panics
@@ -408,8 +409,9 @@ impl TreeSearch {
 }
 
 /// One chunk of queries through the ninja rung: lockstep spans of
-/// `VECTOR_GROUPS` vector groups, then leftover whole groups one at a
-/// time, then the sub-group remainder through the scalar Eytzinger search.
+/// `VECTOR_GROUPS` vector groups, then the 1-3 leftover whole groups in
+/// one lockstep descent, then the sub-group remainder through the scalar
+/// Eytzinger search.
 struct SearchChunk<'a> {
     kernel: &'a TreeSearch,
     queries: &'a [f32],
@@ -429,13 +431,16 @@ impl IsaOp for SearchChunk<'_> {
         }
         let (q_rest, o_rest) = (q_spans.remainder(), o_spans.into_remainder());
         let whole = q_rest.len() / lanes * lanes;
-        for (qs, out) in q_rest[..whole]
-            .chunks_exact(lanes)
-            .zip(o_rest.chunks_exact_mut(lanes))
-        {
-            k.search_groups::<I, 1>(qs, out);
+        let (q_groups, q_tail) = q_rest.split_at(whole);
+        let (o_groups, o_tail) = o_rest.split_at_mut(whole);
+        match whole / lanes {
+            0 => {}
+            1 => k.search_groups::<I, 1>(q_groups, o_groups),
+            2 => k.search_groups::<I, 2>(q_groups, o_groups),
+            3 => k.search_groups::<I, 3>(q_groups, o_groups),
+            _ => unreachable!("a span remainder holds under VECTOR_GROUPS = 4 groups"),
         }
-        for (q, o) in q_rest[whole..].iter().zip(&mut o_rest[whole..]) {
+        for (q, o) in q_tail.iter().zip(o_tail) {
             *o = k.search_eytzinger(*q);
         }
     }
@@ -620,10 +625,11 @@ mod tests {
         k
     }
 
-    /// Every lockstep descent equals its one-query form at every query
-    /// count up to two lockstep spans plus one. The trees include shapes
-    /// whose last level is partly filled (1000 keys), where lanes of one
-    /// group finish at different depths, and perfect ones (`2^k - 1`).
+    /// Every lockstep descent, and the served `lower_bound_batch`, equals
+    /// its one-query form at every query count up to two lockstep spans
+    /// plus one. The trees include shapes whose last level is partly
+    /// filled (1000 keys), where lanes of one group finish at different
+    /// depths, and perfect ones (`2^k - 1`).
     #[test]
     fn lockstep_descents_match_their_one_query_forms() {
         use crate::framework::assert_conforms_on_every_backend;
@@ -661,6 +667,19 @@ mod tests {
                 eytzinger,
                 TreeSearch::run_ninja_on,
             );
+            // The served entry point. Below 4,096 queries `run_ninja_on`
+            // is one `SearchChunk` too, so the check above already holds
+            // its spans, 1-3 leftover groups and tail on every backend.
+            for m in 0..=2 * span + 1 {
+                let k = make(m);
+                let mut out = vec![0; m];
+                k.lower_bound_batch(&k.queries, &mut out);
+                assert_eq!(
+                    out,
+                    eytzinger(&k),
+                    "lower_bound_batch, {n} keys, {m} queries"
+                );
+            }
         }
     }
 

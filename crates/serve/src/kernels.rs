@@ -14,7 +14,7 @@ use ninja_kernels::black_scholes::{
 };
 use ninja_kernels::chaos::FailureMode;
 use ninja_kernels::libor::{
-    default_init_rates, default_vols, price_path_f64, price_path_poly, price_paths_simd, NMAT,
+    default_init_rates, default_vols, price_path_poly, price_paths_f64, price_paths_simd, NMAT,
     N_RATES,
 };
 use ninja_kernels::tree_search::TreeSearch;
@@ -219,10 +219,11 @@ impl BatchKernel for LiborServe {
 
     fn run(&self, rung: Rung, reqs: &[[f32; NMAT]]) -> Vec<f32> {
         match rung {
-            Rung::Scalar => reqs
-                .iter()
-                .map(|z| price_path_f64(&self.init_rates, &self.vols, z))
-                .collect(),
+            Rung::Scalar => {
+                let mut out = vec![0.0f32; reqs.len()];
+                price_paths_f64(&self.init_rates, &self.vols, reqs, &mut out);
+                out
+            }
             Rung::Simd => reqs
                 .iter()
                 .map(|z| price_path_poly(&self.init_rates, &self.vols, z))
