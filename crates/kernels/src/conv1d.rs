@@ -23,6 +23,12 @@ pub const TAPS: usize = 16;
 /// Output samples per parallel chunk of the threaded rungs.
 const CHUNK: usize = 8192;
 
+/// Output samples per accumulator block of the compiler rungs.
+const BLOCK: usize = 32;
+
+/// Independent vector groups per step of the ninja rung.
+const GROUPS: usize = 4;
+
 /// A complex sample in the naive array-of-structs layout.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct Complex {
@@ -107,8 +113,8 @@ impl Conv1d {
     pub fn run_parallel(&self, pool: &ThreadPool) -> Vec<f32> {
         let m = self.out_len();
         let mut out = vec![0.0f32; 2 * m];
-        par_chunks_mut(pool, &mut out, 2 * 8192, |chunk_idx, chunk| {
-            let base = chunk_idx * 8192;
+        par_chunks_mut(pool, &mut out, 2 * CHUNK, |chunk_idx, chunk| {
+            let base = chunk_idx * CHUNK;
             for (j, pair) in chunk.chunks_mut(2).enumerate() {
                 let i = base + j;
                 let mut acc = Complex::default();
@@ -124,73 +130,83 @@ impl Conv1d {
         out
     }
 
-    /// Fills SoA outputs from `i = lo` on, one per `out_re`/`out_im`
-    /// element, with a vectorizable loop
-    /// (tap-outer, sample-inner; unit-stride float arithmetic only).
-    /// `inline(always)` so it compiles inside its callers' feature frames
-    /// (see `isa::with_active_features`).
+    /// Fills interleaved `(re, im)` output pairs from `i = lo` on: whole
+    /// blocks of [`BLOCK`] outputs, then one short block. The whole blocks
+    /// come from `chunks_exact_mut`, so their length is a constant and
+    /// their accumulators stay in registers (a `chunks_mut` loop measured
+    /// ~1.5X slower). `inline(always)` so it compiles inside its callers'
+    /// feature frames (see `isa::with_active_features`).
     #[inline(always)]
     // ninja-lint: effort(simd, algorithmic)
-    fn soa_range(&self, lo: usize, out_re: &mut [f32], out_im: &mut [f32]) {
-        out_re.fill(0.0);
-        out_im.fill(0.0);
-        let n = out_re.len();
-        let out_im = &mut out_im[..n];
+    fn soa_range(&self, lo: usize, out: &mut [f32]) {
+        let full = out.len() / (2 * BLOCK) * BLOCK;
+        let mut blocks = out.chunks_exact_mut(2 * BLOCK);
+        for (b, block) in (&mut blocks).enumerate() {
+            self.soa_block(lo + b * BLOCK, block);
+        }
+        self.soa_block(lo + full, blocks.into_remainder());
+    }
+
+    /// Output-stationary block: every tap runs over a block of SoA
+    /// accumulators (tap-outer, sample-inner, unit-stride float arithmetic
+    /// only), in the naive rung's order per output, and the block is
+    /// stored once. A tap-outer pass over a whole chunk would re-read and
+    /// re-write its scratch once per tap instead.
+    #[inline(always)]
+    // ninja-lint: effort(simd, algorithmic)
+    fn soa_block(&self, i: usize, out: &mut [f32]) {
+        let n = out.len() / 2;
+        let (mut re, mut im) = ([0.0f32; BLOCK], [0.0f32; BLOCK]);
+        let (re, im) = (&mut re[..n], &mut im[..n]);
         for (k, t) in self.taps.iter().enumerate() {
             let (tr, ti) = (t.re, t.im);
             // Slice every stream to the common length up front: one bounds
             // check per tap instead of one per sample, so the inner loop is
             // panic-free and the auto-vectorizer can turn it into packed
-            // FMAs (with per-sample checks LLVM emits scalar code — caught
-            // by the NL008 asm audit).
-            let sr = &self.sig_re[lo + k..][..n];
-            let si = &self.sig_im[lo + k..][..n];
+            // arithmetic (with per-sample checks LLVM emits scalar code —
+            // caught by the NL008 asm audit).
+            let sr = &self.sig_re[i + k..][..n];
+            let si = &self.sig_im[i + k..][..n];
             for j in 0..n {
-                out_re[j] += tr * sr[j] - ti * si[j];
-                out_im[j] += tr * si[j] + ti * sr[j];
+                re[j] += tr * sr[j] - ti * si[j];
+                im[j] += tr * si[j] + ti * sr[j];
             }
         }
+        interleave_into(re, im, out);
     }
 
-    /// Compiler-vectorizable tier: serial SoA, tap-outer streaming loops.
+    /// Compiler-vectorizable tier: serial SoA, output-stationary blocks.
     // ninja-lint: variant(simd)
     // ninja-lint: expect(vec256)
     pub fn run_simd(&self) -> Vec<f32> {
-        let m = self.out_len();
-        let mut re = vec![0.0f32; m];
-        let mut im = vec![0.0f32; m];
+        let mut out = vec![0.0f32; 2 * self.out_len()];
         isa::with_active_features(
             #[inline(always)]
-            || self.soa_range(0, &mut re, &mut im),
+            || self.soa_range(0, &mut out),
         );
-        let mut out = vec![0.0f32; 2 * m];
-        interleave_into(&re, &im, &mut out);
         out
     }
 
-    /// Low-effort endpoint: SoA streaming loops plus `parallel_for`. Each
-    /// chunk fills stack scratch inside the feature frame and interleaves
-    /// it straight into its slice of the output.
+    /// Low-effort endpoint: SoA output-stationary blocks plus
+    /// `parallel_for`. Each chunk runs inside the feature frame and writes
+    /// its `(re, im)` pairs straight into its slice of the output.
     // ninja-lint: variant(algorithmic)
     // ninja-lint: expect(vec256)
     pub fn run_algorithmic(&self, pool: &ThreadPool) -> Vec<f32> {
-        let m = self.out_len();
-        let mut out = vec![0.0f32; 2 * m];
+        let mut out = vec![0.0f32; 2 * self.out_len()];
         par_chunks_mut(pool, &mut out, 2 * CHUNK, |chunk_idx, chunk| {
-            let (mut re, mut im) = ([0.0f32; CHUNK], [0.0f32; CHUNK]);
-            let (re, im) = (&mut re[..chunk.len() / 2], &mut im[..chunk.len() / 2]);
             isa::with_active_features(
                 #[inline(always)]
-                || self.soa_range(chunk_idx * CHUNK, re, im),
+                || self.soa_range(chunk_idx * CHUNK, chunk),
             );
-            interleave_into(re, im, chunk);
         });
         out
     }
 
     /// Ninja tier: explicit width-generic SIMD complex MAC (unit-stride
-    /// loads, all taps' sums in registers, one interleaved `(re, im)`
-    /// store per vector), parallel over output blocks.
+    /// loads, [`GROUPS`] vectors of outputs summing all taps in registers,
+    /// one interleaved `(re, im)` store per vector), parallel over output
+    /// chunks.
     // ninja-lint: variant(ninja)
     // ninja-lint: expect(vec256, fma)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
@@ -236,76 +252,85 @@ impl IsaOp for ConvChunk<'_> {
         let this = self.kernel;
         let (lo, out) = (self.lo, self.out);
         let len = out.len() / 2;
-        // Hoist the broadcast tap registers out of the hot loops (the
-        // register type depends on the instantiated backend, so the splat
-        // happens per chunk — 16 splats against 8192 samples).
-        let taps_v: Vec<(I::F32, I::F32)> = this
+        // Hoist the broadcast taps out of the hot loops (the register type
+        // depends on the instantiated backend, so the splat happens per
+        // chunk — 16 splats against 8192 samples). `-ti` is splatted too,
+        // so each half of the complex MAC is two dependent FMAs.
+        let taps_v: Vec<Tap<I>> = this
             .taps
             .iter()
-            .map(|t| (I::F32::splat(t.re), I::F32::splat(t.im)))
+            .map(|t| Tap {
+                re: I::F32::splat(t.re),
+                im: I::F32::splat(t.im),
+                neg_im: I::F32::splat(-t.im),
+            })
             .collect();
-        let vec_len = len / lanes * lanes;
-        let vec_len2 = len / (2 * lanes) * (2 * lanes);
-        for j in (0..vec_len2).step_by(2 * lanes) {
-            let i = lo + j;
-            // Two interleaved accumulator pairs hide the FMA latency.
-            let mut re0 = I::F32::zero();
-            let mut im0 = I::F32::zero();
-            let mut re1 = I::F32::zero();
-            let mut im1 = I::F32::zero();
-            for (k, &(tr, ti)) in taps_v.iter().enumerate() {
-                let sr0 = I::F32::load(&this.sig_re[i + k..]);
-                let si0 = I::F32::load(&this.sig_im[i + k..]);
-                let sr1 = I::F32::load(&this.sig_re[i + k + lanes..]);
-                let si1 = I::F32::load(&this.sig_im[i + k + lanes..]);
-                re0 = tr.mul_add(sr0, re0) - ti * si0;
-                im0 = tr.mul_add(si0, im0) + ti * sr0;
-                re1 = tr.mul_add(sr1, re1) - ti * si1;
-                im1 = tr.mul_add(si1, im1) + ti * sr1;
-            }
-            let (lo0, hi0) = re0.interleave(im0);
-            let (lo1, hi1) = re1.interleave(im1);
-            lo0.store(&mut out[2 * j..]);
-            hi0.store(&mut out[2 * j + lanes..]);
-            lo1.store(&mut out[2 * j + 2 * lanes..]);
-            hi1.store(&mut out[2 * j + 3 * lanes..]);
+        let span = GROUPS * lanes;
+        let (grouped, whole) = (len / span * span, len / lanes * lanes);
+        for j in (0..grouped).step_by(span) {
+            mac_groups::<I, GROUPS>(this, &taps_v, lo + j, &mut out[2 * j..]);
         }
-        for j in (vec_len2..vec_len).step_by(lanes) {
-            let i = lo + j;
-            let mut acc_re = I::F32::zero();
-            let mut acc_im = I::F32::zero();
-            for (k, &(tr, ti)) in taps_v.iter().enumerate() {
-                let sr = I::F32::load(&this.sig_re[i + k..]);
-                let si = I::F32::load(&this.sig_im[i + k..]);
-                acc_re = tr.mul_add(sr, acc_re) - ti * si;
-                acc_im = tr.mul_add(si, acc_im) + ti * sr;
-            }
-            let (pairs_lo, pairs_hi) = acc_re.interleave(acc_im);
-            pairs_lo.store(&mut out[2 * j..]);
-            pairs_hi.store(&mut out[2 * j + lanes..]);
+        for j in (grouped..whole).step_by(lanes) {
+            mac_groups::<I, 1>(this, &taps_v, lo + j, &mut out[2 * j..]);
         }
         // Masked tail: partial loads of the remaining samples (inactive
         // lanes read as zero and contribute nothing), partial stores of
         // the remaining `2n` interleaved outputs. The source windows end
         // exactly at the last sample the active lanes touch.
-        if vec_len < len {
-            let n = len - vec_len;
-            let i = lo + vec_len;
+        if whole < len {
+            let n = len - whole;
+            let i = lo + whole;
             let mut acc_re = I::F32::zero();
             let mut acc_im = I::F32::zero();
-            for (k, &(tr, ti)) in taps_v.iter().enumerate() {
+            for (k, t) in taps_v.iter().enumerate() {
                 let sr = I::F32::load_partial(&this.sig_re[i + k..i + k + n]);
                 let si = I::F32::load_partial(&this.sig_im[i + k..i + k + n]);
-                acc_re = tr.mul_add(sr, acc_re) - ti * si;
-                acc_im = tr.mul_add(si, acc_im) + ti * sr;
+                acc_re = t.neg_im.mul_add(si, t.re.mul_add(sr, acc_re));
+                acc_im = t.im.mul_add(sr, t.re.mul_add(si, acc_im));
             }
             let (pairs_lo, pairs_hi) = acc_re.interleave(acc_im);
-            let tail = &mut out[2 * vec_len..];
+            let tail = &mut out[2 * whole..];
             pairs_lo.store_partial(tail);
             if tail.len() > lanes {
                 pairs_hi.store_partial(&mut tail[lanes..]);
             }
         }
+    }
+}
+
+/// One complex tap broadcast to every lane, with its imaginary part
+/// negated once up front.
+struct Tap<I: Isa> {
+    re: I::F32,
+    im: I::F32,
+    neg_im: I::F32,
+}
+
+/// `G` vectors of outputs from sample `i` on, as `G` independent
+/// `(re, im)` accumulator chains (the FMA latency is hidden by the other
+/// chains), stored once as interleaved pairs into `out`. Each tap reads
+/// one bounds-checked window per stream, so the loads carry no checks.
+#[inline(always)]
+// ninja-lint: effort(ninja)
+fn mac_groups<I: Isa, const G: usize>(k: &Conv1d, taps: &[Tap<I>], i: usize, out: &mut [f32]) {
+    let lanes = <I::F32 as SimdF32>::LANES;
+    let mut re = [I::F32::zero(); G];
+    let mut im = [I::F32::zero(); G];
+    for (kk, t) in taps.iter().enumerate() {
+        let sr = &k.sig_re[i + kk..][..G * lanes];
+        let si = &k.sig_im[i + kk..][..G * lanes];
+        for g in 0..G {
+            let r = I::F32::load(&sr[g * lanes..]);
+            let s = I::F32::load(&si[g * lanes..]);
+            re[g] = t.neg_im.mul_add(s, t.re.mul_add(r, re[g]));
+            im[g] = t.im.mul_add(r, t.re.mul_add(s, im[g]));
+        }
+    }
+    let out = &mut out[..2 * G * lanes];
+    for g in 0..G {
+        let (pairs_lo, pairs_hi) = re[g].interleave(im[g]);
+        pairs_lo.store(&mut out[2 * g * lanes..]);
+        pairs_hi.store(&mut out[(2 * g + 1) * lanes..]);
     }
 }
 
@@ -357,18 +382,18 @@ pub fn spec() -> KernelSpec {
             },
             VariantInfo {
                 variant: Variant::Simd,
-                effort_loc: 19,
-                what_changed: "split re/im arrays, tap-outer streaming loops",
+                effort_loc: 23,
+                what_changed: "split re/im arrays, output-stationary blocks",
             },
             VariantInfo {
                 variant: Variant::Algorithmic,
-                effort_loc: 21,
-                what_changed: "SoA streaming + parallel_for",
+                effort_loc: 25,
+                what_changed: "SoA output blocks + parallel_for",
             },
             VariantInfo {
                 variant: Variant::Ninja,
-                effort_loc: 66,
-                what_changed: "hand SIMD complex MAC, register accumulators",
+                effort_loc: 64,
+                what_changed: "hand SIMD complex MAC, 4 independent FMA chain pairs",
             },
         ],
         character: Characterization {
@@ -457,27 +482,26 @@ mod tests {
         );
     }
 
-    /// The compiler rungs' loop body inside each backend's feature frame,
-    /// at output lengths on both sides of a 256-bit vector so the
-    /// auto-vectorized loop's scalar epilogue runs too.
+    /// The compiler rungs' loop body inside each backend's feature frame
+    /// is bit-identical to the naive rung: it sums each output's taps in
+    /// the same order, and Rust never contracts `a * b + c`. Output
+    /// lengths run over every residue of the accumulator block and of two
+    /// 256-bit vectors (both powers of two), so full blocks, the short
+    /// last block and the auto-vectorized loop's scalar epilogue all run.
     #[test]
     fn compiler_rung_body_conforms_on_every_backend_at_every_residue() {
         let first = TAPS + 40;
-        crate::framework::assert_conforms_on_every_backend(
-            first..first + 2 * ninja_simd::isa::MAX_ISA_F32_LANES,
-            1e-4,
+        crate::framework::assert_bit_identical_on_every_backend(
+            first..first + BLOCK.max(2 * ninja_simd::isa::MAX_ISA_F32_LANES),
             |n| Conv1d::with_len(n, 9),
             Conv1d::run_naive,
             |k, kind, _| {
-                let m = k.out_len();
-                let (mut re, mut im) = (vec![0.0f32; m], vec![0.0f32; m]);
+                let mut out = vec![0.0f32; 2 * k.out_len()];
                 isa::with_features_on(
                     kind,
                     #[inline(always)]
-                    || k.soa_range(0, &mut re, &mut im),
+                    || k.soa_range(0, &mut out),
                 );
-                let mut out = vec![0.0f32; 2 * m];
-                interleave_into(&re, &im, &mut out);
                 out
             },
         );
@@ -485,28 +509,35 @@ mod tests {
 
     /// Output lengths around the chunk size: a partial single chunk, an
     /// exact one, one sample into a second chunk, and a second chunk that
-    /// ends in the interleaved masked tail. The ninja rung runs on every
-    /// backend; the parallel and algorithmic rungs' chunking does not
-    /// depend on one (the backend-dependent loop body is covered above).
+    /// ends in a short block and the interleaved masked tail. The
+    /// parallel and algorithmic rungs stay bit-identical to the naive
+    /// rung; the ninja rung fuses, so it conforms to the tolerance, on
+    /// every backend. The other two rungs' chunking does not depend on a
+    /// backend (the backend-dependent loop body is covered above).
     #[test]
     fn threaded_rungs_conform_across_chunk_boundaries() {
         let lanes = ninja_simd::isa::MAX_ISA_F32_LANES;
         let sizes = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + lanes + 1].map(|m| m + TAPS - 1);
-        type Rung = fn(&Conv1d, IsaKind, &ThreadPool) -> Vec<f32>;
-        let rungs: [Rung; 3] = [
+        let make = |n| Conv1d::with_len(n, 11);
+        crate::framework::assert_bit_identical_on_every_backend(
+            sizes,
+            make,
+            Conv1d::run_naive,
             |k, _, pool| k.run_parallel(pool),
+        );
+        crate::framework::assert_bit_identical_on_every_backend(
+            sizes,
+            make,
+            Conv1d::run_naive,
             |k, _, pool| k.run_algorithmic(pool),
+        );
+        crate::framework::assert_conforms_on_every_backend(
+            sizes,
+            1e-4,
+            make,
+            Conv1d::run_naive,
             Conv1d::run_ninja_on,
-        ];
-        for rung in rungs {
-            crate::framework::assert_conforms_on_every_backend(
-                sizes,
-                1e-4,
-                |n| Conv1d::with_len(n, 11),
-                Conv1d::run_naive,
-                rung,
-            );
-        }
+        );
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! image bounds inside the innermost tap loop, which blocks vectorization;
 //! the **algorithmic change** is the classic interior/boundary split (peel
 //! the 2-pixel border, run branch-free code on the interior), after which
-//! the compiler vectorizes across `x`. Ninja code issues explicit
-//! vector-width loads with register-blocked tap accumulation.
+//! the compiler vectorizes across `x` once each block of outputs keeps its
+//! sums in registers while all 25 taps run over it (output-stationary).
+//! Ninja code issues explicit vector-width loads into several independent
+//! FMA chains.
 //!
 //! Boundary semantics: zero padding outside the image.
 
@@ -21,6 +23,12 @@ use rand::{Rng, SeedableRng};
 pub const R: usize = 2;
 /// Stencil diameter.
 pub const K: usize = 2 * R + 1;
+
+/// Output pixels per accumulator block of the compiler rungs.
+const BLOCK: usize = 64;
+
+/// Independent vector groups per step of the ninja rung.
+const GROUPS: usize = 8;
 
 /// A 5×5 convolution problem instance.
 pub struct Conv2d {
@@ -121,73 +129,90 @@ impl Conv2d {
         out
     }
 
-    /// Computes one interior row (no bounds checks) into `row`.
-    ///
-    /// `row[x]` for `x` in `[R, w-R)` is written with branch-free code; the
-    /// border pixels of the row use the checked path.
-    #[inline]
+    /// Computes row `y` into `row`. A border row, and the border pixels of
+    /// an interior row, take the checked path; the interior pixels
+    /// `[R, w-R)` are branch-free: whole blocks of [`BLOCK`] pixels, then
+    /// one short block. The whole blocks come from `chunks_exact_mut`, so
+    /// their length is a constant and their accumulators stay in registers.
+    #[inline(always)]
     // ninja-lint: effort(simd, algorithmic)
-    fn interior_row(&self, y: usize, row: &mut [f32]) {
+    fn compiler_row(&self, y: usize, row: &mut [f32]) {
         let w = self.width;
+        if y < R || y >= self.height - R {
+            for (x, o) in row.iter_mut().enumerate() {
+                *o = self.convolve_checked(x, y);
+            }
+            return;
+        }
         for x in 0..R {
             row[x] = self.convolve_checked(x, y);
             row[w - 1 - x] = self.convolve_checked(w - 1 - x, y);
         }
-        for x in R..w - R {
-            let mut acc = 0.0f32;
-            for ky in 0..K {
-                let base = (y + ky - R) * w + x - R;
-                let line = &self.image[base..base + K];
-                let t = &self.taps[ky];
-                acc += t[0] * line[0]
-                    + t[1] * line[1]
-                    + t[2] * line[2]
-                    + t[3] * line[3]
-                    + t[4] * line[4];
-            }
-            row[x] = acc;
+        let interior = &mut row[R..w - R];
+        let full = interior.len() / BLOCK * BLOCK;
+        let mut blocks = interior.chunks_exact_mut(BLOCK);
+        for (b, block) in (&mut blocks).enumerate() {
+            self.interior_block(y, R + b * BLOCK, block);
         }
+        self.interior_block(y, R + full, blocks.into_remainder());
     }
 
-    /// Compiler-vectorizable tier: interior/boundary split, serial.
+    /// Output-stationary block of row `y` from pixel `x` on: every tap
+    /// runs over a block of accumulators (`x` is the vector axis), in the
+    /// naive rung's tap order per pixel, and the block is stored once.
+    #[inline(always)]
+    // ninja-lint: effort(simd, algorithmic)
+    fn interior_block(&self, y: usize, x: usize, out: &mut [f32]) {
+        let n = out.len();
+        let mut acc = [0.0f32; BLOCK];
+        let acc = &mut acc[..n];
+        for ky in 0..K {
+            let base = (y + ky - R) * self.width + x - R;
+            for kx in 0..K {
+                let t = self.taps[ky][kx];
+                for (a, &p) in acc.iter_mut().zip(&self.image[base + kx..][..n]) {
+                    *a += t * p;
+                }
+            }
+        }
+        out.copy_from_slice(acc);
+    }
+
+    /// Compiler-vectorizable tier: interior/boundary split, serial, in the
+    /// feature frame.
     // ninja-lint: variant(simd)
-    // ninja-lint: expect(vec128)
+    // ninja-lint: expect(vec256)
     pub fn run_simd(&self) -> Vec<f32> {
         let w = self.width;
         let mut out = vec![0.0f32; w * self.height];
-        for y in 0..self.height {
-            let row = &mut out[y * w..(y + 1) * w];
-            if y < R || y >= self.height - R {
-                for (x, o) in row.iter_mut().enumerate() {
-                    *o = self.convolve_checked(x, y);
+        isa::with_active_features(
+            #[inline(always)]
+            || {
+                for (y, row) in out.chunks_exact_mut(w).enumerate() {
+                    self.compiler_row(y, row);
                 }
-            } else {
-                self.interior_row(y, row);
-            }
-        }
+            },
+        );
         out
     }
 
-    /// Low-effort endpoint: interior/boundary split plus row parallelism.
+    /// Low-effort endpoint: interior/boundary split plus row parallelism,
+    /// each row in the feature frame.
     // ninja-lint: variant(algorithmic)
+    // ninja-lint: expect(vec256)
     pub fn run_algorithmic(&self, pool: &ThreadPool) -> Vec<f32> {
-        let w = self.width;
-        let h = self.height;
-        let mut out = vec![0.0f32; w * h];
-        par_chunks_mut(pool, &mut out, w, |y, row| {
-            if y < R || y >= h - R {
-                for (x, o) in row.iter_mut().enumerate() {
-                    *o = self.convolve_checked(x, y);
-                }
-            } else {
-                self.interior_row(y, row);
-            }
+        let mut out = vec![0.0f32; self.width * self.height];
+        par_chunks_mut(pool, &mut out, self.width, |y, row| {
+            isa::with_active_features(
+                #[inline(always)]
+                || self.compiler_row(y, row),
+            );
         });
         out
     }
 
-    /// Ninja tier: explicit width-generic SIMD across `x` with all 25
-    /// taps register-blocked, row-parallel.
+    /// Ninja tier: explicit width-generic SIMD across `x`, [`GROUPS`]
+    /// vectors of pixels summing all 25 taps in registers, row-parallel.
     // ninja-lint: variant(ninja)
     // ninja-lint: expect(vec256, fma)
     pub fn run_ninja(&self, pool: &ThreadPool) -> Vec<f32> {
@@ -243,16 +268,12 @@ impl IsaOp for InteriorRow<'_> {
         }
         let interior_end = w - R;
         let mut x = R;
+        while x + GROUPS * lanes <= interior_end {
+            row_groups::<I, GROUPS>(k, y, x, &mut row[x..]);
+            x += GROUPS * lanes;
+        }
         while x + lanes <= interior_end {
-            let mut acc = I::F32::zero();
-            for ky in 0..K {
-                let base = (y + ky - R) * w + x - R;
-                for kx in 0..K {
-                    let pixels = I::F32::load(&k.image[base + kx..]);
-                    acc = I::F32::splat(k.taps[ky][kx]).mul_add(pixels, acc);
-                }
-            }
-            acc.store(&mut row[x..]);
+            row_groups::<I, 1>(k, y, x, &mut row[x..]);
             x += lanes;
         }
         // Fewer than one vector of interior pixels left.
@@ -260,6 +281,29 @@ impl IsaOp for InteriorRow<'_> {
             row[x] = k.convolve_checked(x, y);
             x += 1;
         }
+    }
+}
+
+/// `G` vectors of row `y` from pixel `x` on, as `G` independent
+/// accumulator chains over all 25 taps (the FMA latency is hidden by the
+/// other chains), each stored once into `out`. Each tap row reads one
+/// bounds-checked window, so the loads carry no checks.
+#[inline(always)]
+// ninja-lint: effort(ninja)
+fn row_groups<I: Isa, const G: usize>(k: &Conv2d, y: usize, x: usize, out: &mut [f32]) {
+    let lanes = <I::F32 as SimdF32>::LANES;
+    let mut acc = [I::F32::zero(); G];
+    for ky in 0..K {
+        let line = &k.image[(y + ky - R) * k.width + x - R..][..G * lanes + K - 1];
+        for kx in 0..K {
+            let t = I::F32::splat(k.taps[ky][kx]);
+            for (g, a) in acc.iter_mut().enumerate() {
+                *a = t.mul_add(I::F32::load(&line[kx + g * lanes..]), *a);
+            }
+        }
+    }
+    for (g, a) in acc.into_iter().enumerate() {
+        a.store(&mut out[g * lanes..]);
     }
 }
 
@@ -301,18 +345,18 @@ pub fn spec() -> KernelSpec {
             },
             VariantInfo {
                 variant: Variant::Simd,
-                effort_loc: 22,
-                what_changed: "interior/boundary split, unrolled constant taps",
+                effort_loc: 33,
+                what_changed: "interior/boundary split, output-stationary blocks",
             },
             VariantInfo {
                 variant: Variant::Algorithmic,
-                effort_loc: 24,
-                what_changed: "interior split + row parallelism",
+                effort_loc: 31,
+                what_changed: "interior split, output blocks + row parallelism",
             },
             VariantInfo {
                 variant: Variant::Ninja,
-                effort_loc: 37,
-                what_changed: "hand SIMD across x, 25 taps register-blocked",
+                effort_loc: 44,
+                what_changed: "hand SIMD across x, 8 independent FMA chains",
             },
         ],
         character: Characterization {
@@ -390,14 +434,75 @@ mod tests {
         }
     }
 
-    /// Widths at every residue of the widest lane count, so the interior
-    /// span ends in a scalar remainder of every length under each backend.
+    /// Widths whose interior spans every residue of the ninja rung's
+    /// grouped step, so the grouped loop, the one-vector loop and the
+    /// scalar remainder each run at every length under each backend.
     #[test]
     fn ninja_rung_conforms_on_every_backend_at_every_residue() {
         crate::framework::assert_conforms_on_every_backend(
-            20..20 + ninja_simd::isa::MAX_ISA_F32_LANES,
+            20..20 + GROUPS * ninja_simd::isa::MAX_ISA_F32_LANES,
             1e-4,
             |dim| Conv2d::with_dim(dim, 11),
+            Conv2d::run_naive,
+            Conv2d::run_ninja_on,
+        );
+    }
+
+    /// The compiler rungs' row body inside each backend's feature frame
+    /// is bit-identical to the naive rung: each pixel sums its 25 taps in
+    /// the naive order, and Rust never contracts `a * b + c`. Interior
+    /// widths run over every residue of the accumulator block and of two
+    /// 256-bit vectors (both powers of two), from one short block alone
+    /// to full blocks plus a short one.
+    #[test]
+    fn compiler_rung_body_conforms_on_every_backend_at_every_residue() {
+        let span = BLOCK.max(2 * ninja_simd::isa::MAX_ISA_F32_LANES);
+        crate::framework::assert_bit_identical_on_every_backend(
+            20..20 + span,
+            |dim| Conv2d::with_dim(dim, 12),
+            Conv2d::run_naive,
+            |k, kind, _| {
+                let mut out = vec![0.0f32; k.width * k.height];
+                isa::with_features_on(
+                    kind,
+                    #[inline(always)]
+                    || {
+                        for (y, row) in out.chunks_exact_mut(k.width).enumerate() {
+                            k.compiler_row(y, row);
+                        }
+                    },
+                );
+                out
+            },
+        );
+    }
+
+    /// Interior widths around the accumulator block and past the ninja
+    /// rung's grouped step, with one row per parallel chunk. The parallel
+    /// and algorithmic rungs stay bit-identical to the naive rung; the
+    /// ninja rung fuses, so it conforms to the tolerance, on every
+    /// backend.
+    #[test]
+    fn threaded_rungs_conform_across_chunk_boundaries() {
+        let lanes = ninja_simd::isa::MAX_ISA_F32_LANES;
+        let sizes = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + lanes + 1].map(|n| n + 2 * R);
+        let make = |dim| Conv2d::with_dim(dim, 13);
+        crate::framework::assert_bit_identical_on_every_backend(
+            sizes,
+            make,
+            Conv2d::run_naive,
+            |k, _, pool| k.run_parallel(pool),
+        );
+        crate::framework::assert_bit_identical_on_every_backend(
+            sizes,
+            make,
+            Conv2d::run_naive,
+            |k, _, pool| k.run_algorithmic(pool),
+        );
+        crate::framework::assert_conforms_on_every_backend(
+            sizes,
+            1e-4,
+            make,
             Conv2d::run_naive,
             Conv2d::run_ninja_on,
         );

@@ -409,6 +409,26 @@ pub(crate) fn assert_conforms_on_every_backend<K, O: OutputData>(
     }
 }
 
+/// [`assert_conforms_on_every_backend`] with no tolerance at all: every
+/// output `f32` must have the naive rung's bit pattern (a sign of zero or
+/// a NaN payload that differs fails too).
+#[cfg(test)]
+pub(crate) fn assert_bit_identical_on_every_backend<K>(
+    sizes: impl IntoIterator<Item = usize>,
+    make: impl Fn(usize) -> K,
+    naive: impl Fn(&K) -> Vec<f32>,
+    rung_on: impl Fn(&K, ninja_simd::isa::IsaKind, &ThreadPool) -> Vec<f32>,
+) {
+    let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<u32>>();
+    assert_conforms_on_every_backend(
+        sizes,
+        0.0,
+        make,
+        |k| bits(naive(k)),
+        |k, kind, pool| bits(rung_on(k, kind, pool)),
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

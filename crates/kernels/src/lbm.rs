@@ -362,6 +362,7 @@ impl Lbm {
 
     /// Low-effort endpoint: SoA + split + row-band parallelism.
     // ninja-lint: variant(algorithmic)
+    // ninja-lint: expect(vec128)
     pub fn run_algorithmic(&self, pool: &ThreadPool) -> Vec<f32> {
         self.run_soa(Some(pool), &Self::collide_rows_staged)
     }

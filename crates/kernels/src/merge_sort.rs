@@ -113,6 +113,7 @@ impl MergeSort {
     /// Low-effort endpoint: bottom-up ping-pong sort, chunk-parallel with
     /// parallel merge rounds (branch-free scalar merges).
     // ninja-lint: variant(algorithmic)
+    // ninja-lint: allow(NL008, "data-dependent merge order cannot auto-vectorize; the ninja rung's bitonic network is the vector answer")
     pub fn run_algorithmic(&self, pool: &ThreadPool) -> Vec<f32> {
         parallel_sort(pool, self.data.clone(), &merge_branchless)
     }

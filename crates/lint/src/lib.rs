@@ -21,9 +21,9 @@
 //! * **Assembly evidence** (NL008/NL009/NL011/NL012, `--asm` mode): the
 //!   [`asm`] and [`vecprofile`] modules parse `rustc --emit asm` output,
 //!   attribute symbols back to rungs, and hold each rung to the profile
-//!   its `expect(vecN[, fma][, sconv=0])` marker declares (a simd/ninja
-//!   rung with neither that marker nor an `allow(NL008, ..)` waiver is a
-//!   finding itself). They flag an
+//!   its `expect(vecN[, fma][, sconv=0])` marker declares (a simd,
+//!   algorithmic or ninja rung with neither that marker nor an
+//!   `allow(NL008, ..)` waiver is a finding itself). They flag an
 //!   intrinsic called out of line inside the AVX2 trampoline's reach, and
 //!   report when the compiler bridged the gap on a naive rung by itself,
 //!   or vectorized a compiler rung's arithmetic while still comparing or

@@ -206,8 +206,8 @@ impl RuleId {
             }
             RuleId::NinjaRungNotVectorized => {
                 "a rung's compiled code must meet its expect(vecN[, fma][, sconv=0]) \
-                 marker, and every simd/ninja rung must carry one; checked against \
-                 --emit asm evidence in --asm mode"
+                 marker, and every simd, algorithmic and ninja rung must carry one; checked \
+                 against --emit asm evidence in --asm mode"
             }
             RuleId::ScalarRungAutovectorized => {
                 "info: the compiler auto-vectorized a naive rung — the paper's \

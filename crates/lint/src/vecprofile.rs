@@ -19,7 +19,7 @@
 //!
 //! A function inlined away completely leaves no symbol, so a rung may
 //! report `matched_symbols == 0`. That is never a silent pass: every
-//! simd/ninja rung carries an `expect(...)` marker (or an
+//! simd, algorithmic or ninja rung carries an `expect(...)` marker (or an
 //! `allow(NL008, ..)` waiver), and a marked rung with no evidence misses
 //! its marker (DESIGN.md "Vectorization evidence" discusses this).
 
@@ -254,10 +254,10 @@ fn unmet_clauses(e: Expect, p: &VecProfile) -> Vec<String> {
 }
 
 /// Runs the asm-evidence rules over `files` + `listings`: NL008 (a rung
-/// below its `expect(...)` profile, or a simd/ninja rung without one),
-/// NL009 (naive rung the compiler auto-vectorized; info severity), NL011
-/// (compiler rung that is vectorized but still compares or converts lane
-/// by lane; info severity) and NL012 (an intrinsic called out of line
+/// below its `expect(...)` profile, or a simd, algorithmic or ninja rung
+/// without one), NL009 (naive rung the compiler auto-vectorized; info
+/// severity), NL011 (compiler rung that is vectorized but still compares
+/// or converts lane by lane; info severity) and NL012 (an intrinsic called out of line
 /// inside the AVX2 trampoline's reach). Returns the profiles alongside
 /// the findings so callers render both.
 pub fn check_asm(files: &[SourceFile], listings: &[AsmListing]) -> (Vec<VecProfile>, Vec<Finding>) {
@@ -311,7 +311,7 @@ pub fn check_asm(files: &[SourceFile], listings: &[AsmListing]) -> (Vec<VecProfi
                             unmet.join(", ")
                         ),
                     ),
-                    None if matches!(rung, Rung::Simd | Rung::Ninja) => emit(
+                    None if matches!(rung, Rung::Simd | Rung::Algorithmic | Rung::Ninja) => emit(
                         RuleId::NinjaRungNotVectorized,
                         format!(
                             "{rung} rung of `{module}` has no expect(...) marker — declare the \

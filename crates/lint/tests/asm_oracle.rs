@@ -220,6 +220,44 @@ fn an_unmarked_rung_is_a_finding_with_or_without_evidence() {
 }
 
 #[test]
+fn nl008_fires_exactly_once_on_an_unmarked_algorithmic_rung() {
+    let files = [source("asm_algorithmic_unmarked.rs")];
+    let (profiles, findings) = check_asm(&files, &[listing("algorithmic.s")]);
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+    let f = &findings[0];
+    assert_eq!(
+        (f.rule, f.file.as_str()),
+        (
+            RuleId::NinjaRungNotVectorized,
+            "asm_algorithmic_unmarked.rs"
+        )
+    );
+    assert!(
+        f.message.contains("algorithmic rung") && f.message.contains("no expect(...) marker"),
+        "{}",
+        f.message
+    );
+    let p = profiles
+        .iter()
+        .find(|p| p.rung == "algorithmic")
+        .expect("profile recorded");
+    assert_eq!(
+        (p.matched_symbols, p.classification.as_str()),
+        (1, "vec256")
+    );
+    // A marker it meets clears it; the unmarked parallel rung never fires.
+    let marked = source_text("asm_algorithmic_unmarked.rs").replace(
+        "// ninja-lint: variant(algorithmic)\n",
+        "// ninja-lint: variant(algorithmic)\n// ninja-lint: expect(vec256)\n",
+    );
+    let files = [SourceFile::from_source(
+        "asm_algorithmic_unmarked.rs".into(),
+        marked,
+    )];
+    assert!(check_asm(&files, &[listing("algorithmic.s")]).1.is_empty());
+}
+
+#[test]
 fn nl008_names_every_unmet_clause_of_a_declared_profile() {
     let src =
         "// ninja-lint: variant(simd)\n// ninja-lint: expect(vec256, fma)\npub fn run_simd() {}\n";
