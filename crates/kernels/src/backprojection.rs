@@ -195,7 +195,7 @@ impl BackProjection {
         let mut img = vec![0.0f32; d * d];
         isa::with_active_features(
             #[inline(always)]
-            || {
+            |_| {
                 for (y, row) in img.chunks_mut(d).enumerate() {
                     self.accumulate_row(y, row);
                 }
@@ -214,7 +214,7 @@ impl BackProjection {
         par_chunks_mut(pool, &mut img, d, |y, row| {
             isa::with_active_features(
                 #[inline(always)]
-                || self.accumulate_row(y, row),
+                |_| self.accumulate_row(y, row),
             );
         });
         img

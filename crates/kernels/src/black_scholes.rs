@@ -21,7 +21,7 @@ use crate::framework::{
 };
 use ninja_parallel::{par_chunks_mut, ThreadPool};
 use ninja_simd::isa::math::{self as vmath, norm_cdf_scalar};
-use ninja_simd::isa::{self, dispatch_on, Isa, IsaKind, IsaOp, SimdF32};
+use ninja_simd::isa::{self, dispatch_on, Frame, Isa, IsaKind, IsaOp, SimdF32};
 use ninja_simd::AlignedVec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -167,7 +167,7 @@ impl BlackScholes {
     /// (see `isa::with_active_features`).
     #[inline(always)]
     // ninja-lint: effort(simd, algorithmic)
-    fn price_block_poly(&self, lo: usize, n: usize, out: &mut [f32]) {
+    fn price_block_poly(&self, f: Frame, lo: usize, n: usize, out: &mut [f32]) {
         debug_assert!(n <= POLY_BLOCK);
         let s = &self.spot[lo..lo + n];
         let k = &self.strike[lo..lo + n];
@@ -188,18 +188,18 @@ impl BlackScholes {
         for j in 0..n {
             let sqrt_t = t[j].sqrt();
             let vt = v[j] * sqrt_t;
-            let d = (ln_poly(s[j] / k[j]) + (r[j] + 0.5 * v[j] * v[j]) * t[j]) / vt;
+            let d = (ln_poly(f, s[j] / k[j]) + (r[j] + 0.5 * v[j] * v[j]) * t[j]) / vt;
             d1[j] = d;
             d2[j] = d - vt;
-            disc[j] = exp_poly(-(r[j] * t[j]));
+            disc[j] = exp_poly(f, -(r[j] * t[j]));
         }
         let mut nd1_buf = [0.0f32; POLY_BLOCK];
         let mut nd2_buf = [0.0f32; POLY_BLOCK];
         let nd1 = &mut nd1_buf[..n];
         let nd2 = &mut nd2_buf[..n];
         for j in 0..n {
-            nd1[j] = cnd_poly(d1[j]);
-            nd2[j] = cnd_poly(d2[j]);
+            nd1[j] = cnd_poly(f, d1[j]);
+            nd2[j] = cnd_poly(f, d2[j]);
         }
         let out = &mut out[..2 * n];
         for j in 0..n {
@@ -218,11 +218,11 @@ impl BlackScholes {
         let mut out = vec![0.0f32; 2 * n];
         isa::with_active_features(
             #[inline(always)]
-            || {
+            |f| {
                 let mut lo = 0;
                 while lo < n {
                     let len = POLY_BLOCK.min(n - lo);
-                    self.price_block_poly(lo, len, &mut out[2 * lo..2 * (lo + len)]);
+                    self.price_block_poly(f, lo, len, &mut out[2 * lo..2 * (lo + len)]);
                     lo += len;
                 }
             },
@@ -241,7 +241,7 @@ impl BlackScholes {
             let lo = chunk_idx * POLY_BLOCK;
             isa::with_active_features(
                 #[inline(always)]
-                || self.price_block_poly(lo, chunk.len() / 2, chunk),
+                |f| self.price_block_poly(f, lo, chunk.len() / 2, chunk),
             );
         });
         out
@@ -360,8 +360,10 @@ pub fn price_contract(c: &OptionContract) -> (f32, f32) {
 }
 
 /// Prices a SoA batch with the branch-free `f32` polynomial math (the
-/// SIMD rung). All input slices share a length `n`; `out` receives the
-/// interleaved `(call, put)` pairs and must hold `2 * n` floats.
+/// SIMD rung), unfused: it runs in no feature frame, so the mirrors take
+/// `Frame::default()`. All input slices share a length `n`; `out`
+/// receives the interleaved `(call, put)` pairs and must hold `2 * n`
+/// floats.
 ///
 /// # Panics
 ///
@@ -383,11 +385,13 @@ pub fn price_batch_poly(
     for j in 0..n {
         let sqrt_t = years[j].sqrt();
         let vt = vol[j] * sqrt_t;
-        let d1 = (ln_poly(spot[j] / strike[j]) + (rate[j] + 0.5 * vol[j] * vol[j]) * years[j]) / vt;
+        let d1 = (ln_poly(Frame::default(), spot[j] / strike[j])
+            + (rate[j] + 0.5 * vol[j] * vol[j]) * years[j])
+            / vt;
         let d2 = d1 - vt;
-        let disc = exp_poly(-(rate[j] * years[j]));
-        let nd1 = cnd_poly(d1);
-        let nd2 = cnd_poly(d2);
+        let disc = exp_poly(Frame::default(), -(rate[j] * years[j]));
+        let nd1 = cnd_poly(Frame::default(), d1);
+        let nd2 = cnd_poly(Frame::default(), d2);
         let kd = strike[j] * disc;
         out[2 * j] = spot[j] * nd1 - kd * nd2;
         out[2 * j + 1] = kd * (1.0 - nd2) - spot[j] * (1.0 - nd1);
@@ -639,7 +643,7 @@ mod tests {
                 isa::with_features_on(
                     kind,
                     #[inline(always)]
-                    || k.price_block_poly(0, k.len(), &mut out),
+                    |f| k.price_block_poly(f, 0, k.len(), &mut out),
                 );
                 out
             },

@@ -182,7 +182,7 @@ impl Conv1d {
         let mut out = vec![0.0f32; 2 * self.out_len()];
         isa::with_active_features(
             #[inline(always)]
-            || self.soa_range(0, &mut out),
+            |_| self.soa_range(0, &mut out),
         );
         out
     }
@@ -197,7 +197,7 @@ impl Conv1d {
         par_chunks_mut(pool, &mut out, 2 * CHUNK, |chunk_idx, chunk| {
             isa::with_active_features(
                 #[inline(always)]
-                || self.soa_range(chunk_idx * CHUNK, chunk),
+                |_| self.soa_range(chunk_idx * CHUNK, chunk),
             );
         });
         out
@@ -500,7 +500,7 @@ mod tests {
                 isa::with_features_on(
                     kind,
                     #[inline(always)]
-                    || k.soa_range(0, &mut out),
+                    |_| k.soa_range(0, &mut out),
                 );
                 out
             },

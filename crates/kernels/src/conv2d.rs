@@ -187,7 +187,7 @@ impl Conv2d {
         let mut out = vec![0.0f32; w * self.height];
         isa::with_active_features(
             #[inline(always)]
-            || {
+            |_| {
                 for (y, row) in out.chunks_exact_mut(w).enumerate() {
                     self.compiler_row(y, row);
                 }
@@ -205,7 +205,7 @@ impl Conv2d {
         par_chunks_mut(pool, &mut out, self.width, |y, row| {
             isa::with_active_features(
                 #[inline(always)]
-                || self.compiler_row(y, row),
+                |_| self.compiler_row(y, row),
             );
         });
         out
@@ -466,7 +466,7 @@ mod tests {
                 isa::with_features_on(
                     kind,
                     #[inline(always)]
-                    || {
+                    |_| {
                         for (y, row) in out.chunks_exact_mut(k.width).enumerate() {
                             k.compiler_row(y, row);
                         }

@@ -259,24 +259,42 @@ fn lane_sum<T: Copy>(values: &[T], widen: impl Fn(T) -> f64) -> f64 {
     total
 }
 
+/// `|a - b|` relative to `max(|b|, 1)`. Equal values (infinities too)
+/// and two NaNs are no error; a NaN on one side only is an infinite one,
+/// where the plain formula's NaN would never rank as the worst element.
+fn relative_error(a: f64, b: f64) -> f64 {
+    if a == b || (a.is_nan() && b.is_nan()) {
+        0.0
+    } else if a.is_nan() || b.is_nan() {
+        f64::INFINITY
+    } else {
+        (a - b).abs() / b.abs().max(1.0)
+    }
+}
+
+/// The largest [`relative_error`] over two equally long slices, and
+/// where it is.
+fn worst_relative_error<T: Copy + Into<f64>>(out: &[T], reference: &[T]) -> Option<(f64, usize)> {
+    if out.len() != reference.len() {
+        return None;
+    }
+    let mut worst = (0.0f64, 0usize);
+    for (i, (&a, &b)) in out.iter().zip(reference).enumerate() {
+        let err = relative_error(a.into(), b.into());
+        if err > worst.0 {
+            worst = (err, i);
+        }
+    }
+    Some(worst)
+}
+
 impl OutputData for Vec<f32> {
     fn checksum(&self) -> f64 {
         lane_sum(self, f64::from)
     }
 
     fn worst_error(&self, reference: &Self) -> Option<(f64, usize)> {
-        if self.len() != reference.len() {
-            return None;
-        }
-        let mut worst = (0.0f64, 0usize);
-        for (i, (&a, &b)) in self.iter().zip(reference.iter()).enumerate() {
-            let scale = (b.abs() as f64).max(1.0);
-            let err = ((a - b).abs() as f64) / scale;
-            if err > worst.0 {
-                worst = (err, i);
-            }
-        }
-        Some(worst)
+        worst_relative_error(self, reference)
     }
 }
 
@@ -286,17 +304,7 @@ impl OutputData for Vec<f64> {
     }
 
     fn worst_error(&self, reference: &Self) -> Option<(f64, usize)> {
-        if self.len() != reference.len() {
-            return None;
-        }
-        let mut worst = (0.0f64, 0usize);
-        for (i, (&a, &b)) in self.iter().zip(reference.iter()).enumerate() {
-            let err = (a - b).abs() / b.abs().max(1.0);
-            if err > worst.0 {
-                worst = (err, i);
-            }
-        }
-        Some(worst)
+        worst_relative_error(self, reference)
     }
 }
 
@@ -461,6 +469,21 @@ mod tests {
         assert_eq!(pos, 1);
         assert!((err - 0.2 / 2.2).abs() < 1e-6);
         assert!(a.worst_error(&vec![1.0f32]).is_none());
+    }
+
+    /// A NaN where the reference is finite, or the reverse, is the worst
+    /// error there is; matching NaNs and infinities are none.
+    #[test]
+    fn a_one_sided_nan_is_an_infinite_error() {
+        let nan = f32::NAN;
+        let reference = vec![1.0f32, 2.0, nan, f32::INFINITY];
+        let out = vec![1.0f32, nan, nan, f32::INFINITY];
+        assert_eq!(out.worst_error(&reference), Some((f64::INFINITY, 1)));
+        assert_eq!(reference.worst_error(&out), Some((f64::INFINITY, 1)));
+        assert_eq!(reference.worst_error(&reference), Some((0.0, 0)));
+        let wide: Vec<f64> = out.iter().map(|&x| f64::from(x)).collect();
+        let wide_ref: Vec<f64> = reference.iter().map(|&x| f64::from(x)).collect();
+        assert_eq!(wide.worst_error(&wide_ref), Some((f64::INFINITY, 1)));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::framework::{
 use crate::scalar_math::{exp_f64, exp_poly};
 use ninja_parallel::{par_chunks_mut, ThreadPool};
 use ninja_simd::isa::{
-    self, dispatch_on, math as vmath, Isa, IsaKind, IsaOp, SimdF32, MAX_ISA_F32_LANES,
+    self, dispatch_on, math as vmath, Frame, Isa, IsaKind, IsaOp, SimdF32, MAX_ISA_F32_LANES,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -152,10 +152,11 @@ impl Libor {
     /// constant-trip-count `f32` lane loops — the auto-vectorizable
     /// path-SoA form (a runtime trip count would block unrolling).
     /// `inline(always)` so it compiles inside its callers' feature frames
-    /// (see `isa::with_active_features`).
+    /// (see `isa::with_active_features`); `f` is that frame, so `1 + δ·l`,
+    /// the `exp` argument and the discount fuse where it has FMA.
     #[inline(always)]
     // ninja-lint: effort(simd, algorithmic)
-    fn group_values_f32(&self, group_base: usize, out: &mut [f32]) {
+    fn group_values_f32(&self, f: Frame, group_base: usize, out: &mut [f32]) {
         assert_eq!(out.len(), GROUP, "group_values_f32 needs a full group");
         let mut l = [[0.0f32; GROUP]; N_RATES];
         for (i, row) in l.iter_mut().enumerate() {
@@ -175,9 +176,9 @@ impl Libor {
                 let con1 = DELTA * lam;
                 let li = &mut l[i];
                 for lane in 0..GROUP {
-                    v[lane] += con1 * li[lane] / (1.0 + DELTA * li[lane]);
-                    let vrat = exp_poly(con1 * v[lane] + lam * (sqez[lane] - 0.5 * con1));
-                    li[lane] *= vrat;
+                    v[lane] += con1 * li[lane] / f.mul_add(DELTA, li[lane], 1.0);
+                    let arg = f.mul_add(con1, v[lane], lam * (sqez[lane] - 0.5 * con1));
+                    li[lane] *= exp_poly(f, arg);
                 }
             }
         }
@@ -185,7 +186,7 @@ impl Libor {
         let mut acc = [0.0f32; GROUP];
         for row in l.iter().skip(NMAT) {
             for lane in 0..GROUP {
-                b[lane] /= 1.0 + DELTA * row[lane];
+                b[lane] /= f.mul_add(DELTA, row[lane], 1.0);
                 acc[lane] += b[lane] * DELTA * (row[lane] - STRIKE).max(0.0);
             }
         }
@@ -201,7 +202,7 @@ impl Libor {
     /// Panics if the path count is not a multiple of the group width (all
     /// size presets are).
     // ninja-lint: variant(simd)
-    // ninja-lint: expect(vec256, sconv=0)
+    // ninja-lint: expect(vec256, fma, sconv=0)
     pub fn run_simd(&self) -> Vec<f32> {
         assert_eq!(
             self.paths % GROUP,
@@ -211,9 +212,9 @@ impl Libor {
         let mut out = vec![0.0f32; self.paths];
         isa::with_active_features(
             #[inline(always)]
-            || {
+            |f| {
                 for (g, chunk) in out.chunks_mut(GROUP).enumerate() {
-                    self.group_values_f32(g * GROUP, chunk);
+                    self.group_values_f32(f, g * GROUP, chunk);
                 }
             },
         );
@@ -222,13 +223,13 @@ impl Libor {
 
     /// Low-effort endpoint: path-SoA groups in parallel.
     // ninja-lint: variant(algorithmic)
-    // ninja-lint: expect(vec256, sconv=0)
+    // ninja-lint: expect(vec256, fma, sconv=0)
     pub fn run_algorithmic(&self, pool: &ThreadPool) -> Vec<f32> {
         let mut out = vec![0.0f32; self.paths];
         par_chunks_mut(pool, &mut out, GROUP, |g, chunk| {
             isa::with_active_features(
                 #[inline(always)]
-                || self.group_values_f32(g * GROUP, chunk),
+                |f| self.group_values_f32(f, g * GROUP, chunk),
             );
         });
         out
@@ -424,7 +425,7 @@ fn price_paths_f64_on(
     isa::with_features_on(
         kind,
         #[inline(always)]
-        || {
+        |_| {
             let (zs, out) = price_groups_f64::<F64_GROUP>(init_rates, vols, zs, out);
             let (zs, out) = price_groups_f64::<8>(init_rates, vols, zs, out);
             let (zs, out) = price_groups_f64::<4>(init_rates, vols, zs, out);
@@ -496,7 +497,8 @@ fn price_group_f64<const G: usize>(
 }
 
 /// Prices one path in `f32` with the inlined polynomial `exp` — the
-/// restructured (SIMD) rung's arithmetic.
+/// restructured (SIMD) rung's arithmetic, unfused: it runs in no feature
+/// frame, so its `exp_poly` takes `Frame::default()`.
 pub fn price_path_poly(init_rates: &[f32; N_RATES], vols: &[f32; NMAT], z: &[f32; NMAT]) -> f32 {
     let mut l = *init_rates;
     let sqrt_delta = DELTA.sqrt();
@@ -507,7 +509,7 @@ pub fn price_path_poly(init_rates: &[f32; N_RATES], vols: &[f32; NMAT], z: &[f32
             let lam = vols[(i - n - 1).min(NMAT - 1)];
             let con1 = DELTA * lam;
             v += con1 * l[i] / (1.0 + DELTA * l[i]);
-            let vrat = exp_poly(con1 * v + lam * (sqez - 0.5 * con1));
+            let vrat = exp_poly(Frame::default(), con1 * v + lam * (sqez - 0.5 * con1));
             l[i] *= vrat;
         }
     }
@@ -736,7 +738,7 @@ mod tests {
                     isa::with_features_on(
                         kind,
                         #[inline(always)]
-                        || k.group_values_f32(g * GROUP, chunk),
+                        |f| k.group_values_f32(f, g * GROUP, chunk),
                     );
                 }
                 out

@@ -14,7 +14,8 @@
 //! * **algorithmic change**: convert to SoA (`x[]`, `y[]`, `z[]`, `m[]`),
 //!   after which the inner loop is a textbook auto-vectorization target,
 //!   and take `1/sqrt` from multiplies (`rsqrt_fast`) so the vector loop
-//!   is not serialized on the divide/sqrt unit — what `-fp:fast` does;
+//!   is not serialized on the divide/sqrt unit, fusing the multiply-adds
+//!   where the feature frame has FMA — what `-fp:fast` does;
 //! * **Ninja**: explicit SIMD over `j` at the host's vector width with the
 //!   `rsqrt` estimate-plus-refinement idiom and register accumulation.
 
@@ -23,7 +24,7 @@ use crate::framework::{
 };
 use crate::scalar_math::rsqrt_fast;
 use ninja_parallel::{par_chunks_mut, ThreadPool};
-use ninja_simd::isa::{self, dispatch_on, Isa, IsaKind, IsaOp, SimdF32, MAX_ISA_F32_LANES};
+use ninja_simd::isa::{self, dispatch_on, Frame, Isa, IsaKind, IsaOp, SimdF32, MAX_ISA_F32_LANES};
 use ninja_simd::AlignedVec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -173,10 +174,13 @@ impl NBody {
     /// the accumulator; the paper counts this as low-effort). Eight is one
     /// 256-bit register per sum, two 128-bit ones at the baseline width.
     /// `inline(always)` so it compiles inside its callers' feature frames
-    /// (see `isa::with_active_features`).
+    /// (see `isa::with_active_features`); `f` is that frame, so `r2` and
+    /// `rsqrt_fast`'s Newton steps fuse where it has FMA. The accumulators
+    /// stay `+=`: fused, the loop vectorized 2.5X slower (DESIGN.md, "The
+    /// frame fuses").
     #[inline(always)]
     // ninja-lint: effort(simd, algorithmic)
-    fn accel_soa(&self, i: usize) -> [f32; 3] {
+    fn accel_soa(&self, f: Frame, i: usize) -> [f32; 3] {
         const LANES: usize = 8;
         let (xi, yi, zi) = (self.xs[i], self.ys[i], self.zs[i]);
         let mut ax = [0.0f32; LANES];
@@ -196,8 +200,8 @@ impl NBody {
                 let dx = xc[l] - xi;
                 let dy = yc[l] - yi;
                 let dz = zc[l] - zi;
-                let r2 = dx * dx + dy * dy + dz * dz + EPS2;
-                let inv_r = rsqrt_fast(r2);
+                let r2 = f.mul_add(dz, dz, f.mul_add(dy, dy, dx * dx)) + EPS2;
+                let inv_r = rsqrt_fast(f, r2);
                 let s = mc[l] * inv_r * inv_r * inv_r;
                 ax[l] += dx * s;
                 ay[l] += dy * s;
@@ -211,15 +215,15 @@ impl NBody {
     /// Compiler-vectorizable tier: serial, SoA layout, blocked independent
     /// accumulators — the form an auto-vectorizer handles.
     // ninja-lint: variant(simd)
-    // ninja-lint: expect(vec256)
+    // ninja-lint: expect(vec256, fma)
     pub fn run_simd(&self) -> Vec<f32> {
         let n = self.len();
         let mut out = vec![0.0f32; 3 * n];
         isa::with_active_features(
             #[inline(always)]
-            || {
+            |f| {
                 for i in 0..n {
-                    let a = self.accel_soa(i);
+                    let a = self.accel_soa(f, i);
                     out[3 * i..3 * i + 3].copy_from_slice(&a);
                 }
             },
@@ -229,7 +233,7 @@ impl NBody {
 
     /// Low-effort endpoint: the SoA vectorizable loop plus `parallel_for`.
     // ninja-lint: variant(algorithmic)
-    // ninja-lint: expect(vec256)
+    // ninja-lint: expect(vec256, fma)
     pub fn run_algorithmic(&self, pool: &ThreadPool) -> Vec<f32> {
         let n = self.len();
         let mut out = vec![0.0f32; 3 * n];
@@ -237,9 +241,9 @@ impl NBody {
             let base = chunk_idx * 64;
             isa::with_active_features(
                 #[inline(always)]
-                || {
+                |f| {
                     for (k, trio) in chunk.chunks_mut(3).enumerate() {
-                        trio.copy_from_slice(&self.accel_soa(base + k));
+                        trio.copy_from_slice(&self.accel_soa(f, base + k));
                     }
                 },
             );
@@ -361,12 +365,12 @@ pub fn spec() -> KernelSpec {
             },
             VariantInfo {
                 variant: Variant::Simd,
-                effort_loc: 31,
+                effort_loc: 32,
                 what_changed: "AoS->SoA so the compiler can vectorize the j loop",
             },
             VariantInfo {
                 variant: Variant::Algorithmic,
-                effort_loc: 34,
+                effort_loc: 35,
                 what_changed: "SoA + parallel_for",
             },
             VariantInfo {
@@ -511,7 +515,7 @@ mod tests {
                     isa::with_features_on(
                         kind,
                         #[inline(always)]
-                        || k.accel_soa(i),
+                        |f| k.accel_soa(f, i),
                     )
                 });
                 accels.flatten().collect::<Vec<f32>>()

@@ -1,12 +1,16 @@
 //! Scalar mirrors of the `ninja_simd::isa::math` vector transcendentals.
 //!
 //! These are the "restructured for the compiler" forms: straight-line `f32`
-//! polynomial code with no opaque libm calls, bit-identical to a lane of
-//! the vector versions on a backend without FMA. The `Simd`/`Algorithmic`
-//! tiers of the transcendental-heavy kernels (BlackScholes, Libor, NBody)
-//! inline these so the auto-vectorizer vectorizes the whole loop — the
-//! paper's `#pragma simd` + SVML configuration, at whatever width the
-//! enclosing [`ninja_simd::isa::with_active_features`] frame compiles for.
+//! polynomial code with no opaque libm calls. Each takes the [`Frame`] of
+//! the enclosing [`ninja_simd::isa::with_active_features`] call and fuses
+//! exactly where the vector version calls `mul_add`, so it is
+//! bit-identical to a lane of the vector version of the frame's own
+//! backend: fused in the AVX2 frame, unfused in the others and under
+//! `Frame::default()`. The `Simd`/`Algorithmic` tiers of the
+//! transcendental-heavy kernels (BlackScholes, Libor, NBody) inline these
+//! so the auto-vectorizer vectorizes the whole loop — the paper's
+//! `#pragma simd` + SVML configuration with `-fp:fast` contraction, at
+//! whatever width the frame compiles for.
 //!
 //! "Straight-line" is a property of the emitted code, not of the source:
 //! `f32::clamp`, `f32::floor` and the saturating `as i32` cast all look
@@ -21,21 +25,26 @@
 //! or states a ULP bound that an exhaustive or dense test enforces.
 //!
 //! * [`exp_poly`], [`ln_poly`], [`cnd_poly`] are **bit-identical** to
-//!   `isa::math::{exp, ln, norm_cdf}::<Scalar>` for finite inputs (the
-//!   differential suite in `ninja-simd` holds every unfused backend to
-//!   the same reference). `exp_poly` propagates NaN and clamps `±inf`
-//!   to the ends of its range.
+//!   `isa::math::{exp, ln, norm_cdf}::<I>` in backend `I`'s frame, for
+//!   finite inputs: to `Scalar` and `Sse2` unfused (the differential
+//!   suite in `ninja-simd` holds every unfused backend to the same
+//!   reference), to `Avx2` fused. Every backend's frame is tested.
+//!   `exp_poly` propagates NaN and clamps `±inf` to the ends of its
+//!   range.
 //! * [`floor_f32`] is **exact** for `|x| < 2^22`; it returns `+0.0`
 //!   where `f32::floor` returns `-0.0`. [`int_of_integral`] is exact on
 //!   the integers of the same range.
 //! * [`rsqrt_fast`] is within **2 ULP** of `1/sqrt(x)` rounded from
 //!   `f64` for every normal `x >= 2^-125`, and within 3 ULP in the lowest
-//!   normal binade (every positive normal `f32` is tested).
+//!   normal binade, fused or not (every positive normal `f32` is tested
+//!   both ways).
 //! * [`exp_f64`], the one `f64` function here (it serves Libor's `f64`
 //!   reference, not a rung), is within **1 ULP** of libm's `f64::exp`
 //!   from the underflow to the overflow threshold, subnormal results
 //!   included (4,000,001 evenly spaced points are tested); beyond them,
 //!   and for NaN, it returns what `f64::exp` does: `0.0`, `+inf`, NaN.
+
+use ninja_simd::isa::Frame;
 
 /// Branch-free lane select: `if cond { a } else { b }`, computed with bit
 /// masks exactly like the SSE2 backend's `select`, so scalar and vector
@@ -76,21 +85,22 @@ pub fn int_of_integral(x: f32) -> i32 {
         .wrapping_sub(ROUND_MAGIC.to_bits()) as i32
 }
 
-/// Scalar mirror of [`ninja_simd::isa::math::exp`]'s polynomial.
+/// Scalar mirror of [`ninja_simd::isa::math::exp`]'s polynomial, fused
+/// where it calls `mul_add` if `f` has FMA.
 #[inline(always)]
-pub fn exp_poly(x: f32) -> f32 {
+pub fn exp_poly(f: Frame, x: f32) -> f32 {
     // A clamp from selects: NaN fails both compares and passes through.
     let x = select_f32(x > 88.376_26, 88.376_26, x);
     let x = select_f32(x < -87.336_54, -87.336_54, x);
-    let fx = floor_f32(x * std::f32::consts::LOG2_E + 0.5);
+    let fx = floor_f32(f.mul_add(x, std::f32::consts::LOG2_E, 0.5));
     let r = x - fx * 0.693_359_4 - fx * -2.121_944_4e-4;
     let mut p = 1.987_569_1e-4;
-    p = p * r + 1.398_199_9e-3;
-    p = p * r + 8.333_452e-3;
-    p = p * r + 4.166_579_6e-2;
-    p = p * r + 1.666_666_6e-1;
-    p = p * r + 0.5;
-    let y = p * (r * r) + (r + 1.0);
+    p = f.mul_add(p, r, 1.398_199_9e-3);
+    p = f.mul_add(p, r, 8.333_452e-3);
+    p = f.mul_add(p, r, 4.166_579_6e-2);
+    p = f.mul_add(p, r, 1.666_666_6e-1);
+    p = f.mul_add(p, r, 0.5);
+    let y = f.mul_add(p, r * r, r + 1.0);
     // `fx` is an integer in [-126, 128].
     let n = int_of_integral(fx) as u32;
     let pow2n = f32::from_bits(n.wrapping_add(127) << 23);
@@ -164,31 +174,33 @@ pub fn exp_f64(x: f64) -> f64 {
 /// Fast reciprocal square root for positive normal `x`: the exponent-
 /// halving bit trick for a seed (relative error under 3.5%), then three
 /// Newton steps `y <- y * (1.5 - 0.5 * x * y * y)`, each squaring the
-/// error (3.5e-2, 1.8e-3, 4.7e-6, below rounding). Multiplies and
-/// subtracts only, so a loop calling it is not serialized on the
+/// error (3.5e-2, 1.8e-3, 4.7e-6, below rounding). Where `f` has FMA each
+/// step's `1.5 - (0.5 * x * y) * y` is one fused multiply-add; unfused it
+/// rounds as written. Multiplies and subtracts only, so a loop calling it is not serialized on the
 /// divide/sqrt unit the way `1.0 / x.sqrt()` is — what a compiler does
 /// to that expression under `-fp:fast`. Within 2 ULP of the correctly
 /// rounded `1/sqrt(x)` (3 ULP below `2^-125`, where `0.5 * x` is
-/// subnormal); unspecified for zero, negative, subnormal or non-finite
-/// `x`.
+/// subnormal), fused or not; unspecified for zero, negative, subnormal or
+/// non-finite `x`.
 #[inline(always)]
-pub fn rsqrt_fast(x: f32) -> f32 {
-    let half_x = 0.5 * x;
+pub fn rsqrt_fast(f: Frame, x: f32) -> f32 {
+    let neg_half_x = -0.5 * x;
     let mut y = f32::from_bits(0x5f37_59df_u32.wrapping_sub(x.to_bits() >> 1));
-    y *= 1.5 - half_x * y * y;
-    y *= 1.5 - half_x * y * y;
-    y *= 1.5 - half_x * y * y;
+    y *= f.mul_add(neg_half_x * y, y, 1.5);
+    y *= f.mul_add(neg_half_x * y, y, 1.5);
+    y *= f.mul_add(neg_half_x * y, y, 1.5);
     y
 }
 
-/// Scalar mirror of [`ninja_simd::isa::math::ln`]'s polynomial.
+/// Scalar mirror of [`ninja_simd::isa::math::ln`]'s polynomial, fused
+/// where it calls `mul_add` if `f` has FMA.
 ///
 /// The exponent reaches `f32` through the mantissa of `2^23` (exact, as
 /// in [`floor_f32`]) and the fold compares mantissa bits as integers —
 /// `m_raw` is in `[1, 2)`, where float order is bit order — so neither
 /// step needs a scalar `cvtsi2ss`/`ucomiss` in a loop's remainder.
 #[inline(always)]
-pub fn ln_poly(x: f32) -> f32 {
+pub fn ln_poly(f: Frame, x: f32) -> f32 {
     let bits = x.to_bits();
     let e_raw = f32::from_bits((bits >> 23) | 0x4b00_0000) - 8_388_735.0;
     let m_bits = (bits & 0x007f_ffff) | 0x3f80_0000;
@@ -199,25 +211,26 @@ pub fn ln_poly(x: f32) -> f32 {
     let t = (m - 1.0) / (m + 1.0);
     let t2 = t * t;
     let mut p = 2.0 / 9.0;
-    p = p * t2 + 2.0 / 7.0;
-    p = p * t2 + 2.0 / 5.0;
-    p = p * t2 + 2.0 / 3.0;
-    p = p * t2 + 2.0;
-    e * std::f32::consts::LN_2 + p * t
+    p = f.mul_add(p, t2, 2.0 / 7.0);
+    p = f.mul_add(p, t2, 2.0 / 5.0);
+    p = f.mul_add(p, t2, 2.0 / 3.0);
+    p = f.mul_add(p, t2, 2.0);
+    f.mul_add(e, std::f32::consts::LN_2, p * t)
 }
 
-/// Scalar mirror of [`ninja_simd::isa::math::norm_cdf`] (A&S 26.2.17).
+/// Scalar mirror of [`ninja_simd::isa::math::norm_cdf`] (A&S 26.2.17),
+/// fused where it calls `mul_add` if `f` has FMA.
 #[inline(always)]
-pub fn cnd_poly(x: f32) -> f32 {
+pub fn cnd_poly(f: Frame, x: f32) -> f32 {
     let ax = x.abs();
-    let k = 1.0 / (ax * 0.231_641_9 + 1.0);
+    let k = 1.0 / f.mul_add(ax, 0.231_641_9, 1.0);
     let mut poly = 1.330_274_5_f32;
-    poly = poly * k + -1.821_255_9;
-    poly = poly * k + 1.781_477_9;
-    poly = poly * k + -0.356_563_78;
-    poly = poly * k + 0.319_381_54;
+    poly = f.mul_add(poly, k, -1.821_255_9);
+    poly = f.mul_add(poly, k, 1.781_477_9);
+    poly = f.mul_add(poly, k, -0.356_563_78);
+    poly = f.mul_add(poly, k, 0.319_381_54);
     poly *= k;
-    let pdf = 0.398_942_3 * exp_poly(-(ax * ax) * 0.5);
+    let pdf = 0.398_942_3 * exp_poly(f, -(ax * ax) * 0.5);
     let cdf_pos = 1.0 - pdf * poly;
     select_f32(x >= 0.0, cdf_pos, 1.0 - cdf_pos)
 }
@@ -226,51 +239,83 @@ pub fn cnd_poly(x: f32) -> f32 {
 mod tests {
     use super::*;
     use ninja_simd::isa::math::{exp, ln, norm_cdf};
-    use ninja_simd::isa::{Scalar, ScalarF32};
+    use ninja_simd::isa::{
+        available_kinds, dispatch_on, with_features_on, Isa, IsaKind, IsaOp, SimdF32,
+        MAX_ISA_F32_LANES,
+    };
 
-    /// Bit-equality with the one-lane reference backend, which the
-    /// differential suite in `ninja-simd` holds every unfused backend to.
-    /// The sweep is dense where `exp_poly` changes regime: 0.001 steps
-    /// across the whole clamped range and a little beyond both clamps.
+    /// One backend's vector `[exp, ln, norm_cdf]` of each input: lane 0
+    /// of a splat.
+    struct VectorMath<'a>(&'a [f32]);
+
+    impl IsaOp for VectorMath<'_> {
+        type Output = Vec<[f32; 3]>;
+        fn run<I: Isa>(self) -> Vec<[f32; 3]> {
+            let lane0 = |v: I::F32| {
+                let mut out = [0.0; MAX_ISA_F32_LANES];
+                v.store_partial(&mut out);
+                out[0]
+            };
+            let math = |x| {
+                let v = I::F32::splat(x);
+                [exp::<I>(v), ln::<I>(v), norm_cdf::<I>(v)].map(lane0)
+            };
+            self.0.iter().map(|&x| math(x)).collect()
+        }
+    }
+
+    /// In every backend's feature frame each mirror is bit-identical to
+    /// that backend's vector math: unfused in the Scalar and Sse2 frames,
+    /// fused in the AVX2 frame (the differential suite in `ninja-simd`
+    /// holds the unfused backends to one another). The `exp` sweep is
+    /// dense where `exp_poly` changes regime: 0.001 steps across the
+    /// whole clamped range and a little beyond both clamps.
     #[test]
     fn scalar_polys_match_the_vector_math_bitwise() {
-        for i in -95_000..=95_000 {
-            let x = i as f32 * 0.001;
-            assert_eq!(
-                exp_poly(x).to_bits(),
-                exp::<Scalar>(ScalarF32(x)).0.to_bits(),
-                "exp {x}"
-            );
-        }
-        for i in -8_000..=8_000 {
-            let x = i as f32 * 0.005;
-            assert_eq!(cnd_poly(x), norm_cdf::<Scalar>(ScalarF32(x)).0, "cnd {x}");
-            if x > 0.0 {
-                assert_eq!(ln_poly(x), ln::<Scalar>(ScalarF32(x)).0, "ln {x}");
-            }
-        }
+        let steps = |n: i32, h: f32| (-n..=n).map(move |i| i as f32 * h);
+        let cnd_xs: Vec<f32> = steps(8_000, 0.005).collect();
         // ln across the exponent range, on both sides of the sqrt(2) fold.
-        for k in -126..=127 {
-            for m in [
-                1.0f32,
-                1.37,
-                std::f32::consts::SQRT_2,
-                1.414_213_7,
-                1.999_999_9,
-            ] {
-                let x = m * 2.0f32.powi(k);
-                assert_eq!(ln_poly(x), ln::<Scalar>(ScalarF32(x)).0, "ln {x:e}");
+        let folds = [
+            1.0f32,
+            1.37,
+            std::f32::consts::SQRT_2,
+            1.414_213_7,
+            1.999_999_9,
+        ];
+        let scaled = (-126..=127).flat_map(|k| folds.map(|m| m * 2.0f32.powi(k)));
+        let ln_xs: Vec<f32> = cnd_xs
+            .iter()
+            .copied()
+            .filter(|&x| x > 0.0)
+            .chain(scaled)
+            .collect();
+        let cases = [
+            ("exp", 0, steps(95_000, 0.001).collect()),
+            ("ln", 1, ln_xs),
+            ("cnd", 2, cnd_xs),
+        ];
+        for kind in available_kinds() {
+            for (name, col, xs) in &cases {
+                let want = dispatch_on(kind, VectorMath(xs));
+                let got: Vec<f32> = with_features_on(kind, |f| {
+                    let mirror = [exp_poly, ln_poly, cnd_poly][*col];
+                    xs.iter().map(|&x| mirror(f, x)).collect()
+                });
+                for ((x, g), w) in xs.iter().zip(got).zip(want) {
+                    assert_eq!(g.to_bits(), w[*col].to_bits(), "{kind} {name} {x:e}");
+                }
             }
         }
     }
 
     #[test]
     fn exp_poly_propagates_nan_and_clamps_infinities() {
-        assert!(exp_poly(f32::NAN).is_nan());
-        assert_eq!(exp_poly(f32::INFINITY), exp_poly(88.376_26));
-        assert_eq!(exp_poly(f32::NEG_INFINITY), exp_poly(-87.336_54));
-        assert!(exp_poly(f32::INFINITY).is_finite());
-        assert!(exp_poly(f32::NEG_INFINITY) > 0.0);
+        let exp = |x| exp_poly(Frame::default(), x);
+        assert!(exp(f32::NAN).is_nan());
+        assert_eq!(exp(f32::INFINITY), exp(88.376_26));
+        assert_eq!(exp(f32::NEG_INFINITY), exp(-87.336_54));
+        assert!(exp(f32::INFINITY).is_finite());
+        assert!(exp(f32::NEG_INFINITY) > 0.0);
     }
 
     /// `exp_f64` against `f64::exp` on 4,000,001 evenly spaced points
@@ -366,36 +411,51 @@ mod tests {
         }
     }
 
-    /// `rsqrt_fast` against `1/sqrt` evaluated in `f64`. A release build
-    /// visits every positive normal `f32` (2^31 of them, about 10 s: the
-    /// `isa-matrix` CI job runs this suite in release); a debug build
-    /// every 251st. The bound is 2 ULP, except in the lowest normal
-    /// binade, where `0.5 * x` is subnormal and has lost a bit: 3 ULP.
+    /// `rsqrt_fast` against `1/sqrt` evaluated in `f64`, unfused and, on
+    /// a CPU with AVX2+FMA, fused in that backend's frame. A release
+    /// build visits every positive normal `f32` (2^31 of them, about 10 s
+    /// per form: the `isa-matrix` CI job runs this suite in release); a
+    /// debug build every 251st. The bound is 2 ULP, except in the lowest
+    /// normal binade, where `0.5 * x` is subnormal and has lost a bit:
+    /// 3 ULP.
     #[test]
     fn rsqrt_fast_is_within_two_ulp_of_every_positive_normal() {
-        let stride = if cfg!(debug_assertions) { 251 } else { 1 };
-        let lowest_binade_end = (2.0 * f32::MIN_POSITIVE).to_bits();
-        for bits in (f32::MIN_POSITIVE.to_bits()..=f32::MAX.to_bits()).step_by(stride) {
-            let x = f32::from_bits(bits);
-            let want = (1.0 / f64::from(x).sqrt()) as f32;
-            let ulps = rsqrt_fast(x).to_bits().abs_diff(want.to_bits());
-            let bound = if bits < lowest_binade_end { 3 } else { 2 };
-            assert!(ulps <= bound, "rsqrt_fast({x:e}): {ulps} ULP from {want:e}");
+        #[inline(always)]
+        fn check(f: Frame) {
+            let stride = if cfg!(debug_assertions) { 251 } else { 1 };
+            let lowest_binade_end = (2.0 * f32::MIN_POSITIVE).to_bits();
+            for bits in (f32::MIN_POSITIVE.to_bits()..=f32::MAX.to_bits()).step_by(stride) {
+                let x = f32::from_bits(bits);
+                let want = (1.0 / f64::from(x).sqrt()) as f32;
+                let ulps = rsqrt_fast(f, x).to_bits().abs_diff(want.to_bits());
+                let bound = if bits < lowest_binade_end { 3 } else { 2 };
+                assert!(
+                    ulps <= bound,
+                    "rsqrt_fast({f:?}, {x:e}): {ulps} ULP from {want:e}"
+                );
+            }
+        }
+        check(Frame::default());
+        if IsaKind::Avx2.available() {
+            with_features_on(IsaKind::Avx2, check);
         }
     }
 
     #[test]
     fn scalar_polys_match_std() {
-        for i in -40..=40 {
-            let x = i as f32 * 0.5;
-            assert!((exp_poly(x) - x.exp()).abs() / x.exp() < 3e-6, "exp {x}");
-        }
-        for i in 1..200 {
-            let x = i as f32 * 0.37;
-            assert!(
-                (ln_poly(x) - x.ln()).abs() < 3e-6 * x.ln().abs().max(1.0),
-                "ln {x}"
-            );
+        for kind in available_kinds() {
+            with_features_on(kind, |f| {
+                for i in -40..=40 {
+                    let x = i as f32 * 0.5;
+                    let err = (exp_poly(f, x) - x.exp()).abs() / x.exp();
+                    assert!(err < 3e-6, "{kind} exp {x}");
+                }
+                for i in 1..200 {
+                    let x = i as f32 * 0.37;
+                    let err = (ln_poly(f, x) - x.ln()).abs();
+                    assert!(err < 3e-6 * x.ln().abs().max(1.0), "{kind} ln {x}");
+                }
+            });
         }
     }
 }

@@ -250,7 +250,7 @@ impl VolumeRender {
         par_chunks_mut(pool, &mut out, d, |py, row| {
             isa::with_active_features(
                 #[inline(always)]
-                || {
+                |_| {
                     let mut groups = row.chunks_exact_mut(GROUP);
                     for (g, out) in (&mut groups).enumerate() {
                         self.trace_group(g * GROUP, py, out);

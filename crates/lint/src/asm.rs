@@ -49,6 +49,10 @@ pub struct InsnCounts {
     pub gather: bool,
     /// Whether any scatter store was emitted.
     pub scatter: bool,
+    /// References to libm's `fmaf`/`fma` (a call, a tail jump, or the
+    /// address load an indirect call goes through): what `f32::mul_add`
+    /// compiles to outside a frame that has FMA.
+    pub libm_fma_calls: u32,
 }
 
 impl InsnCounts {
@@ -63,6 +67,7 @@ impl InsnCounts {
         self.fma |= other.fma;
         self.gather |= other.gather;
         self.scatter |= other.scatter;
+        self.libm_fma_calls += other.libm_fma_calls;
     }
 
     /// Whether any vector arithmetic (FP or integer) was seen.
@@ -152,6 +157,9 @@ pub fn parse_listing(text: &str) -> Result<AsmListing, LintError> {
         };
         let (mnemonic, operands) = split_insn(trimmed);
         classify_x86(mnemonic, operands, &mut cur.counts);
+        if names_libm_fma(operands) {
+            cur.counts.libm_fma_calls += 1;
+        }
         collect_symbol_refs(operands, &mut callees);
     }
     flush(&mut current, &mut callees);
@@ -203,6 +211,14 @@ fn collect_symbol_refs(operands: &str, out: &mut BTreeSet<String>) {
             }
         }
     }
+}
+
+/// Whether an operand names libm's `fmaf` or `fma` as a whole symbol:
+/// `fmaf@PLT`, `*fma@GOTPCREL(%rip)` or a bare `fmaf`.
+fn names_libm_fma(operands: &str) -> bool {
+    operands
+        .split(|c: char| !(c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '$' | '@')))
+        .any(|token| matches!(token.split('@').next(), Some("fmaf" | "fma")))
 }
 
 // ---- x86-64 (AT&T) classification --------------------------------------

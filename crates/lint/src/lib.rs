@@ -21,7 +21,8 @@
 //! * **Assembly evidence** (NL008/NL009/NL011/NL012, `--asm` mode): the
 //!   [`asm`] and [`vecprofile`] modules parse `rustc --emit asm` output,
 //!   attribute symbols back to rungs, and hold each rung to the profile
-//!   its `expect(vecN[, fma][, sconv=0])` marker declares (a simd,
+//!   its `expect(vecN[, fma][, sconv=0])` marker declares, and fail a
+//!   marked rung that reaches a libm `fmaf`/`fma` call (a simd,
 //!   algorithmic or ninja rung with neither that marker nor an
 //!   `allow(NL008, ..)` waiver is a finding itself). They flag an
 //!   intrinsic called out of line inside the AVX2 trampoline's reach, and

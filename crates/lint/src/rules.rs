@@ -121,8 +121,9 @@ pub enum RuleId {
     /// NL007: a `ninja-lint` marker that does not parse or attach.
     MalformedMarker,
     /// NL008: a rung whose compiled code is below its `expect(...)`
-    /// profile, or a Simd/Ninja rung with no such marker (asm
-    /// evidence; see [`crate::vecprofile`]).
+    /// profile or reaches a libm `fmaf`/`fma` call, or a simd,
+    /// algorithmic or ninja rung with no such marker (asm evidence; see
+    /// [`crate::vecprofile`]).
     NinjaRungNotVectorized,
     /// NL009 (info): a Naive rung the compiler auto-vectorized.
     ScalarRungAutovectorized,
@@ -206,8 +207,8 @@ impl RuleId {
             }
             RuleId::NinjaRungNotVectorized => {
                 "a rung's compiled code must meet its expect(vecN[, fma][, sconv=0]) \
-                 marker, and every simd, algorithmic and ninja rung must carry one; checked \
-                 against --emit asm evidence in --asm mode"
+                 marker and reach no libm fmaf/fma call, and every simd, algorithmic and \
+                 ninja rung must carry one; checked against --emit asm evidence in --asm mode"
             }
             RuleId::ScalarRungAutovectorized => {
                 "info: the compiler auto-vectorized a naive rung — the paper's \

@@ -75,6 +75,9 @@ pub struct VecProfile {
     /// Scalar FP compare and float/integer conversion count — in a
     /// vectorized rung, the lanes the compiler took apart one by one.
     pub scalar_conv_ops: u32,
+    /// References to libm's `fmaf`/`fma`: a `mul_add` compiled outside
+    /// a frame with FMA, one call per element.
+    pub libm_fma_calls: u32,
     /// Number of listing symbols that matched this rung directly
     /// (before the transitive walk). Zero = everything inlined away.
     pub matched_symbols: u32,
@@ -109,6 +112,7 @@ impl VecProfile {
             scalar_fp_ops: counts.scalar_fp_ops,
             vector_int_ops: counts.vector_int_ops,
             scalar_conv_ops: counts.scalar_conv_ops,
+            libm_fma_calls: counts.libm_fma_calls,
             matched_symbols: matched,
             classification: classification.to_string(),
         }
@@ -247,6 +251,7 @@ fn unmet_clauses(e: Expect, p: &VecProfile) -> Vec<String> {
             .then(|| format!("{} is narrower than vec{}", p.classification, e.min_bits)),
         (e.fma && !p.fma).then(|| "no fma".into()),
         (e.no_scalar_conv && p.scalar_conv_ops > 0).then(|| format!("sconv={}", p.scalar_conv_ops)),
+        (p.libm_fma_calls > 0).then(|| format!("{} libm fmaf/fma call(s)", p.libm_fma_calls)),
     ]
     .into_iter()
     .flatten()

@@ -2,8 +2,9 @@
 //!
 //! The classifier runs against checked-in x86-64 listings (AVX2,
 //! SSE-only, fully scalar) so its counting rules are pinned
-//! without invoking a compiler; NL008/NL009/NL011/NL012 and the
-//! `expect(...)` profiles are then exercised through `check_asm` against
+//! without invoking a compiler; NL008 (a profile clause missed, a libm
+//! `fmaf` reached), NL009/NL011/NL012 and the `expect(...)` profiles are
+//! then exercised through `check_asm` against
 //! paired source fixtures, each firing exactly once.
 
 use ninja_lint::{
@@ -293,6 +294,34 @@ fn nl008_fires_once_on_scalarized_lanes_under_sconv_0() {
     assert_eq!(hits.len(), 1, "{findings:#?}");
     assert!(hits[0].message.contains("sconv=3"), "{}", hits[0].message);
     assert!(!hits[0].message.contains("narrower"), "{}", hits[0].message);
+}
+
+#[test]
+fn nl008_fires_once_on_a_marked_rung_that_calls_libm_fma() {
+    let files = [source("asm_simd_fmaf.rs")];
+    let (profiles, findings) = check_asm(&files, &[listing("fmacall.s")]);
+    let hits = only(&findings, RuleId::NinjaRungNotVectorized);
+    assert_eq!(hits.len(), 1, "{findings:#?}");
+    let message = &hits[0].message;
+    assert!(message.contains("2 libm fmaf/fma call(s)"), "{message}");
+    assert!(!message.contains("narrower"), "{message}");
+    assert_eq!(
+        (
+            profiles[0].classification.as_str(),
+            profiles[0].libm_fma_calls
+        ),
+        ("vec128", 2),
+        "the call through a register and the tail call; not `.Lfmaf_table`"
+    );
+    // The same packed arithmetic without the calls meets the marker.
+    let text = std::fs::read_to_string(fixtures_dir().join("asm/fmacall.s")).unwrap();
+    let fused: String = text
+        .lines()
+        .filter(|l| !l.contains("fmaf@"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let listing = parse_listing(&fused).expect("x86-64 listing");
+    assert!(check_asm(&files, &[listing]).1.is_empty());
 }
 
 #[test]

@@ -30,6 +30,7 @@ pub struct Avx2;
 impl Isa for Avx2 {
     const NAME: &'static str = "avx2";
     const WIDTH_BITS: usize = 256;
+    const FMA: bool = true;
     type F32 = AvxF32;
     type F64 = AvxF64;
     type I32 = AvxI32;

@@ -37,8 +37,9 @@
 //!   (`a < b ? a : b`, so the *second* operand wins when a lane is NaN);
 //!   every backend reproduces it.
 //! * `mul_add` may round once (fused, AVX2) or twice (unfused,
-//!   Scalar/SSE2). Differential tests accept a result within 2 ULP of
-//!   *either* reference.
+//!   Scalar/SSE2), as [`Isa::FMA`] says. Differential tests accept a
+//!   result within 2 ULP of *either* reference. A feature frame's
+//!   [`Frame::mul_add`] rounds exactly as its backend's `mul_add` does.
 //! * `rsqrt` is a hardware estimate plus one refinement step (Scalar
 //!   divides): within 2 ULP of `1.0 / x.sqrt()` for normal positive
 //!   inputs on every backend, not bit-exact across them.
@@ -82,7 +83,7 @@ mod sse2;
 pub use avx2::{Avx2, AvxF32, AvxF64, AvxI32, AvxM32, AvxM64};
 pub use dispatch::{
     active, available_kinds, detect_best, dispatch, dispatch_on, force_for_test, resolve,
-    resolve_from_env, with_active_features, with_features_on, IsaKind, IsaOp, NINJA_ISA_ENV,
+    resolve_from_env, with_active_features, with_features_on, Frame, IsaKind, IsaOp, NINJA_ISA_ENV,
 };
 pub use scalar::{Scalar, ScalarF32, ScalarF64, ScalarI32, ScalarMask};
 #[cfg(target_arch = "x86_64")]
@@ -524,6 +525,9 @@ pub trait Isa: Copy + Default + Send + Sync + 'static {
     const NAME: &'static str;
     /// `f32` vector width in bits (32 for Scalar).
     const WIDTH_BITS: usize;
+    /// Whether the backend's `mul_add` rounds once (fused). It is what
+    /// [`Frame`] carries into the scalar code of a feature frame.
+    const FMA: bool = false;
     /// The `f32` vector type.
     type F32: SimdF32<I32 = Self::I32, Mask = Self::M32>;
     /// The `f64` vector type.
